@@ -11,13 +11,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from functools import lru_cache
+from typing import Optional, Sequence
 
 from .core import (
     EdgeOrderedGraph,
     Pair,
+    _edge_isomorphisms,
+    _pairs_within,
+    _vertex_subset,
     build_graph,
-    induced_subgraph,
     order_isomorphisms,
 )
 from .errors import BadSize, BadSpec, NotComplete
@@ -114,8 +117,13 @@ def canonical_labels(kind: CanonicalType, n: int) -> dict[Pair, int]:
     }
 
 
+@lru_cache(maxsize=None)
 def canonical_clique(kind: CanonicalType, n: int) -> EdgeOrderedGraph:
-    """K_n with the canonical ordering of the given type."""
+    """K_n with the canonical ordering of the given type.
+
+    Memoized: every call with the same (kind, n) returns the same
+    immutable graph object.
+    """
     if n < 2:
         raise BadSize(f"canonical clique needs n >= 2, got {n}")
     labels = canonical_labels(kind, n)
@@ -150,8 +158,12 @@ def star_labels(kind: StarType, size: int) -> tuple[dict[Pair, int], int]:
     return labels, x
 
 
+@lru_cache(maxsize=None)
 def star_canonical_clique(kind: StarType, size: int) -> tuple[EdgeOrderedGraph, int]:
-    """K_size star-canonically ordered; returns (graph, special vertex)."""
+    """K_size star-canonically ordered; returns (graph, special vertex).
+
+    Memoized like :func:`canonical_clique`: the returned graph is shared.
+    """
     labels, x = star_labels(kind, size)
     graph = build_graph(size, [(u, v, r) for (u, v), r in labels.items()])
     return graph, x
@@ -240,10 +252,18 @@ def star_subclique_matches(
     the given special vertex; None otherwise.  Helper shared by the
     recognizers and the subclique search."""
     subset = sorted(vertices)
-    induced = induced_subgraph(graph, subset)
-    position = {v: i for i, v in enumerate(subset)}
-    generated, gen_special = star_canonical_clique(kind, len(subset))
-    for cert in order_isomorphisms(generated, induced):
-        if cert[gen_special] == position[special]:
-            return tuple(subset[cert[v]] for v in range(len(subset) - 1))
+    inside = set(_vertex_subset(graph, subset))
+    return _star_pairs_match(_pairs_within(graph, inside), len(subset), special, kind)
+
+
+def _star_pairs_match(
+    pairs: Sequence[Pair], size: int, special: int, kind: StarType
+) -> Optional[tuple[int, ...]]:
+    """:func:`star_subclique_matches` on a ``size``-vertex subset given by
+    its rank-ordered pairs in host coordinates."""
+    generated, gen_special = star_canonical_clique(kind, size)
+    # The generated clique has no isolated vertex, so each match is total.
+    for vmap in _edge_isomorphisms(generated.pairs_by_rank, pairs):
+        if vmap[gen_special] == special:
+            return tuple(vmap[v] for v in range(size - 1))
     return None

@@ -36,6 +36,7 @@ from .errors import (
     EotileError,
     Inconclusive,
     ParseError,
+    SamplingFailed,
     UnknownExperiment,
 )
 from .necessity import necessity_witness, scan_classes, sufficiency_probe
@@ -52,13 +53,25 @@ from .tiling import (
 
 EXPERIMENT_NAMES = ("theorem1-grid", "rodl-threshold", "necessity-scan", "catalog-verdicts")
 
+# Draws before theorem1-grid's host sampler gives up on a minimum degree.
+MAX_SAMPLING_DRAWS = 100_000
+
 
 def default_budget() -> SearchBudget:
-    """Search budget for CLI-invoked solvers; EOTILE_NODE_BUDGET overrides."""
+    """Search budget for CLI-invoked solvers; EOTILE_NODE_BUDGET overrides.
+
+    A value that is not a positive integer raises :class:`BadSpec`.
+    """
     raw = os.environ.get("EOTILE_NODE_BUDGET")
     if raw is None:
         return SearchBudget()
-    return SearchBudget(node_limit=int(raw))
+    try:
+        limit = int(raw)
+    except ValueError:
+        limit = 0
+    if limit <= 0:
+        raise BadSpec(f"EOTILE_NODE_BUDGET must be a positive integer, got {raw!r}")
+    return SearchBudget(node_limit=limit)
 
 
 # --------------------------------------------------------------------------
@@ -160,7 +173,7 @@ def _random_min_degree_host(
     """Random host: rejection-sample the underlying graph until the minimum
     degree holds, then apply a uniformly random rank permutation."""
     pairs = list(combinations(range(n), 2))
-    for _ in range(100_000):
+    for _ in range(MAX_SAMPLING_DRAWS):
         mask = rng.random(len(pairs)) < edge_prob
         degrees = [0] * n
         chosen = [p for p, keep in zip(pairs, mask) if keep]
@@ -170,7 +183,10 @@ def _random_min_degree_host(
         if chosen and min(degrees) >= min_degree:
             ranks = rng.permutation(len(chosen)) + 1
             return build_graph(n, [(u, v, int(r)) for (u, v), r in zip(chosen, ranks)])
-    raise RuntimeError("rejection sampling failed; raise edge_prob")
+    raise SamplingFailed(
+        f"no host with minimum degree {min_degree} in {MAX_SAMPLING_DRAWS} draws; "
+        "raise edge_prob"
+    )
 
 
 def _random_edge_count_host(

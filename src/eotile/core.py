@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations
-from typing import Iterator, Optional, Sequence
+from typing import Collection, Iterator, Optional, Sequence
 
 from .errors import BadVertex, BudgetExceeded, DuplicateEdge, RankCollision
 
@@ -43,7 +43,8 @@ class EdgeOrderedGraph:
 
     @cached_property
     def rank(self) -> dict[Pair, int]:
-        return {(u, v): r for u, v, r in self.edges}
+        # Keyed by the tuples of ``pairs_by_rank``, so both caches share them.
+        return {pair: i + 1 for i, pair in enumerate(self.pairs_by_rank)}
 
     @cached_property
     def pairs_by_rank(self) -> tuple[Pair, ...]:
@@ -127,12 +128,28 @@ def reverse(graph: EdgeOrderedGraph) -> EdgeOrderedGraph:
     return EdgeOrderedGraph(graph.n, tuple(flipped))
 
 
-def induced_subgraph(graph: EdgeOrderedGraph, vertices) -> EdgeOrderedGraph:
-    """Induced subgraph on ``vertices``, relabeled ``0..|S|-1`` in vertex order."""
+def _vertex_subset(graph: EdgeOrderedGraph, vertices) -> list[int]:
+    """``vertices`` deduplicated and ascending; BadVertex if one is not in ``graph``."""
     subset = sorted(set(vertices))
     for v in subset:
         if not (0 <= v < graph.n):
             raise BadVertex(f"vertex {v} not in graph with n={graph.n}")
+    return subset
+
+
+def _pairs_within(graph: EdgeOrderedGraph, inside: Collection[int]) -> list[Pair]:
+    """The pairs of ``graph`` with both ends in ``inside``, ascending by rank.
+
+    These are the induced subgraph's edges in host coordinates; since
+    :func:`induced_subgraph` relabels monotonically, searches over them
+    visit candidates in the same order as searches over the subgraph.
+    """
+    return [p for p in graph.pairs_by_rank if p[0] in inside and p[1] in inside]
+
+
+def induced_subgraph(graph: EdgeOrderedGraph, vertices) -> EdgeOrderedGraph:
+    """Induced subgraph on ``vertices``, relabeled ``0..|S|-1`` in vertex order."""
+    subset = _vertex_subset(graph, vertices)
     index = {v: i for i, v in enumerate(subset)}
     kept = [
         (index[u], index[v], r)
@@ -152,18 +169,19 @@ class IsoCertificate:
         return self.vertex_map[v]
 
 
-def _edge_isomorphisms(first: EdgeOrderedGraph, second: EdgeOrderedGraph) -> Iterator[dict[int, int]]:
+def _edge_isomorphisms(
+    fpairs: Sequence[Pair], spairs: Sequence[Pair]
+) -> Iterator[dict[int, int]]:
     """All partial vertex maps realizing the forced rank-by-rank edge match.
 
+    The arguments are the two graphs' vertex pairs in ascending rank order.
     Because both graphs have the same number of edges and the order must be
-    preserved, the rank-``i`` edge of ``first`` can only map to the
-    rank-``i`` edge of ``second``; only endpoint orientations branch.
+    preserved, the rank-``i`` edge of the first can only map to the
+    rank-``i`` edge of the second; only endpoint orientations branch.
     """
-    if first.m != second.m:
+    if len(fpairs) != len(spairs):
         return
-    fpairs = first.pairs_by_rank
-    spairs = second.pairs_by_rank
-    m = first.m
+    m = len(fpairs)
 
     def extend(i: int, fmap: dict[int, int], used: set[int]) -> Iterator[dict[int, int]]:
         if i == m:
@@ -202,7 +220,7 @@ def order_isomorphisms(first: EdgeOrderedGraph, second: EdgeOrderedGraph) -> Ite
     if first.n != second.n or first.m != second.m:
         return
     seen: set[tuple[int, ...]] = set()
-    for fmap in _edge_isomorphisms(first, second):
+    for fmap in _edge_isomorphisms(first.pairs_by_rank, second.pairs_by_rank):
         free_src = [v for v in range(first.n) if v not in fmap]
         free_dst = [v for v in range(second.n) if v not in set(fmap.values())]
         for assignment in permutations(free_dst):
@@ -221,7 +239,7 @@ def are_order_isomorphic(
     if first.n != second.n or first.m != second.m:
         return None
     best: Optional[tuple[int, ...]] = None
-    for fmap in _edge_isomorphisms(first, second):
+    for fmap in _edge_isomorphisms(first.pairs_by_rank, second.pairs_by_rank):
         free_src = [v for v in range(first.n) if v not in fmap]
         free_dst = sorted(v for v in range(second.n) if v not in set(fmap.values()))
         full = dict(fmap)

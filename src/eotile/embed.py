@@ -14,14 +14,15 @@ import time
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import combinations
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
-from .canonical import ALL_STAR_TYPES, StarType, star_canonical_clique, star_subclique_matches
-from .core import EdgeOrderedGraph, build_graph
+from .canonical import ALL_STAR_TYPES, StarType, _star_pairs_match, star_canonical_clique
+from .core import EdgeOrderedGraph, Pair, _pairs_within, _vertex_subset, build_graph
 from .errors import (
     BadSize,
     BadVertex,
     BudgetExceeded,
+    CertificateError,
     Inconclusive,
     MissingEdge,
     NotComplete,
@@ -93,10 +94,27 @@ def verify_embedding(pattern: EdgeOrderedGraph, host: EdgeOrderedGraph, emb: Emb
     return all(a < b for a, b in zip(image_ranks, image_ranks[1:]))
 
 
-def _host_incidence(host: EdgeOrderedGraph) -> list[list[int]]:
-    """For each vertex, the ascending rank indices of its incident edges."""
-    incidence: list[list[int]] = [[] for _ in range(host.n)]
-    for idx, (u, v) in enumerate(host.pairs_by_rank):
+def _certified(
+    pattern: EdgeOrderedGraph,
+    host: EdgeOrderedGraph,
+    emb: Embedding,
+    within: Optional[Sequence[int]] = None,
+) -> Embedding:
+    """``emb`` once re-verified against ``host`` (and inside ``within``).
+
+    An explicit check rather than an ``assert``, so it survives ``python -O``.
+    """
+    if not verify_embedding(pattern, host, emb) or (
+        within is not None and not emb.image.issubset(within)
+    ):
+        raise CertificateError(f"embedding {emb.vertex_map} failed re-verification")
+    return emb
+
+
+def _host_incidence(n: int, hpairs: Sequence[Pair]) -> list[list[int]]:
+    """For each vertex, the ascending indices into ``hpairs`` of its edges."""
+    incidence: list[list[int]] = [[] for _ in range(n)]
+    for idx, (u, v) in enumerate(hpairs):
         incidence[u].append(idx)
         incidence[v].append(idx)
     return incidence
@@ -107,19 +125,33 @@ def _embeddings(
     host: EdgeOrderedGraph,
     meter: _Meter,
     fill_isolated: bool,
+    within: Optional[Sequence[int]] = None,
 ) -> Iterator[tuple[dict[int, int], set[int]]]:
     """All edge-part embeddings; optionally extended over isolated vertices.
 
     Yields (vertex map, used host vertices).  With ``fill_isolated`` the
     map is total, isolated pattern vertices taking the smallest unused
     host vertices; otherwise it covers only non-isolated vertices.
+
+    ``within`` (ascending, as from ``_vertex_subset``) confines the search
+    to that vertex subset: only host pairs inside it are candidates, and
+    their positions in that filtered list stand in for ranks.  Results are
+    in host coordinates, in the order a search of the induced subgraph
+    would find them.
     """
-    if pattern.n > host.n or pattern.m > host.m:
+    if within is None:
+        hpairs: Sequence[Pair] = host.pairs_by_rank
+        rank = host.rank
+        vertices: Sequence[int] = range(host.n)
+    else:
+        hpairs = _pairs_within(host, set(within))
+        rank = {pair: i + 1 for i, pair in enumerate(hpairs)}
+        vertices = within
+    if pattern.n > len(vertices) or pattern.m > len(hpairs):
         return
     fpairs = pattern.pairs_by_rank
-    hpairs = host.pairs_by_rank
     mf, mh = len(fpairs), len(hpairs)
-    incidence = _host_incidence(host)
+    incidence = _host_incidence(host.n, hpairs)
     fmap: dict[int, int] = {}
     used: set[int] = set()
 
@@ -128,7 +160,7 @@ def _embeddings(
             return dict(fmap), set(used)
         full = dict(fmap)
         taken = set(used)
-        spare = iter(v for v in range(host.n) if v not in taken)
+        spare = iter(v for v in vertices if v not in taken)
         for v in range(pattern.n):
             if v not in full:
                 nxt = next(spare)
@@ -140,7 +172,8 @@ def _embeddings(
         a, b = fpairs[i]
         ceiling = mh - (mf - i - 1)  # leave room for the remaining pattern edges
         if a in fmap and b in fmap:
-            r = host.rank_of(fmap[a], fmap[b])
+            x, y = fmap[a], fmap[b]
+            r = rank.get((x, y) if x < y else (y, x))
             if r is not None and floor <= r - 1 < ceiling:
                 yield r - 1
             return
@@ -185,17 +218,24 @@ def find_embedding(
     pattern: EdgeOrderedGraph,
     host: EdgeOrderedGraph,
     budget: SearchBudget = DEFAULT_BUDGET,
+    within: Optional[Iterable[int]] = None,
 ) -> Optional[Embedding]:
     """First order-preserving embedding in deterministic search order.
+
+    With ``within``, only host vertices in that subset are used: the result
+    equals searching ``induced_subgraph(host, within)`` and mapping the
+    answer back, but no subgraph is built and the certificate is checked
+    against ``host`` itself.  Isolated pattern vertices take the smallest
+    unused vertices of the subset.
 
     Returns None only when the full search space was exhausted; a budget
     overrun raises :class:`Inconclusive` instead.
     """
+    subset = None if within is None else _vertex_subset(host, within)
     meter = _Meter(budget)
-    for full, _ in _embeddings(pattern, host, meter, fill_isolated=True):
+    for full, _ in _embeddings(pattern, host, meter, True, subset):
         emb = Embedding(tuple(full[v] for v in range(pattern.n)))
-        assert verify_embedding(pattern, host, emb)
-        return emb
+        return _certified(pattern, host, emb, subset)
     return None
 
 
@@ -257,12 +297,12 @@ def monotone_path_graph(k: int) -> EdgeOrderedGraph:
     return build_graph(k + 1, [(i, i + 1, i + 1) for i in range(k)])
 
 
-def _greedy_monotone_path(host: EdgeOrderedGraph, k: int) -> Optional[list[int]]:
-    """Cheap first pass: grow from each edge, always taking the smallest
-    feasible continuation.  No completeness guarantee; the backtracking
-    pass behind it has one."""
-    incidence = _host_incidence(host)
-    hpairs = host.pairs_by_rank
+def _greedy_monotone_path(n: int, hpairs: Sequence[Pair], k: int) -> Optional[list[int]]:
+    """Cheap first pass over the rank-ordered pairs ``hpairs`` of a graph on
+    ``n`` vertices: grow from each edge, always taking the smallest feasible
+    continuation.  No completeness guarantee; the backtracking pass behind
+    it has one."""
+    incidence = _host_incidence(n, hpairs)
     for idx, (u, v) in enumerate(hpairs):
         for path in ([u, v], [v, u]):
             last = idx
@@ -293,19 +333,22 @@ def find_monotone_path(
     host: EdgeOrderedGraph,
     k: int,
     budget: SearchBudget = DEFAULT_BUDGET,
+    within: Optional[Iterable[int]] = None,
 ) -> Optional[Embedding]:
     """A monotone path of length k, or None when none exists.
 
     Greedy pass first, then complete backtracking, so absence of a result
     is a proof.  Dense hosts (at least k(k+1)n/2 edges) always succeed.
+    With ``within``, the path uses only vertices of that subset, exactly as
+    :func:`find_embedding` does; the result is in host coordinates.
     """
     pattern = monotone_path_graph(k)
-    walk = _greedy_monotone_path(host, k)
+    subset = None if within is None else _vertex_subset(host, within)
+    hpairs = host.pairs_by_rank if subset is None else _pairs_within(host, set(subset))
+    walk = _greedy_monotone_path(host.n, hpairs, k)
     if walk is not None:
-        emb = Embedding(tuple(walk))
-        assert verify_embedding(pattern, host, emb)
-        return emb
-    return find_embedding(pattern, host, budget)
+        return _certified(pattern, host, Embedding(tuple(walk)), subset)
+    return find_embedding(pattern, host, budget, subset)
 
 
 def monotone_star_subsequence(host: EdgeOrderedGraph, x: int) -> tuple[int, ...]:
@@ -397,12 +440,10 @@ def find_star_canonical_subclique(
     others = [v for v in range(host.n) if v != x]
     for rest in combinations(others, f - 1):
         meter.tick()
-        subset = tuple(sorted((x, *rest)))
+        pairs = _pairs_within(host, {x, *rest})  # shared by all twenty types
         for kind in ALL_STAR_TYPES:
-            order = star_subclique_matches(host, subset, x, kind)
+            order = _star_pairs_match(pairs, f, x, kind)
             if order is not None:
-                emb = Embedding((*order, x))
                 generated, _ = star_canonical_clique(kind, f)
-                assert verify_embedding(generated, host, emb)
-                return kind, emb
+                return kind, _certified(generated, host, Embedding((*order, x)))
     return None

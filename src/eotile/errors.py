@@ -41,6 +41,10 @@ class BadSpec(EotileError):
     """A family descriptor or experiment spec cannot be parsed."""
 
 
+class SamplingFailed(BadSpec):
+    """A seeded generator found no input meeting the spec's constraints."""
+
+
 class BadDivisibility(EotileError):
     """A tiling was requested where piece size does not divide host size."""
 
@@ -59,6 +63,13 @@ class UnknownExperiment(EotileError):
 
 class ParseError(EotileError):
     """A serialized document violates the expected schema."""
+
+
+class CertificateError(EotileError):
+    """A certificate produced by a search failed its independent re-check.
+
+    This signals an internal error, never a negative answer.
+    """
 
 
 class Inconclusive(EotileError):

@@ -27,7 +27,14 @@ from .embed import (
     monotone_path_graph,
     verify_embedding,
 )
-from .errors import BadDivisibility, BadSplit, BadVertex, BudgetExceeded, Inconclusive
+from .errors import (
+    BadDivisibility,
+    BadSplit,
+    BadVertex,
+    BudgetExceeded,
+    CertificateError,
+    Inconclusive,
+)
 
 
 class DegreeBoundWarning(UserWarning):
@@ -57,6 +64,13 @@ def verify_tiling(
             return False
         seen |= emb.image
     return seen == set(tiling.covered)
+
+
+def _certified(host: EdgeOrderedGraph, piece: EdgeOrderedGraph, tiling: Tiling) -> Tiling:
+    """``tiling`` once re-verified; an explicit check that survives ``python -O``."""
+    if not verify_tiling(host, piece, tiling):
+        raise CertificateError("tiling failed re-verification")
+    return tiling
 
 
 @dataclass(frozen=True)
@@ -95,11 +109,9 @@ def _spanning_sets(
     f = piece.n
     witnesses: dict[frozenset[int], Embedding] = {}
     for subset in combinations(range(host.n), f):
-        sub = induced_subgraph(host, subset)
-        emb = find_embedding(piece, sub, budget)
+        emb = find_embedding(piece, host, budget, within=subset)
         if emb is not None:
-            mapped = Embedding(tuple(subset[h] for h in emb.vertex_map))
-            witnesses[frozenset(subset)] = mapped
+            witnesses[frozenset(subset)] = emb
     return witnesses
 
 
@@ -136,9 +148,7 @@ def perfect_tiling_exact(
     pieces = _cover(frozenset(range(host.n)), witnesses, meter)
     if pieces is None:
         return None
-    tiling = Tiling(tuple(pieces), frozenset(range(host.n)))
-    assert verify_tiling(host, piece, tiling)
-    return tiling
+    return _certified(host, piece, Tiling(tuple(pieces), frozenset(range(host.n))))
 
 
 def tiling_number(
@@ -175,18 +185,6 @@ def tiling_number(
     return None
 
 
-def _spans_monotone_path(
-    host: EdgeOrderedGraph, vertices: frozenset[int], k: int, budget: SearchBudget
-) -> Optional[Embedding]:
-    """Spanning monotone path on exactly ``vertices``, in host coordinates."""
-    subset = sorted(vertices)
-    sub = induced_subgraph(host, subset)
-    emb = find_monotone_path(sub, k, budget)
-    if emb is None:
-        return None
-    return Embedding(tuple(subset[h] for h in emb.vertex_map))
-
-
 def local_absorbers(
     host: EdgeOrderedGraph,
     x: int,
@@ -212,23 +210,21 @@ def local_absorbers(
             for p_y in combinations(rest, k):
                 leftover = [v for v in rest if v not in p_y]
                 w = leftover[0]
-                path_xx = _spans_monotone_path(host, frozenset(p_x) | {x}, k, budget)
+                path_xx = find_monotone_path(host, k, budget, within=(*p_x, x))
                 if path_xx is None:
                     continue
-                path_wx = _spans_monotone_path(host, frozenset(p_x) | {w}, k, budget)
+                path_wx = find_monotone_path(host, k, budget, within=(*p_x, w))
                 if path_wx is None:
                     continue
-                path_yy = _spans_monotone_path(host, frozenset(p_y) | {y}, k, budget)
+                path_yy = find_monotone_path(host, k, budget, within=(*p_y, y))
                 if path_yy is None:
                     continue
-                path_wy = _spans_monotone_path(host, frozenset(p_y) | {w}, k, budget)
+                path_wy = find_monotone_path(host, k, budget, within=(*p_y, w))
                 if path_wy is None:
                     continue
                 absorber = AbsorberSet(frozenset(p_x), frozenset(p_y), w)
-                with_x = Tiling((path_xx, path_wy), absorber.vertices | {x})
-                with_y = Tiling((path_yy, path_wx), absorber.vertices | {y})
-                assert verify_tiling(host, piece, with_x)
-                assert verify_tiling(host, piece, with_y)
+                _certified(host, piece, Tiling((path_xx, path_wy), absorber.vertices | {x}))
+                _certified(host, piece, Tiling((path_yy, path_wx), absorber.vertices | {y}))
                 found = absorber
                 break
         if found:
@@ -243,17 +239,14 @@ def _absorber_block(
         return None
     x, y = 0, 1
     piece = monotone_path_graph(k)
-    for absorber in local_absorbers(host, x, y, k, config.absorb_budget):
+    budget = config.absorb_budget
+    for absorber in local_absorbers(host, x, y, k, budget):
         block = absorber.vertices | {x}
-        path_x = _spans_monotone_path(host, absorber.p_x | {x}, k, config.absorb_budget)
-        path_w = _spans_monotone_path(
-            host, absorber.p_y | {absorber.w}, k, config.absorb_budget
-        )
+        path_x = find_monotone_path(host, k, budget, within=absorber.p_x | {x})
+        path_w = find_monotone_path(host, k, budget, within=absorber.p_y | {absorber.w})
         if path_x is None or path_w is None:
             continue
-        tiling = Tiling((path_x, path_w), block)
-        assert verify_tiling(host, piece, tiling)
-        return block, tiling.pieces
+        return block, _certified(host, piece, Tiling((path_x, path_w), block)).pieces
     return None
 
 
@@ -320,18 +313,13 @@ def tile_dense_paths(
         if tiling is not None:
             return tiling
 
-    return perfect_tiling_exact(host, piece, DEFAULT_BUDGET)
+    return perfect_tiling_exact(host, piece, budget)
 
 
 def _greedy_piece(
     host: EdgeOrderedGraph, available: set[int], k: int, budget: SearchBudget
 ) -> Optional[Embedding]:
-    subset = sorted(available)
-    sub = induced_subgraph(host, subset)
-    emb = find_monotone_path(sub, k, budget)
-    if emb is None:
-        return None
-    return Embedding(tuple(subset[h] for h in emb.vertex_map))
+    return find_monotone_path(host, k, budget, within=available)
 
 
 def tile_via_cliques(
@@ -362,14 +350,11 @@ def tile_via_cliques(
     remaining = set(range(host.n))
     overshoot = host.n % t_clique
     for _ in range(overshoot // f):
-        subset = sorted(remaining)
-        sub = induced_subgraph(host, subset)
-        emb = find_embedding(piece, sub, budget)
+        emb = find_embedding(piece, host, budget, within=remaining)
         if emb is None:
             return None
-        lifted = Embedding(tuple(subset[h] for h in emb.vertex_map))
-        stripped.append(lifted)
-        remaining -= lifted.image
+        stripped.append(emb)
+        remaining -= emb.image
 
     # Exact cover of the rest by T-cliques of the underlying graph.
     subset = sorted(remaining)
@@ -391,9 +376,7 @@ def tile_via_cliques(
             return None
         for emb in inner.pieces:
             pieces.append(Embedding(tuple(block[h] for h in emb.vertex_map)))
-    tiling = Tiling(tuple(pieces), frozenset(range(host.n)))
-    assert verify_tiling(host, piece, tiling)
-    return tiling
+    return _certified(host, piece, Tiling(tuple(pieces), frozenset(range(host.n))))
 
 
 def _interleaved_min_cliques(sizes: tuple[int, ...]) -> EdgeOrderedGraph:

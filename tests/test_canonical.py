@@ -2,14 +2,17 @@
 
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from eotile import (
     BadSize,
+    BadVertex,
     NotComplete,
     are_order_isomorphic,
     build_graph,
     induced_subgraph,
+    order_isomorphisms,
 )
 from eotile.canonical import (
     ALL_STAR_TYPES,
@@ -23,6 +26,7 @@ from eotile.canonical import (
     monotone_hamilton_cycle,
     star_canonical_clique,
     star_labels,
+    star_subclique_matches,
 )
 
 
@@ -250,3 +254,62 @@ class TestMonotoneHamiltonCycle:
     def test_even_size_rejected(self):
         with pytest.raises(BadSize):
             monotone_hamilton_cycle(ALL_STAR_TYPES[0], 6)
+
+
+def reference_star_match(graph, vertices, special, kind):
+    """The induce-then-compare path: order-isomorphisms from the generated
+    star-canonical clique onto the induced subgraph, mapped back."""
+    subset = sorted(vertices)
+    induced = induced_subgraph(graph, subset)
+    generated, gen_special = star_canonical_clique(kind, len(subset))
+    for cert in order_isomorphisms(generated, induced):
+        if cert[gen_special] == subset.index(special):
+            return tuple(subset[cert[v]] for v in range(len(subset) - 1))
+    return None
+
+
+def random_clique_ordering(rng, n):
+    pairs = list(combinations(range(n), 2))
+    ranks = rng.permutation(len(pairs)) + 1
+    return build_graph(n, [(u, v, int(r)) for (u, v), r in zip(pairs, ranks)])
+
+
+class TestStarSubcliqueMatches:
+    @pytest.mark.parametrize("host_kind", ["random", "star"])
+    def test_matches_reference_on_every_6_subset_of_k9(self, host_kind):
+        if host_kind == "random":
+            host = random_clique_ordering(np.random.default_rng(9), 9)
+        else:
+            host, _ = star_canonical_clique(
+                StarType(StarFamily.MIDDLE_INC, CanonicalType.INV_MIN), 9
+            )
+        hits = 0
+        for subset in combinations(range(9), 6):
+            for kind in ALL_STAR_TYPES:
+                for special in subset:
+                    expected = reference_star_match(host, subset, special, kind)
+                    assert star_subclique_matches(host, subset, special, kind) == expected
+                    hits += expected is not None
+        # This random K9 has no star-canonical 6-subset; the star-canonical
+        # host has many, since the property is hereditary.
+        assert hits > 0 or host_kind == "random"
+
+    def test_non_clique_subset_never_matches(self):
+        host = build_graph(4, [(0, 1, 1), (1, 2, 2), (2, 3, 3), (0, 2, 4), (1, 3, 5)])
+        for kind in ALL_STAR_TYPES:
+            assert star_subclique_matches(host, (0, 1, 2, 3), 0, kind) is None
+
+    def test_rejects_foreign_vertices(self):
+        host = canonical_clique(CanonicalType.MIN, 4)
+        with pytest.raises(BadVertex):
+            star_subclique_matches(host, (0, 1, 4), 0, ALL_STAR_TYPES[0])
+
+
+class TestMemoizedCliques:
+    @pytest.mark.parametrize("kind", ALL_STAR_TYPES)
+    def test_star_clique_is_shared(self, kind):
+        assert star_canonical_clique(kind, 6) is star_canonical_clique(kind, 6)
+
+    @pytest.mark.parametrize("kind", CANONICAL_ORDER)
+    def test_canonical_clique_is_shared(self, kind):
+        assert canonical_clique(kind, 5) is canonical_clique(kind, 5)

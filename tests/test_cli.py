@@ -7,9 +7,11 @@ import pytest
 from eotile import DuplicateEdge, ParseError, build_graph, canonical_clique
 from eotile.canonical import CanonicalType
 from eotile.characterize import d_graph
+from eotile import cli
 from eotile.cli import (
     EXPERIMENT_NAMES,
     ExperimentSpec,
+    default_budget,
     emit_report,
     export_dot,
     main,
@@ -188,3 +190,32 @@ class TestExperiments:
         ) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["summary"]["found"] == 3
+
+
+class TestBadInput:
+    """Bad input ends in exit code 1 and a message, never a traceback."""
+
+    @pytest.mark.parametrize("raw", ["abc", "0", "-5", "1.5", ""])
+    def test_bad_node_budget_is_bad_spec(self, monkeypatch, raw):
+        monkeypatch.setenv("EOTILE_NODE_BUDGET", raw)
+        with pytest.raises(BadSpec, match="EOTILE_NODE_BUDGET"):
+            default_budget()
+
+    def test_good_node_budget(self, monkeypatch):
+        monkeypatch.setenv("EOTILE_NODE_BUDGET", "77")
+        assert default_budget().node_limit == 77
+
+    @pytest.mark.parametrize("raw", ["abc", "0"])
+    def test_bad_node_budget_exit_code(self, capsys, tmp_path, monkeypatch, raw):
+        monkeypatch.setenv("EOTILE_NODE_BUDGET", raw)
+        path = tmp_path / "d4.json"
+        path.write_bytes(serialize_graph(d_graph(4)))
+        assert main(["check", "turanable", str(path)]) == 1
+        assert "EOTILE_NODE_BUDGET" in capsys.readouterr().err
+
+    def test_rejection_sampling_failure_exit_code(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_SAMPLING_DRAWS", 50)
+        argv = ["experiment", "theorem1-grid", "--seed", "0",
+                "--param", "n=8", "--param", "k=1", "--param", "edge_prob=0.05"]
+        assert main(argv) == 1
+        assert "raise edge_prob" in capsys.readouterr().err

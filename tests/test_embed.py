@@ -1,12 +1,18 @@
 """Embedding engine vs brute force, plus the specialized searches."""
 
+import os
+import subprocess
+import sys
+import textwrap
 from itertools import combinations, permutations
 
 import numpy as np
 import pytest
 
+import eotile
 from eotile import (
     BadVertex,
+    CertificateError,
     Embedding,
     MissingEdge,
     StarColor,
@@ -290,3 +296,144 @@ class TestStarSubcliqueSearch:
             k == kind and s == subset.index(4)
             for k, s, _ in classify_star_canonical(induced)
         )
+
+
+def induce_search_lift(search, host, within):
+    """Reference path for subset searches: build the induced subgraph, search
+    it, and map the answer back to host coordinates."""
+    subset = sorted(set(within))
+    found = search(induced_subgraph(host, subset))
+    if found is None:
+        return None
+    return Embedding(tuple(subset[h] for h in found.vertex_map))
+
+
+def random_subset(rng, n):
+    size = int(rng.integers(0, n + 1))
+    return [int(v) for v in rng.choice(n, size=size, replace=False)]
+
+
+class TestSearchWithin:
+    def test_find_embedding_matches_reference_seeded(self):
+        rng = np.random.default_rng(2305)
+        seen = {"none": 0, "found": 0, "isolated": 0, "sparse": 0, "small_subset": 0}
+        for _ in range(400):
+            host_n = int(rng.integers(2, 9))
+            host = random_graph(rng, host_n, int(rng.integers(0, host_n * (host_n - 1) // 2 + 1)))
+            p_n = int(rng.integers(2, 5))
+            pattern = random_graph(rng, p_n, int(rng.integers(0, p_n * (p_n - 1) // 2 + 1)))
+            within = random_subset(rng, host_n)
+            expected = induce_search_lift(lambda sub: find_embedding(pattern, sub), host, within)
+            assert find_embedding(pattern, host, within=within) == expected
+            seen["none" if expected is None else "found"] += 1
+            seen["isolated"] += bool(pattern.isolated_vertices()) and expected is not None
+            seen["sparse"] += not host.is_complete()
+            seen["small_subset"] += len(within) < pattern.n
+        assert all(count >= 10 for count in seen.values()), seen
+
+    def test_find_monotone_path_matches_reference_seeded(self):
+        rng = np.random.default_rng(7294)
+        outcomes = set()
+        for _ in range(300):
+            host_n = int(rng.integers(2, 10))
+            host = random_graph(rng, host_n, int(rng.integers(0, host_n * (host_n - 1) // 2 + 1)))
+            k = int(rng.integers(1, 5))
+            within = random_subset(rng, host_n)
+            expected = induce_search_lift(lambda sub: find_monotone_path(sub, k), host, within)
+            assert find_monotone_path(host, k, within=within) == expected
+            outcomes.add(expected is None)
+        assert outcomes == {True, False}
+
+    def test_isolated_vertices_fill_smallest_unused_subset_vertices(self):
+        pattern = build_graph(4, [(2, 3, 1)])
+        host = canonical_clique(CanonicalType.MIN, 8)
+        emb = find_embedding(pattern, host, within={6, 1, 4, 7})
+        # The least subset edge is 1-4; the isolated 0 and 1 take 6 and 7.
+        assert emb.vertex_map == (6, 7, 1, 4)
+
+    def test_subset_smaller_than_pattern(self):
+        host = canonical_clique(CanonicalType.MIN, 6)
+        assert find_embedding(monotone_path_graph(3), host, within=[0, 2, 5]) is None
+        assert find_monotone_path(host, 3, within=[0, 2, 5]) is None
+        assert find_embedding(build_graph(1, []), host, within=[]) is None
+
+    def test_within_accepts_any_iterable(self):
+        host = canonical_clique(CanonicalType.INV_MAX, 7)
+        piece = monotone_path_graph(2)
+        expected = find_embedding(piece, host, within=[1, 3, 4, 6])
+        assert find_embedding(piece, host, within=iter([6, 4, 3, 1, 3])) == expected
+        assert find_monotone_path(host, 2, within=frozenset({1, 3, 4, 6})) is not None
+
+    def test_within_rejects_foreign_vertices(self):
+        host = canonical_clique(CanonicalType.MIN, 4)
+        with pytest.raises(BadVertex):
+            find_embedding(monotone_path_graph(1), host, within=[0, 4])
+        with pytest.raises(BadVertex):
+            find_monotone_path(host, 1, within=[-1, 0, 1])
+
+
+class TestCertificateChecks:
+    """Re-verification raises CertificateError instead of relying on assert."""
+
+    def test_find_embedding(self, monkeypatch):
+        monkeypatch.setattr("eotile.embed.verify_embedding", lambda *args: False)
+        host = canonical_clique(CanonicalType.MIN, 5)
+        with pytest.raises(CertificateError):
+            find_embedding(monotone_path_graph(2), host)
+        with pytest.raises(CertificateError):
+            find_embedding(monotone_path_graph(2), host, within=[0, 2, 4])
+
+    def test_find_monotone_path(self, monkeypatch):
+        monkeypatch.setattr("eotile.embed.verify_embedding", lambda *args: False)
+        with pytest.raises(CertificateError):
+            find_monotone_path(canonical_clique(CanonicalType.MIN, 5), 3, within=range(5))
+
+    def test_find_star_canonical_subclique(self, monkeypatch):
+        monkeypatch.setattr("eotile.embed.verify_embedding", lambda *args: False)
+        host = canonical_clique(CanonicalType.MIN, 6)
+        with pytest.raises(CertificateError):
+            find_star_canonical_subclique(host, 0, 5)
+
+    def test_image_outside_subset_is_rejected(self, monkeypatch):
+        from eotile import embed
+
+        real = embed._embeddings
+
+        def escaping(pattern, host, meter, fill_isolated, within=None):
+            yield from real(pattern, host, meter, fill_isolated, None)
+
+        monkeypatch.setattr(embed, "_embeddings", escaping)
+        host = canonical_clique(CanonicalType.MIN, 5)
+        with pytest.raises(CertificateError):
+            find_embedding(monotone_path_graph(1), host, within=[3, 4])
+
+    def test_checks_survive_optimized_mode(self):
+        script = textwrap.dedent(
+            """
+            import eotile.embed as e, eotile.tiling as t
+            from eotile import CertificateError, canonical_clique, monotone_path_graph
+            from eotile.canonical import CanonicalType
+
+            assert False  # stripped under -O
+            host = canonical_clique(CanonicalType.MIN, 6)
+            t.verify_tiling = lambda *args: False
+            try:
+                t.perfect_tiling_exact(host, monotone_path_graph(2))
+            except CertificateError:
+                pass
+            else:
+                raise SystemExit("tiling check vanished")
+            e.verify_embedding = lambda *args: False
+            try:
+                e.find_embedding(monotone_path_graph(2), host, within=[1, 2, 3])
+            except CertificateError:
+                print("checked")
+            """
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(eotile.__file__)))
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "checked"

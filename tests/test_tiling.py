@@ -8,11 +8,16 @@ import pytest
 from eotile import (
     BadDivisibility,
     BadSplit,
+    CertificateError,
     DegreeBoundWarning,
+    Embedding,
+    SearchBudget,
     TilerConfig,
     build_graph,
     canonical_clique,
     extremal_construction,
+    find_embedding,
+    induced_subgraph,
     local_absorbers,
     monotone_path_graph,
     perfect_tiling_exact,
@@ -21,8 +26,10 @@ from eotile import (
     tiling_number,
     verify_tiling,
 )
+from eotile import tiling as tiling_module
 from eotile.canonical import CanonicalType
 from eotile.characterize import path_with_ranks
+from eotile.embed import DEFAULT_BUDGET, _Meter
 
 
 def brute_spanning_copy(pattern, host_ranks, block):
@@ -311,3 +318,86 @@ class TestTilerConfig:
         with pytest.raises(ValueError):
             TilerConfig(eta=0.5)
         assert TilerConfig(eta=0.49).eta == 0.49
+
+
+def reference_tiling_pieces(host, piece):
+    """The induce-search-lift exact solver: spanning witnesses found in
+    induced subgraphs, mapped back, then the same exact cover."""
+    witnesses = {}
+    for subset in combinations(range(host.n), piece.n):
+        emb = find_embedding(piece, induced_subgraph(host, subset))
+        if emb is not None:
+            witnesses[frozenset(subset)] = Embedding(tuple(subset[h] for h in emb.vertex_map))
+    pieces = tiling_module._cover(frozenset(range(host.n)), witnesses, _Meter(DEFAULT_BUDGET))
+    return None if pieces is None else tuple(pieces)
+
+
+class TestSubsetSearchEquivalence:
+    @pytest.mark.parametrize("n, k", [(9, 2), (12, 3)])
+    def test_exact_certificates_match_reference(self, n, k):
+        rng = np.random.default_rng(100 + n)
+        piece = monotone_path_graph(k)
+        outcomes = set()
+        for trial in range(6):
+            if trial % 2:
+                host = random_graph(rng, n, int(rng.integers(n, n * (n - 1) // 4)))
+            else:
+                host = random_clique_ordering(rng, n)
+            tiling = perfect_tiling_exact(host, piece)
+            expected = reference_tiling_pieces(host, piece)
+            assert (None if tiling is None else tiling.pieces) == expected
+            outcomes.add(expected is None)
+        assert outcomes == {True, False}
+
+    def test_clique_tiler_strips_match_reference(self):
+        rng = np.random.default_rng(77)
+        host = random_clique_ordering(rng, 18)
+        piece = path_with_ranks("21")
+        tiling = tile_via_cliques(host, piece, 12)  # 18 mod 12 = 6: strip two pieces
+        assert verify_tiling(host, piece, tiling)
+        remaining = set(range(18))
+        for stripped in tiling.pieces[:2]:
+            subset = sorted(remaining)
+            emb = find_embedding(piece, induced_subgraph(host, subset))
+            assert stripped.vertex_map == tuple(subset[h] for h in emb.vertex_map)
+            remaining -= stripped.image
+
+
+class TestCertificateChecks:
+    """Re-verification raises CertificateError instead of relying on assert."""
+
+    def test_perfect_tiling_exact(self, monkeypatch):
+        monkeypatch.setattr(tiling_module, "verify_tiling", lambda *args: False)
+        with pytest.raises(CertificateError):
+            perfect_tiling_exact(canonical_clique(CanonicalType.MIN, 6), monotone_path_graph(2))
+
+    def test_tile_via_cliques(self, monkeypatch):
+        host = canonical_clique(CanonicalType.MAX, 9)
+        k3 = canonical_clique(CanonicalType.MIN, 3)
+        # Only the final whole-host check fails; each clique's inner tiling passes.
+        monkeypatch.setattr(tiling_module, "verify_tiling", lambda g, p, t: g.n != 9)
+        with pytest.raises(CertificateError):
+            tile_via_cliques(host, k3, 3)
+
+    def test_local_absorbers(self, monkeypatch):
+        monkeypatch.setattr(tiling_module, "verify_tiling", lambda *args: False)
+        with pytest.raises(CertificateError):
+            next(local_absorbers(canonical_clique(CanonicalType.MIN, 7), 0, 1, 1))
+
+
+class TestDenseFallbackBudget:
+    def test_fallback_uses_absorb_budget(self, monkeypatch):
+        budget = SearchBudget(node_limit=123_456)
+        seen = []
+        real = tiling_module.perfect_tiling_exact
+
+        def recording(host, piece, budget=DEFAULT_BUDGET):
+            seen.append((host.n, budget))
+            return real(host, piece, budget)
+
+        monkeypatch.setattr(tiling_module, "perfect_tiling_exact", recording)
+        host = extremal_construction("TwoCliques", 8, 3)
+        assert tile_dense_paths(host, 3, TilerConfig(absorb_budget=budget)) is None
+        # The last call is the whole-host fallback after every window failed.
+        assert seen[-1] == (host.n, budget)
+        assert all(b is budget for _, b in seen)
