@@ -34,7 +34,7 @@ print("  T(path 132)     =", tiling_number(piece, 5))
 print("  T(path 1423)    =", tiling_number(path_with_ranks("1423"), 5), "(not tileable)")
 
 print()
-print("Local absorbers make a reserve block flexible: each (2k+1)-set")
+print("Local absorbers, the absorbing method's flexible sets: each (2k+1)-set")
 print("below tiles together with either endpoint of the pair (v_1, v_2).")
 k9 = canonical_clique(CanonicalType.MIN, 9)
 absorbers = list(local_absorbers(k9, 0, 1, 2))
@@ -42,7 +42,7 @@ print(f"  min K_9, k=2: {len(absorbers)} absorber sets; first = "
       f"{sorted(absorbers[0].vertices)}")
 
 print()
-print("The dense tiler runs reserve -> greedy -> absorb -> exact fallback:")
+print("The dense tiler runs greedy -> windowed exact repair -> exact fallback:")
 rng = np.random.default_rng(17)
 pairs = [(u, v) for u in range(12) for v in range(u + 1, 12)]
 while True:

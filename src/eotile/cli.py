@@ -30,9 +30,16 @@ from .canonical import (
 )
 from .characterize import family_graph, is_tileable, is_turanable, is_universally_tileable
 from .core import EdgeOrderedGraph, build_graph
-from .embed import Embedding, SearchBudget, find_monotone_path, monotone_path_graph
+from .embed import (
+    Embedding,
+    SearchBudget,
+    find_monotone_path,
+    monotone_path_graph,
+    verify_embedding,
+)
 from .errors import (
     BadSpec,
+    CertificateError,
     EotileError,
     Inconclusive,
     ParseError,
@@ -221,7 +228,8 @@ def _experiment_theorem1_grid(spec: ExperimentSpec) -> dict[str, Any]:
         host = _random_min_degree_host(rng, n, min_degree, edge_prob)
         tiling = tile_dense_paths(host, k, config)
         if tiling is not None:
-            assert verify_tiling(host, piece, tiling)
+            if not verify_tiling(host, piece, tiling):
+                raise CertificateError(f"trial {index}: tiling failed re-verification")
             successes += 1
         trial_rows.append(
             {
@@ -256,9 +264,8 @@ def _experiment_rodl_threshold(spec: ExperimentSpec) -> dict[str, Any]:
         host = _random_edge_count_host(rng, n, edges)
         emb = find_monotone_path(host, k)
         if emb is not None:
-            from .embed import verify_embedding
-
-            assert verify_embedding(piece, host, emb)
+            if not verify_embedding(piece, host, emb):
+                raise CertificateError(f"trial {index}: path failed re-verification")
             found += 1
         trial_rows.append(
             {
@@ -435,8 +442,9 @@ def _cmd_tile(args: argparse.Namespace) -> int:
         tiling = tile_via_cliques(host, piece, t_value, budget)
     if tiling is None:
         out: dict[str, Any] = {"tiled": False}
+    elif not verify_tiling(host, piece, tiling):
+        raise CertificateError("tiling failed re-verification")
     else:
-        assert verify_tiling(host, piece, tiling)
         out = {
             "tiled": True,
             "pieces": sorted(list(p.vertex_map) for p in tiling.pieces),

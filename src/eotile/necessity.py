@@ -23,7 +23,7 @@ from .core import (
     enumerate_orderings,
 )
 from .embed import DEFAULT_BUDGET, Embedding, SearchBudget, find_embedding, verify_embedding
-from .errors import BadSize
+from .errors import BadSize, CertificateError
 
 # Types whose necessity is already established by small witnesses: the
 # smaller orderings over min / inverse min parts and the larger orderings
@@ -126,11 +126,12 @@ def necessity_witness(
                 continue
             host, _ = star_canonical_clique(kind, graph.n)
             emb = find_embedding(graph, host, budget)
-            assert emb is not None and verify_embedding(graph, host, emb)
+            if emb is None or not verify_embedding(graph, host, emb):
+                raise CertificateError(f"witness certificate for {kind} failed re-verification")
             certificates[kind] = emb
         target_host, _ = star_canonical_clique(target, graph.n)
-        refuted = find_embedding(graph, target_host, budget) is None
-        assert refuted
+        if find_embedding(graph, target_host, budget) is not None:
+            raise CertificateError(f"witness refutation for {target} failed re-verification")
         return NecessityReport(
             target=target,
             witness=graph,

@@ -1,11 +1,10 @@
 """Perfect tilings: exact solver, T(F), absorbers, and the dense pipeline.
 
 The exact solver is a set-cover backtracker over the vertex sets that
-carry a spanning copy of the piece.  The dense monotone-path tiler mirrors
-the absorbing storyline at desk scale: reserve a flexible block, tile the
-rest greedily, absorb leftovers by exact search, and fall back to the
-exact solver.  Correctness always rests on re-verification, never on the
-pipeline's heuristics.
+carry a spanning copy of the piece.  The dense monotone-path tiler runs
+greedy, windowed exact repair, exact fallback; local absorbers are the
+paper's standalone objects, which it does not use.  Correctness always
+rests on re-verification, never on the pipeline's heuristics.
 """
 
 from __future__ import annotations
@@ -88,10 +87,12 @@ class AbsorberSet:
 
 @dataclass(frozen=True)
 class TilerConfig:
-    """Desk-scale tunables standing in for the asymptotic constants."""
+    """Desk-scale tunables standing in for the asymptotic constants.
+
+    ``tile_dense_paths`` reads only ``absorb_budget``, not ``eta`` or ``seed``.
+    """
 
     eta: float = 0.25
-    zeta_fraction: float = 0.25
     absorb_budget: SearchBudget = field(default_factory=SearchBudget)
     seed: int = 0
 
@@ -231,95 +232,47 @@ def local_absorbers(
             yield found
 
 
-def _absorber_block(
-    host: EdgeOrderedGraph, k: int, config: TilerConfig
-) -> Optional[tuple[frozenset[int], tuple[Embedding, ...]]]:
-    """Reserve one absorber plus its endpoint: a self-tileable flexible block."""
-    if host.n < 2 * k + 4:
-        return None
-    x, y = 0, 1
-    piece = monotone_path_graph(k)
-    budget = config.absorb_budget
-    for absorber in local_absorbers(host, x, y, k, budget):
-        block = absorber.vertices | {x}
-        path_x = find_monotone_path(host, k, budget, within=absorber.p_x | {x})
-        path_w = find_monotone_path(host, k, budget, within=absorber.p_y | {absorber.w})
-        if path_x is None or path_w is None:
-            continue
-        return block, _certified(host, piece, Tiling((path_x, path_w), block)).pieces
-    return None
-
-
 def tile_dense_paths(
     host: EdgeOrderedGraph, k: int, config: TilerConfig = TilerConfig()
 ) -> Optional[Tiling]:
-    """Perfect monotone-path tiling of a dense host, absorbing style.
+    """Perfect monotone-path tiling of a dense host.
 
-    Phases: reserve a flexible absorber block, greedily strip monotone
-    paths from the rest smallest-rank-first, absorb leftovers into the
-    reserve by exact search on a growing window, then fall back to the
-    exact solver.  The result, when any, is verified.
+    Greedy, windowed exact repair, exact fallback: strip monotone paths
+    smallest-rank-first; if vertices remain, release the last greedy
+    pieces one at a time and tile each freed window exactly; if no window
+    tiles, run the exact solver once on the whole host.  Every tiling
+    returned is re-verified.
     """
     f = k + 1
     if host.n % f != 0:
         raise BadDivisibility(f"path on {f} vertices cannot tile n={host.n}")
     piece = monotone_path_graph(k)
     budget = config.absorb_budget
-
-    reserved = _absorber_block(host, k, config)
-    reserve_vertices: frozenset[int] = reserved[0] if reserved else frozenset()
-    reserve_pieces: tuple[Embedding, ...] = reserved[1] if reserved else ()
+    everything = frozenset(range(host.n))
 
     greedy: list[Embedding] = []
-    uncovered = set(range(host.n)) - reserve_vertices
-    while len(uncovered) >= f:
-        emb = _greedy_piece(host, uncovered, k, budget)
+    uncovered = set(everything)
+    while uncovered:
+        emb = find_monotone_path(host, k, budget, within=uncovered)
         if emb is None:
             break
         greedy.append(emb)
         uncovered -= emb.image
+    if not uncovered:
+        return _certified(host, piece, Tiling(tuple(greedy), everything))
 
-    def finish(released: int) -> Optional[Tiling]:
-        kept = greedy[: len(greedy) - released]
-        freed: set[int] = set(uncovered) | set(reserve_vertices)
-        for emb in greedy[len(greedy) - released :]:
-            freed |= emb.image
-        window = induced_subgraph(host, sorted(freed))
-        back = sorted(freed)
+    for kept in range(len(greedy) - 1, 0, -1):
+        freed = sorted(everything.difference(*(emb.image for emb in greedy[:kept])))
         try:
-            partial = perfect_tiling_exact(window, piece, budget)
+            partial = perfect_tiling_exact(induced_subgraph(host, freed), piece, budget)
         except Inconclusive:
-            return None
-        if partial is None:
-            return None
-        lifted = tuple(
-            Embedding(tuple(back[h] for h in emb.vertex_map)) for emb in partial.pieces
-        )
-        pieces = tuple(kept) + lifted
-        tiling = Tiling(pieces, frozenset(range(host.n)))
-        return tiling if verify_tiling(host, piece, tiling) else None
-
-    if not uncovered and not reserve_vertices:
-        tiling = Tiling(tuple(greedy), frozenset(range(host.n)))
-        if verify_tiling(host, piece, tiling):
-            return tiling
-    if not uncovered and reserve_vertices:
-        tiling = Tiling(tuple(greedy) + reserve_pieces, frozenset(range(host.n)))
-        if verify_tiling(host, piece, tiling):
-            return tiling
-
-    for released in range(0, len(greedy) + 1):
-        tiling = finish(released)
-        if tiling is not None:
-            return tiling
-
+            continue
+        if partial is not None:
+            lifted = tuple(
+                Embedding(tuple(freed[h] for h in emb.vertex_map)) for emb in partial.pieces
+            )
+            return _certified(host, piece, Tiling(tuple(greedy[:kept]) + lifted, everything))
     return perfect_tiling_exact(host, piece, budget)
-
-
-def _greedy_piece(
-    host: EdgeOrderedGraph, available: set[int], k: int, budget: SearchBudget
-) -> Optional[Embedding]:
-    return find_monotone_path(host, k, budget, within=available)
 
 
 def tile_via_cliques(

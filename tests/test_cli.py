@@ -8,6 +8,7 @@ from eotile import DuplicateEdge, ParseError, build_graph, canonical_clique
 from eotile.canonical import CanonicalType
 from eotile.characterize import d_graph
 from eotile import cli
+from eotile import tiling as tiling_module
 from eotile.cli import (
     EXPERIMENT_NAMES,
     ExperimentSpec,
@@ -19,7 +20,7 @@ from eotile.cli import (
     run_experiment,
     serialize_graph,
 )
-from eotile.errors import BadSpec, UnknownExperiment
+from eotile.errors import BadSpec, CertificateError, UnknownExperiment
 
 
 class TestGraphDocuments:
@@ -219,3 +220,27 @@ class TestBadInput:
                 "--param", "n=8", "--param", "k=1", "--param", "edge_prob=0.05"]
         assert main(argv) == 1
         assert "raise edge_prob" in capsys.readouterr().err
+
+
+class TestCertificateChecks:
+    """Failed re-verification raises CertificateError instead of relying on assert."""
+
+    @pytest.mark.parametrize("module", [cli, tiling_module], ids=["cli", "tiling"])
+    def test_tile_dense_exit_code(self, capsys, tmp_path, monkeypatch, module):
+        host = tmp_path / "host.json"
+        host.write_bytes(serialize_graph(canonical_clique(CanonicalType.MIN, 8)))
+        monkeypatch.setattr(module, "verify_tiling", lambda *args: False)
+        assert main(["tile", "dense", "--host", str(host), "-k", "3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "failed re-verification" in captured.err
+
+    @pytest.mark.parametrize(
+        "name, checker",
+        [("theorem1-grid", "verify_tiling"), ("rodl-threshold", "verify_embedding")],
+    )
+    def test_experiment_certificates(self, monkeypatch, name, checker):
+        monkeypatch.setattr(cli, checker, lambda *args: False)
+        spec = ExperimentSpec(name, {"seed": 5, "n": 9, "k": 2, "trials": 2})
+        with pytest.raises(CertificateError, match="trial 0"):
+            run_experiment(spec)

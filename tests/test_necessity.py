@@ -4,7 +4,9 @@ import pytest
 
 from eotile import (
     BadSize,
+    CertificateError,
     are_order_isomorphic,
+    build_graph,
     find_embedding,
     star_canonical_clique,
     verify_embedding,
@@ -16,6 +18,7 @@ from eotile.canonical import (
     StarFamily,
     StarType,
 )
+from eotile import necessity
 from eotile.characterize import d_graph, is_tileable, is_turanable
 from eotile.necessity import (
     ESTABLISHED_NECESSARY,
@@ -77,6 +80,17 @@ class TestNecessityWitness:
             for other, emb in report.certificates.items():
                 host, _ = star_canonical_clique(other, witness.n)
                 assert verify_embedding(witness, host, emb)
+
+    @pytest.mark.parametrize("claim", ["certificate", "refutation"])
+    def test_failed_claim_raises(self, monkeypatch, claim):
+        # A fake profile claims one edge on three vertices avoids LD_MIN.
+        profile = tuple(kind != LD_MIN for kind in ALL_STAR_TYPES)
+        edge = build_graph(3, [(0, 1, 1)])
+        monkeypatch.setattr(necessity, "_profile_table", lambda *args: ((edge, profile),))
+        if claim == "certificate":
+            monkeypatch.setattr(necessity, "verify_embedding", lambda *args: False)
+        with pytest.raises(CertificateError, match=claim):
+            necessity_witness(LD_MIN, 2)
 
     def test_bad_fmax(self):
         with pytest.raises(BadSize):

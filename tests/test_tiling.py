@@ -363,6 +363,19 @@ class TestSubsetSearchEquivalence:
             remaining -= stripped.image
 
 
+def record_exact_calls(monkeypatch):
+    """Record (host.n, budget) of every ``perfect_tiling_exact`` call the tilers make."""
+    seen = []
+    real = tiling_module.perfect_tiling_exact
+
+    def recording(host, piece, budget=DEFAULT_BUDGET):
+        seen.append((host.n, budget))
+        return real(host, piece, budget)
+
+    monkeypatch.setattr(tiling_module, "perfect_tiling_exact", recording)
+    return seen
+
+
 class TestCertificateChecks:
     """Re-verification raises CertificateError instead of relying on assert."""
 
@@ -384,20 +397,34 @@ class TestCertificateChecks:
         with pytest.raises(CertificateError):
             next(local_absorbers(canonical_clique(CanonicalType.MIN, 7), 0, 1, 1))
 
+    @pytest.mark.parametrize("phase", ["greedy", "window"])
+    def test_tile_dense_paths(self, monkeypatch, phase):
+        if phase == "greedy":
+            host, k = canonical_clique(CanonicalType.MIN, 6), 2
+        else:
+            # Greedy strands three vertices; the window freed by releasing
+            # the last greedy piece tiles, so the whole host is never solved.
+            rng = np.random.default_rng(6)
+            host, k = random_graph(rng, 9, int(rng.integers(9, 36))), 2
+        assert tile_dense_paths(host, k) is not None
+        # Only perfect tilings of the host fail; a window's inner solve passes.
+        monkeypatch.setattr(
+            tiling_module, "verify_tiling", lambda g, p, t: len(t.covered) < host.n
+        )
+        seen = record_exact_calls(monkeypatch)
+        with pytest.raises(CertificateError):
+            tile_dense_paths(host, k)
+        # Raised by the failing phase itself, not by a later whole-host solve.
+        assert [n for n, _ in seen] == ([] if phase == "greedy" else [6])
+
 
 class TestDenseFallbackBudget:
     def test_fallback_uses_absorb_budget(self, monkeypatch):
         budget = SearchBudget(node_limit=123_456)
-        seen = []
-        real = tiling_module.perfect_tiling_exact
-
-        def recording(host, piece, budget=DEFAULT_BUDGET):
-            seen.append((host.n, budget))
-            return real(host, piece, budget)
-
-        monkeypatch.setattr(tiling_module, "perfect_tiling_exact", recording)
+        seen = record_exact_calls(monkeypatch)
         host = extremal_construction("TwoCliques", 8, 3)
         assert tile_dense_paths(host, 3, TilerConfig(absorb_budget=budget)) is None
         # The last call is the whole-host fallback after every window failed.
         assert seen[-1] == (host.n, budget)
+        assert [n for n, _ in seen].count(host.n) == 1
         assert all(b is budget for _, b in seen)
