@@ -30,7 +30,7 @@ from .embed import (
     monotone_path_graph,
     verify_embedding,
 )
-from .errors import BadAnchor, BadSpec, NotTuranable
+from .errors import BadAnchor, BadSpec, CertificateError, NotTuranable
 
 
 @dataclass(frozen=True)
@@ -90,7 +90,8 @@ def is_tileable(
         certificates[kind] = emb
     # Four of the twenty types coincide with the canonical orderings, so a
     # tileable graph is always Turanable.
-    assert is_turanable(graph, budget).value
+    if not is_turanable(graph, budget).value:
+        raise CertificateError("tileable graph failed the Turan re-check")
     return TileVerdict(True, certificates=certificates)
 
 
@@ -161,7 +162,8 @@ def extremal_vertices(
     maximal = frozenset(
         emb.vertex_map.index(f - 1) for emb in iter_embeddings(graph, max_host, budget)
     )
-    assert minimal and maximal
+    if not (minimal and maximal):
+        raise CertificateError("Turanable graph has no extremal vertex")
     return minimal, maximal
 
 
@@ -344,11 +346,11 @@ def turanable_four_coloring(
                         colors[w] = 5 - colors[v]
                         queue.append(w)
                     elif colors[w] == colors[v]:
-                        raise AssertionError("leftover set is not a forest")
+                        raise CertificateError("leftover set is not a forest")
 
     used = sorted(set(colors.values()))
     compact = {c: i for i, c in enumerate(used)}
     final = {v: compact[c] for v, c in colors.items()}
-    for u, v, _ in graph.edges:
-        assert final[u] != final[v], "coloring is not proper"
+    if any(final[u] == final[v] for u, v, _ in graph.edges):
+        raise CertificateError("coloring is not proper")
     return final

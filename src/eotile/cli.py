@@ -209,7 +209,7 @@ def _random_edge_count_host(
     )
 
 
-def _experiment_theorem1_grid(spec: ExperimentSpec) -> dict[str, Any]:
+def _experiment_theorem1_grid(spec: ExperimentSpec, budget: SearchBudget) -> dict[str, Any]:
     p = spec.parameters
     n = int(p.get("n", 8))
     k = int(p.get("k", 1))
@@ -220,7 +220,7 @@ def _experiment_theorem1_grid(spec: ExperimentSpec) -> dict[str, Any]:
     edge_prob = float(p.get("edge_prob", 0.9))
     min_degree = -(-int((0.5 + eta) * 2 * n) // 2)  # ceil((1/2+eta)n)
     piece = monotone_path_graph(k)
-    config = TilerConfig(eta=eta, seed=spec.seed)
+    config = TilerConfig(eta=eta, seed=spec.seed, absorb_budget=budget)
     trial_rows = []
     successes = 0
     for index in range(trials):
@@ -240,7 +240,7 @@ def _experiment_theorem1_grid(spec: ExperimentSpec) -> dict[str, Any]:
             }
         )
     extremal = extremal_construction("TwoCliques", n, k)
-    refuted = perfect_tiling_exact(extremal, piece) is None
+    refuted = perfect_tiling_exact(extremal, piece, budget) is None
     summary = {
         "trials": trials,
         "successes": successes,
@@ -250,7 +250,7 @@ def _experiment_theorem1_grid(spec: ExperimentSpec) -> dict[str, Any]:
     return {"trials": trial_rows, "summary": summary}
 
 
-def _experiment_rodl_threshold(spec: ExperimentSpec) -> dict[str, Any]:
+def _experiment_rodl_threshold(spec: ExperimentSpec, budget: SearchBudget) -> dict[str, Any]:
     p = spec.parameters
     n = int(p.get("n", 10))
     k = int(p.get("k", 2))
@@ -262,7 +262,7 @@ def _experiment_rodl_threshold(spec: ExperimentSpec) -> dict[str, Any]:
     for index in range(trials):
         rng = _trial_rng(spec.seed, index)
         host = _random_edge_count_host(rng, n, edges)
-        emb = find_monotone_path(host, k)
+        emb = find_monotone_path(host, k, budget)
         if emb is not None:
             if not verify_embedding(piece, host, emb):
                 raise CertificateError(f"trial {index}: path failed re-verification")
@@ -279,12 +279,12 @@ def _experiment_rodl_threshold(spec: ExperimentSpec) -> dict[str, Any]:
     return {"trials": trial_rows, "summary": summary}
 
 
-def _experiment_necessity_scan(spec: ExperimentSpec) -> dict[str, Any]:
+def _experiment_necessity_scan(spec: ExperimentSpec, budget: SearchBudget) -> dict[str, Any]:
     f_max = int(spec.parameters.get("f_max", 4))
     trial_rows = []
     witnesses = 0
     for kind in ALL_STAR_TYPES:
-        report = necessity_witness(kind, f_max)
+        report = necessity_witness(kind, f_max, budget)
         cert = (
             _digest(serialize_graph(report.witness)) if report.witness is not None else ""
         )
@@ -302,7 +302,7 @@ def _experiment_necessity_scan(spec: ExperimentSpec) -> dict[str, Any]:
     return {"trials": trial_rows, "summary": summary}
 
 
-def _experiment_catalog_verdicts(spec: ExperimentSpec) -> dict[str, Any]:
+def _experiment_catalog_verdicts(spec: ExperimentSpec, budget: SearchBudget) -> dict[str, Any]:
     f_max = int(spec.parameters.get("f_max", 4))
     trial_rows = []
     turanable = tileable = 0
@@ -310,13 +310,13 @@ def _experiment_catalog_verdicts(spec: ExperimentSpec) -> dict[str, Any]:
     from .core import chromatic_number
 
     for graph in scan_classes(f_max):
-        t = is_turanable(graph)
+        t = is_turanable(graph, budget)
         verdict = "not-turanable"
         if t.value:
             turanable += 1
             chi = chromatic_number(graph)
             max_chromatic = max(max_chromatic, chi)
-            if is_tileable(graph).value:
+            if is_tileable(graph, budget).value:
                 tileable += 1
                 verdict = "tileable"
             else:
@@ -351,11 +351,12 @@ def run_experiment(spec: ExperimentSpec) -> dict[str, Any]:
     """Execute a named experiment; the report depends only on spec and seed.
 
     The wall_ms field exists for schema compatibility and is pinned to 0 in
-    canonical reports so that identical specs give identical bytes.
+    canonical reports so that identical specs give identical bytes.  Every
+    solver call shares one :func:`default_budget`.
     """
     if spec.name not in _EXPERIMENTS:
         raise UnknownExperiment(f"unknown experiment {spec.name!r}")
-    body = _EXPERIMENTS[spec.name](spec)
+    body = _EXPERIMENTS[spec.name](spec, default_budget())
     return {
         "spec": {"name": spec.name, "parameters": dict(sorted(spec.parameters.items()))},
         "trials": body["trials"],

@@ -14,11 +14,12 @@ from functools import cached_property
 from itertools import permutations
 from typing import Collection, Iterator, Optional, Sequence
 
-from .errors import BadVertex, BudgetExceeded, DuplicateEdge, RankCollision
+from .errors import BadVertex, BudgetExceeded, CertificateError, DuplicateEdge, RankCollision
 
 Pair = tuple[int, int]
 
-# m! labelings are enumerated before deduplication; 8 edges is the default cap.
+# Cap on the m! labelings of a shape, though only m!/|Aut| are visited;
+# 8 edges is the default cap.
 DEFAULT_MAX_LABELINGS = 50_000
 
 # Exact chromatic number search is exponential; refuse silly instances.
@@ -250,17 +251,17 @@ def are_order_isomorphic(
     return IsoCertificate(best) if best is not None else None
 
 
-def _min_edge_sequence(graph: EdgeOrderedGraph) -> tuple[Pair, ...]:
+def _min_edge_sequence(n: int, pairs: Sequence[Pair]) -> tuple[Pair, ...]:
     """Lexicographically least relabeled edge sequence over all vertex bijections.
 
+    ``pairs`` are the graph's vertex pairs in ascending rank order.
     Candidates are partial relabelings; at each rank only the relabelings
     achieving the minimal next pair survive, which is exactly lexicographic
     minimization with pruning.
     """
-    n = graph.n
     seq: list[Pair] = []
     candidates: list[tuple[dict[int, int], set[int]]] = [({}, set())]
-    for a, b in graph.pairs_by_rank:
+    for a, b in pairs:
         best_pair: Optional[Pair] = None
         survivors: list[tuple[Pair, dict[int, int], set[int]]] = []
         for vmap, used in candidates:
@@ -289,10 +290,26 @@ def _min_edge_sequence(graph: EdgeOrderedGraph) -> tuple[Pair, ...]:
                         new_map[src] = dst
                         new_used.add(dst)
                     survivors.append((pair, new_map, new_used))
-        assert best_pair is not None
+        if best_pair is None:
+            raise CertificateError(f"no relabeling survives at edge ({a},{b})")
         seq.append(best_pair)
         candidates = [(vmap, used) for _, vmap, used in survivors]
     return tuple(seq)
+
+
+def _encode(n: int, seq: Sequence[Pair]) -> bytes:
+    """The bytes of a canonical code, from a least edge sequence."""
+    body = ";".join(f"{u},{v}" for u, v in seq)
+    return f"{n}:{body}".encode("ascii")
+
+
+def _from_sequence(n: int, seq: Sequence[Pair]) -> EdgeOrderedGraph:
+    """The graph whose rank-``i`` edge is ``seq[i-1]``.
+
+    A least edge sequence is already normalized (distinct ``u < v`` pairs
+    relabeled from a valid graph), so :func:`build_graph` is not re-run.
+    """
+    return EdgeOrderedGraph(n, tuple((u, v, i + 1) for i, (u, v) in enumerate(seq)))
 
 
 @dataclass(frozen=True)
@@ -306,15 +323,79 @@ class CanonicalCode:
 
 
 def canonical_code(graph: EdgeOrderedGraph) -> CanonicalCode:
-    seq = _min_edge_sequence(graph)
-    body = ";".join(f"{u},{v}" for u, v in seq)
-    return CanonicalCode(f"{graph.n}:{body}".encode("ascii"))
+    return CanonicalCode(_encode(graph.n, _min_edge_sequence(graph.n, graph.pairs_by_rank)))
 
 
 def canonical_form(graph: EdgeOrderedGraph) -> EdgeOrderedGraph:
     """The canonical representative of the order-isomorphism class."""
-    seq = _min_edge_sequence(graph)
-    return build_graph(graph.n, [(u, v, i + 1) for i, (u, v) in enumerate(seq)])
+    return _from_sequence(graph.n, _min_edge_sequence(graph.n, graph.pairs_by_rank))
+
+
+def _edge_automorphisms(shape: EdgeOrderedGraph) -> tuple[tuple[int, ...], ...]:
+    """Aut(shape) as permutations of the indices of ``sorted(shape.pairs_by_rank)``.
+
+    Vertex automorphisms of the non-isolated vertices are found by
+    backtracking, pruned by degree and by adjacency to the vertices already
+    mapped; distinct vertex maps can induce one edge permutation (the two
+    ends of an isolated edge), so the permutations are deduplicated.
+    Sorted, so the identity comes first.
+    """
+    pairs = sorted(shape.pairs_by_rank)
+    index = {pair: i for i, pair in enumerate(pairs)}
+    adj = shape.adjacency
+    verts = [v for v in range(shape.n) if adj[v]]
+    image: dict[int, int] = {}
+    found: set[tuple[int, ...]] = set()
+
+    def extend(k: int) -> None:
+        if k == len(verts):
+            found.add(
+                tuple(index[(min(image[u], image[v]), max(image[u], image[v]))] for u, v in pairs)
+            )
+            return
+        v = verts[k]
+        taken = set(image.values())
+        for w in verts:
+            if w in taken or len(adj[w]) != len(adj[v]):
+                continue
+            if any((u in adj[v]) != (image[u] in adj[w]) for u in verts[:k]):
+                continue
+            image[v] = w
+            extend(k + 1)
+            del image[v]
+
+    extend(0)
+    return tuple(sorted(found))
+
+
+def _orbit_representatives(
+    m: int, group: Sequence[tuple[int, ...]]
+) -> Iterator[tuple[int, ...]]:
+    """The lexicographically least edge sequence of each orbit of ``group``.
+
+    A sequence lists edge indices from rank 1 up.  Its ``k``-th edge is
+    admissible iff no element fixing the first ``k-1`` edges one by one maps
+    it to a smaller index; that holds at every position exactly for the
+    least sequence of each orbit.  Once only the identity fixes the prefix,
+    every order of the remaining edges is least in its orbit.
+    """
+
+    def extend(
+        prefix: tuple[int, ...], remaining: tuple[int, ...], stabilizer: Sequence[tuple[int, ...]]
+    ) -> Iterator[tuple[int, ...]]:
+        if len(stabilizer) == 1:
+            for tail in permutations(remaining):
+                yield prefix + tail
+            return
+        for e in remaining:
+            if all(g[e] >= e for g in stabilizer):
+                yield from extend(
+                    prefix + (e,),
+                    tuple(x for x in remaining if x != e),
+                    [g for g in stabilizer if g[e] == e],
+                )
+
+    yield from extend((), tuple(range(m)), group)
 
 
 def enumerate_orderings(
@@ -322,27 +403,32 @@ def enumerate_orderings(
 ) -> Iterator[EdgeOrderedGraph]:
     """One representative per order-isomorphism class of orderings of ``shape``.
 
-    The ranks of ``shape`` are ignored; all ``m!`` labelings are generated
-    and deduplicated by canonical code.  Yields in ascending code order.
+    The ranks of ``shape`` are ignored.  Two orderings of one shape are
+    order-isomorphic exactly when an automorphism of the shape maps one to
+    the other, so the classes are the orbits of Aut(shape), acting on the
+    edges, on the ``m!`` rank assignments; every orbit has ``|Aut|``
+    members.  One least sequence per orbit is generated and coded once.
+    Yields canonical forms in ascending code order.
+
+    The cap still counts labelings: ``m! > max_labelings`` raises
+    :class:`BudgetExceeded`, although only ``m!/|Aut|`` are visited.
     """
-    m = shape.m
-    if math.factorial(m) > max_labelings:
-        raise BudgetExceeded(
-            f"{m}! = {math.factorial(m)} labelings exceed budget {max_labelings}"
-        )
+    m, n = shape.m, shape.n
+    total = math.factorial(m)
+    if total > max_labelings:
+        raise BudgetExceeded(f"{m}! = {total} labelings exceed budget {max_labelings}")
     pairs = sorted(shape.pairs_by_rank)
-    classes: dict[bytes, EdgeOrderedGraph] = {}
-    for perm in permutations(range(1, m + 1)):
-        edges = tuple(
-            (u, v, r)
-            for (u, v), r in sorted(zip(pairs, perm), key=lambda t: t[1])
+    group = _edge_automorphisms(shape)
+    classes: dict[bytes, tuple[Pair, ...]] = {}
+    for order in _orbit_representatives(m, group):
+        seq = _min_edge_sequence(n, [pairs[e] for e in order])
+        classes[_encode(n, seq)] = seq
+    if len(classes) * len(group) != total:
+        raise CertificateError(
+            f"{len(classes)} classes x {len(group)} automorphisms != {m}! labelings"
         )
-        candidate = EdgeOrderedGraph(shape.n, edges)
-        code = canonical_code(candidate)
-        if code.data not in classes:
-            classes[code.data] = canonical_form(candidate)
-    for code_bytes in sorted(classes):
-        yield classes[code_bytes]
+    for code in sorted(classes):
+        yield _from_sequence(n, classes[code])
 
 
 def chromatic_number(

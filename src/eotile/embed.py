@@ -286,7 +286,8 @@ def count_copies(
         auts = count_order_automorphisms(pattern)
     except Inconclusive as exc:
         raise BudgetExceeded(f"copy count over budget: {exc}") from exc
-    assert injections % auts == 0
+    if injections % auts:
+        raise CertificateError(f"{injections} injections not divisible by {auts} automorphisms")
     return injections // auts
 
 

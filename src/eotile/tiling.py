@@ -362,7 +362,8 @@ def extremal_construction(
             second = n - first
             if first % f != 0 and second % f != 0:
                 graph = _interleaved_min_cliques((first, second))
-                assert graph.min_degree() >= n // 2 - 2
+                if graph.min_degree() < n // 2 - 2:
+                    raise CertificateError(f"TwoCliques minimum degree below {n // 2 - 2}")
                 return graph
         raise BadSplit(f"no valid split of {n} avoiding multiples of {f}")
     if kind == "Bipartite":

@@ -1,10 +1,19 @@
 """Decision procedures and constructions against the known propositions."""
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import pytest
+
+import eotile
+from eotile import characterize
 
 from eotile import (
     BadAnchor,
     BadSpec,
+    CertificateError,
     NotTuranable,
     are_order_isomorphic,
     build_graph,
@@ -324,3 +333,48 @@ class TestFourColoring:
             for u, v, _ in graph.edges:
                 assert coloring[u] != coloring[v]
             assert len(set(coloring.values())) >= chromatic_number(graph)
+
+
+class TestCertificateChecks:
+    """Consistency checks raise CertificateError instead of relying on assert."""
+
+    def test_tileable_rechecks_turanability(self, monkeypatch):
+        monkeypatch.setattr(
+            characterize, "is_turanable", lambda g, b: characterize.TuranVerdict(False)
+        )
+        with pytest.raises(CertificateError, match="Turan re-check"):
+            is_tileable(path_with_ranks("123"))
+
+    def test_tileable_recheck_survives_optimized_mode(self):
+        script = textwrap.dedent(
+            """
+            import eotile.characterize as c
+            from eotile import CertificateError
+
+            assert False  # stripped under -O
+            c.is_turanable = lambda g, b: c.TuranVerdict(False)
+            try:
+                c.is_tileable(c.path_with_ranks("123"))
+            except CertificateError:
+                print("checked")
+            """
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(eotile.__file__)))
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "checked"
+
+    def test_extremal_vertices_nonempty(self, monkeypatch):
+        monkeypatch.setattr(characterize, "iter_embeddings", lambda *args: iter(()))
+        with pytest.raises(CertificateError, match="extremal vertex"):
+            extremal_vertices(monotone_path_graph(3))
+
+    def test_four_coloring_leftover_forest(self, monkeypatch):
+        # With both orders equal, K4 has one sink and its other three
+        # vertices, a triangle, are left over.
+        monkeypatch.setattr(characterize, "_position_order", lambda g, kind, b: list(range(g.n)))
+        with pytest.raises(CertificateError, match="not a forest"):
+            turanable_four_coloring(canonical_clique(CanonicalType.MIN, 4))

@@ -214,6 +214,21 @@ class TestBadInput:
         assert main(["check", "turanable", str(path)]) == 1
         assert "EOTILE_NODE_BUDGET" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["theorem1-grid", "--param", "n=9", "--param", "k=2", "--param", "trials=2"],
+            ["catalog-verdicts", "--param", "f_max=3"],
+        ],
+        ids=["theorem1-grid", "catalog-verdicts"],
+    )
+    def test_experiments_honour_node_budget(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("EOTILE_NODE_BUDGET", "1")
+        assert main(["experiment", *argv, "--seed", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "node budget 1 exhausted" in captured.err
+
     def test_rejection_sampling_failure_exit_code(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "MAX_SAMPLING_DRAWS", 50)
         argv = ["experiment", "theorem1-grid", "--seed", "0",

@@ -1,14 +1,18 @@
 """Core graph model: normalization, reversal, isomorphism, enumeration."""
 
+import inspect
+import math
 from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eotile import core
 from eotile import (
     BadVertex,
     BudgetExceeded,
+    CertificateError,
     DuplicateEdge,
     RankCollision,
     are_order_isomorphic,
@@ -241,6 +245,112 @@ class TestEnumerateOrderings:
         p3 = build_graph(4, [(0, 1, 1), (1, 2, 2), (2, 3, 3)])
         codes = [canonical_code(g).data for g in enumerate_orderings(p3)]
         assert codes == sorted(codes)
+
+
+def labeling_oracle(shape):
+    """Reference enumerator: code all m! labelings, keep one form per code."""
+    pairs = sorted(shape.pairs_by_rank)
+    classes = {}
+    for perm in permutations(range(1, shape.m + 1)):
+        candidate = build_graph(shape.n, [(u, v, r) for (u, v), r in zip(pairs, perm)])
+        code = canonical_code(candidate).data
+        if code not in classes:
+            classes[code] = canonical_form(candidate)
+    return [classes[code] for code in sorted(classes)]
+
+
+def shape(n, text):
+    """A shape from vertex pairs written as digit pairs, e.g. ``"01 12"``."""
+    return build_graph(n, [(int(p[0]), int(p[1]), i + 1) for i, p in enumerate(text.split())])
+
+
+def connected_five_vertex_shapes(max_edges):
+    """One connected 5-vertex graph per isomorphism class, up to ``max_edges``."""
+    pairs = list(combinations(range(5), 2))
+    seen, out = set(), []
+    for m in range(4, max_edges + 1):
+        for chosen in combinations(pairs, m):
+            reach, frontier = {0}, [0]
+            while frontier:
+                v = frontier.pop()
+                for a, b in chosen:
+                    for x, y in ((a, b), (b, a)):
+                        if x == v and y not in reach:
+                            reach.add(y)
+                            frontier.append(y)
+            if len(reach) < 5:
+                continue
+            key = min(
+                tuple(sorted(tuple(sorted((p[a], p[b]))) for a, b in chosen))
+                for p in permutations(range(5))
+            )
+            if key not in seen:
+                seen.add(key)
+                out.append(build_graph(5, [(a, b, i + 1) for i, (a, b) in enumerate(chosen)]))
+    return out
+
+
+class TestOrbitEnumeration:
+    """Orbits of Aut(shape) give exactly the m!-labeling classes, in order."""
+
+    @pytest.mark.parametrize("n", range(5))
+    def test_every_labeled_shape_up_to_four_vertices(self, n):
+        pairs = list(combinations(range(n), 2))
+        for m in range(len(pairs) + 1):
+            for chosen in combinations(pairs, m):
+                g = build_graph(n, [(u, v, i + 1) for i, (u, v) in enumerate(chosen)])
+                assert list(enumerate_orderings(g)) == labeling_oracle(g), chosen
+
+    def test_catalog_shapes_up_to_seven_edges(self):
+        shapes = connected_five_vertex_shapes(7)
+        assert len(shapes) == 17
+        for g in shapes:
+            assert list(enumerate_orderings(g)) == labeling_oracle(g), g.edges
+
+    @pytest.mark.parametrize(
+        "g, classes",
+        [
+            (build_graph(0, []), 1),
+            (build_graph(3, []), 1),
+            (build_graph(4, [(1, 3, 1)]), 1),
+            (shape(4, "01 23"), 1),
+            (shape(5, "01 23 24 34"), 4),
+        ],
+        ids=["n0", "m0", "edge+isolated", "2K2", "K2+K3"],
+    )
+    def test_degenerate_shapes(self, g, classes):
+        got = list(enumerate_orderings(g))
+        assert got == labeling_oracle(g)
+        assert len(got) == classes
+
+    @pytest.mark.parametrize(
+        "g, order",
+        [
+            (shape(4, "01 12 23 03"), 8),
+            (shape(4, "01 02 03 12 13 23"), 24),
+            (shape(4, "01 12 23"), 2),
+            (shape(4, "01 02 03"), 6),
+            (shape(4, "01 23"), 2),
+            (shape(5, "13"), 1),
+        ],
+        ids=["C4", "K4", "P3", "K13", "2K2", "K2+isolated"],
+    )
+    def test_automorphism_group_orders(self, g, order):
+        group = core._edge_automorphisms(g)
+        assert len(group) == order
+        assert group[0] == tuple(range(g.m))
+        # One sequence per orbit, never two from the same class.
+        reps = list(core._orbit_representatives(g.m, group))
+        assert len(reps) == math.factorial(g.m) // order == len(labeling_oracle(g))
+
+    def test_orbit_count_check_catches_a_wrong_group(self, monkeypatch):
+        c4 = shape(4, "01 12 23 03")
+        monkeypatch.setattr(core, "_edge_automorphisms", lambda g: (tuple(range(g.m)),))
+        with pytest.raises(CertificateError, match="labelings"):
+            list(enumerate_orderings(c4))
+
+    def test_is_a_generator_function(self):
+        assert inspect.isgeneratorfunction(enumerate_orderings)
 
 
 class TestChromaticNumber:

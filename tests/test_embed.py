@@ -388,6 +388,12 @@ class TestCertificateChecks:
         with pytest.raises(CertificateError):
             find_monotone_path(canonical_clique(CanonicalType.MIN, 5), 3, within=range(5))
 
+    def test_count_copies_divisibility(self, monkeypatch):
+        # A single edge has 6 injections into K3; 4 does not divide them.
+        monkeypatch.setattr("eotile.embed.count_order_automorphisms", lambda pattern: 4)
+        with pytest.raises(CertificateError, match="not divisible"):
+            count_copies(monotone_path_graph(1), canonical_clique(CanonicalType.MIN, 3))
+
     def test_find_star_canonical_subclique(self, monkeypatch):
         monkeypatch.setattr("eotile.embed.verify_embedding", lambda *args: False)
         host = canonical_clique(CanonicalType.MIN, 6)

@@ -397,6 +397,13 @@ class TestCertificateChecks:
         with pytest.raises(CertificateError):
             next(local_absorbers(canonical_clique(CanonicalType.MIN, 7), 0, 1, 1))
 
+    def test_extremal_construction_degree(self, monkeypatch):
+        monkeypatch.setattr(
+            tiling_module, "_interleaved_min_cliques", lambda sizes: build_graph(sum(sizes), [])
+        )
+        with pytest.raises(CertificateError, match="minimum degree"):
+            extremal_construction("TwoCliques", 16, 3)
+
     @pytest.mark.parametrize("phase", ["greedy", "window"])
     def test_tile_dense_paths(self, monkeypatch, phase):
         if phase == "greedy":
