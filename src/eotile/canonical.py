@@ -23,7 +23,7 @@ from .core import (
     build_graph,
     order_isomorphisms,
 )
-from .errors import BadSize, BadSpec, NotComplete
+from .errors import BadSize, BadSpec, CertificateError, NotComplete
 
 
 class CanonicalType(Enum):
@@ -239,7 +239,7 @@ def monotone_hamilton_cycle(kind: StarType, size: int) -> tuple[int, ...]:
             ]
             if all(ranks[i] < ranks[i + 1] for i in range(size - 1)):
                 return tuple(rotated)
-    raise AssertionError(f"construction produced no monotone cycle for {kind}")
+    raise CertificateError(f"construction produced no monotone cycle for {kind}")
 
 
 def star_subclique_matches(
@@ -252,7 +252,7 @@ def star_subclique_matches(
     the given special vertex; None otherwise.  Helper shared by the
     recognizers and the subclique search."""
     subset = sorted(vertices)
-    inside = set(_vertex_subset(graph, subset))
+    inside = _vertex_subset(graph, subset)
     return _star_pairs_match(_pairs_within(graph, inside), len(subset), special, kind)
 
 

@@ -11,8 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import permutations
-from typing import Collection, Iterator, Optional, Sequence
+from itertools import combinations, permutations
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import BadVertex, BudgetExceeded, CertificateError, DuplicateEdge, RankCollision
 
@@ -50,6 +50,10 @@ class EdgeOrderedGraph:
     @cached_property
     def pairs_by_rank(self) -> tuple[Pair, ...]:
         return tuple((u, v) for u, v, _ in self.edges)
+
+    @cached_property
+    def incidence(self) -> dict[int, list[int]]:
+        return _incidence(range(self.n), self.pairs_by_rank)
 
     @cached_property
     def pair_set(self) -> frozenset[Pair]:
@@ -138,14 +142,36 @@ def _vertex_subset(graph: EdgeOrderedGraph, vertices) -> list[int]:
     return subset
 
 
-def _pairs_within(graph: EdgeOrderedGraph, inside: Collection[int]) -> list[Pair]:
-    """The pairs of ``graph`` with both ends in ``inside``, ascending by rank.
+def _pairs_within(graph: EdgeOrderedGraph, subset: Sequence[int]) -> list[Pair]:
+    """The pairs of ``graph`` with both ends in ``subset``, ascending by rank.
 
-    These are the induced subgraph's edges in host coordinates; since
+    ``subset`` is ascending, as from :func:`_vertex_subset`.  These are the
+    induced subgraph's edges in host coordinates; since
     :func:`induced_subgraph` relabels monotonically, searches over them
     visit candidates in the same order as searches over the subgraph.
+
+    Small subsets look up their C(|S|,2) candidate pairs and sort the ranks
+    found; others scan all m pairs.  A lookup costs about three scanned
+    pairs (measured on n=15 and n=16 hosts), hence the switch point.
     """
+    if 3 * len(subset) * (len(subset) - 1) // 2 < graph.m:
+        pairs = graph.pairs_by_rank
+        ranks = sorted(filter(None, map(graph.rank.get, combinations(subset, 2))))
+        return [pairs[r - 1] for r in ranks]
+    inside = set(subset)
     return [p for p in graph.pairs_by_rank if p[0] in inside and p[1] in inside]
+
+
+def _incidence(vertices: Iterable[int], pairs: Sequence[Pair]) -> dict[int, list[int]]:
+    """For each of ``vertices``, the ascending indices into ``pairs`` of its pairs.
+
+    Every pair must have both ends among ``vertices``.
+    """
+    incidence: dict[int, list[int]] = {v: [] for v in vertices}
+    for idx, (u, v) in enumerate(pairs):
+        incidence[u].append(idx)
+        incidence[v].append(idx)
+    return incidence
 
 
 def induced_subgraph(graph: EdgeOrderedGraph, vertices) -> EdgeOrderedGraph:

@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import math
 import time
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import combinations
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .canonical import ALL_STAR_TYPES, StarType, _star_pairs_match, star_canonical_clique
-from .core import EdgeOrderedGraph, Pair, _pairs_within, _vertex_subset, build_graph
+from .core import EdgeOrderedGraph, Pair, _incidence, _pairs_within, _vertex_subset, build_graph
 from .errors import (
     BadSize,
     BadVertex,
@@ -111,13 +112,42 @@ def _certified(
     return emb
 
 
-def _host_incidence(n: int, hpairs: Sequence[Pair]) -> list[list[int]]:
-    """For each vertex, the ascending indices into ``hpairs`` of its edges."""
-    incidence: list[list[int]] = [[] for _ in range(n)]
-    for idx, (u, v) in enumerate(hpairs):
-        incidence[u].append(idx)
-        incidence[v].append(idx)
-    return incidence
+def _search_space(
+    host: EdgeOrderedGraph, within: Optional[Sequence[int]]
+) -> tuple[Sequence[Pair], Mapping[int, Sequence[int]]]:
+    """The host pairs a search may use, ascending by rank, and for each
+    vertex the ascending indices of its pairs among them.
+
+    The whole host's are cached on it; for a subset ``within`` both are
+    built over the subset alone, from O(|S|^2) rank lookups when the subset
+    is small (see :func:`_pairs_within`).
+    """
+    if within is None:
+        return host.pairs_by_rank, host.incidence
+    hpairs = _pairs_within(host, within)
+    return hpairs, _incidence(within, hpairs)
+
+
+# How many ends of a pattern edge are mapped when the search reaches it.
+_FRESH, _ANCHORED, _CLOSED = 0, 1, 2
+
+
+def _edge_plan(pattern: EdgeOrderedGraph) -> list[tuple[int, int, int]]:
+    """``(a, b, kind)`` per pattern edge in rank order, ``kind`` counting its
+    ends already mapped; an anchored edge lists its mapped end first.
+
+    Edges are placed in rank order, so this depends on the pattern alone.
+    """
+    seen: set[int] = set()
+    plan = []
+    for a, b in pattern.pairs_by_rank:
+        kind = (a in seen) + (b in seen)
+        if kind == _ANCHORED and b in seen:
+            a, b = b, a
+        plan.append((a, b, kind))
+        seen.add(a)
+        seen.add(b)
+    return plan
 
 
 def _embeddings(
@@ -138,80 +168,91 @@ def _embeddings(
     their positions in that filtered list stand in for ranks.  Results are
     in host coordinates, in the order a search of the induced subgraph
     would find them.
+
+    One iterative depth-first search: depth i places pattern edge i on a
+    host pair after the one edge i-1 took, leaving room for the edges
+    after it.  Each search node (including a complete map) costs one
+    ``meter.tick()``.
     """
-    if within is None:
-        hpairs: Sequence[Pair] = host.pairs_by_rank
-        rank = host.rank
-        vertices: Sequence[int] = range(host.n)
-    else:
-        hpairs = _pairs_within(host, set(within))
-        rank = {pair: i + 1 for i, pair in enumerate(hpairs)}
-        vertices = within
+    vertices: Sequence[int] = range(host.n) if within is None else within
+    hpairs, incidence = _search_space(host, within)
     if pattern.n > len(vertices) or pattern.m > len(hpairs):
         return
-    fpairs = pattern.pairs_by_rank
-    mf, mh = len(fpairs), len(hpairs)
-    incidence = _host_incidence(host.n, hpairs)
-    fmap: dict[int, int] = {}
-    used: set[int] = set()
+    rank = host.rank if within is None else {pair: i + 1 for i, pair in enumerate(hpairs)}
+    plan = _edge_plan(pattern)
+    mf, mh = len(plan), len(hpairs)
+    fmap = [-1] * pattern.n  # host vertex per pattern vertex; isolated ones stay -1
+    used = [False] * host.n
 
     def complete() -> tuple[dict[int, int], set[int]]:
-        if not fill_isolated:
-            return dict(fmap), set(used)
-        full = dict(fmap)
-        taken = set(used)
-        spare = iter(v for v in vertices if v not in taken)
-        for v in range(pattern.n):
-            if v not in full:
-                nxt = next(spare)
-                full[v] = nxt
-                taken.add(nxt)
+        full = {v: x for v, x in enumerate(fmap) if x >= 0}
+        taken = set(full.values())
+        if fill_isolated and len(full) < pattern.n:
+            spare = (v for v in vertices if not used[v])
+            for v in range(pattern.n):
+                if v not in full:
+                    full[v] = nxt = next(spare)
+                    taken.add(nxt)
         return full, taken
 
-    def candidates(i: int, floor: int) -> Iterator[int]:
-        a, b = fpairs[i]
-        ceiling = mh - (mf - i - 1)  # leave room for the remaining pattern edges
-        if a in fmap and b in fmap:
+    tick = meter.tick
+    tick()
+    if mf == 0:
+        yield complete()
+        return
+    # todo[i] iterates edge i's remaining candidates; nothing lies past the last edge.
+    todo: list[Iterator[int]] = [iter(())] * (mf + 1)
+    i = floor = 0
+    while True:
+        a, b, kind = plan[i]
+        ceiling = mh - mf + i + 1
+        if kind == _FRESH:
+            todo[i] = iter(range(2 * floor, 2 * ceiling))  # pair index * 2 + orientation
+        elif kind == _ANCHORED:
+            inc = incidence[fmap[a]]
+            todo[i] = iter(inc[bisect_left(inc, floor) : bisect_left(inc, ceiling)])
+        else:
             x, y = fmap[a], fmap[b]
             r = rank.get((x, y) if x < y else (y, x))
-            if r is not None and floor <= r - 1 < ceiling:
-                yield r - 1
-            return
-        if a in fmap or b in fmap:
-            anchor = fmap[a] if a in fmap else fmap[b]
-            for idx in incidence[anchor]:
-                if floor <= idx < ceiling:
-                    yield idx
-            return
-        yield from range(floor, ceiling)
-
-    def place(i: int, floor: int) -> Iterator[tuple[dict[int, int], set[int]]]:
-        meter.tick()
-        if i == mf:
+            todo[i] = iter((r - 1,) if r is not None and floor < r <= ceiling else ())
+        while True:
+            for idx in todo[i]:
+                if kind == _FRESH:
+                    c, d = hpairs[idx >> 1]
+                    if used[c] or used[d]:
+                        continue
+                    if idx & 1:
+                        c, d = d, c
+                    fmap[a], fmap[b] = c, d
+                    used[c] = used[d] = True
+                    floor = (idx >> 1) + 1
+                elif kind == _ANCHORED:
+                    c, d = hpairs[idx]
+                    if c == fmap[a]:
+                        c = d
+                    if used[c]:
+                        continue
+                    fmap[b] = c
+                    used[c] = True
+                    floor = idx + 1
+                else:
+                    floor = idx + 1
+                break
+            else:  # edge i has no candidate left: undo edge i-1's placement
+                i -= 1
+                if i < 0:
+                    return
+                a, b, kind = plan[i]
+                if kind == _FRESH:
+                    used[fmap[a]] = used[fmap[b]] = False
+                elif kind == _ANCHORED:
+                    used[fmap[b]] = False
+                continue
+            i += 1
+            tick()
+            if i < mf:
+                break
             yield complete()
-            return
-        a, b = fpairs[i]
-        for idx in candidates(i, floor):
-            c, d = hpairs[idx]
-            for x, y in ((c, d), (d, c)):
-                if fmap.get(a, x) != x or fmap.get(b, y) != y:
-                    continue
-                added = []
-                ok = True
-                for src, dst in ((a, x), (b, y)):
-                    if src not in fmap:
-                        if dst in used:
-                            ok = False
-                            break
-                        fmap[src] = dst
-                        used.add(dst)
-                        added.append(src)
-                if ok:
-                    yield from place(i + 1, idx + 1)
-                for src in added:
-                    used.discard(fmap.pop(src))
-
-    yield from place(0, 0)
 
 
 def find_embedding(
@@ -219,6 +260,8 @@ def find_embedding(
     host: EdgeOrderedGraph,
     budget: SearchBudget = DEFAULT_BUDGET,
     within: Optional[Iterable[int]] = None,
+    *,
+    meter: Optional[_Meter] = None,
 ) -> Optional[Embedding]:
     """First order-preserving embedding in deterministic search order.
 
@@ -228,11 +271,15 @@ def find_embedding(
     against ``host`` itself.  Isolated pattern vertices take the smallest
     unused vertices of the subset.
 
+    An enclosing search passes its running ``meter`` so that one budget
+    bounds all its sub-searches; ``budget`` is then not read.
+
     Returns None only when the full search space was exhausted; a budget
     overrun raises :class:`Inconclusive` instead.
     """
     subset = None if within is None else _vertex_subset(host, within)
-    meter = _Meter(budget)
+    if meter is None:
+        meter = _Meter(budget)
     for full, _ in _embeddings(pattern, host, meter, True, subset):
         emb = Embedding(tuple(full[v] for v in range(pattern.n)))
         return _certified(pattern, host, emb, subset)
@@ -298,12 +345,13 @@ def monotone_path_graph(k: int) -> EdgeOrderedGraph:
     return build_graph(k + 1, [(i, i + 1, i + 1) for i in range(k)])
 
 
-def _greedy_monotone_path(n: int, hpairs: Sequence[Pair], k: int) -> Optional[list[int]]:
-    """Cheap first pass over the rank-ordered pairs ``hpairs`` of a graph on
-    ``n`` vertices: grow from each edge, always taking the smallest feasible
-    continuation.  No completeness guarantee; the backtracking pass behind
-    it has one."""
-    incidence = _host_incidence(n, hpairs)
+def _greedy_monotone_path(
+    hpairs: Sequence[Pair], incidence: Mapping[int, Sequence[int]], k: int
+) -> Optional[list[int]]:
+    """Cheap first pass over the rank-ordered pairs ``hpairs`` and their
+    ``incidence`` (as from :func:`_search_space`): grow from each edge,
+    always taking the smallest feasible continuation.  No completeness
+    guarantee; the backtracking pass behind it has one."""
     for idx, (u, v) in enumerate(hpairs):
         for path in ([u, v], [v, u]):
             last = idx
@@ -345,8 +393,7 @@ def find_monotone_path(
     """
     pattern = monotone_path_graph(k)
     subset = None if within is None else _vertex_subset(host, within)
-    hpairs = host.pairs_by_rank if subset is None else _pairs_within(host, set(subset))
-    walk = _greedy_monotone_path(host.n, hpairs, k)
+    walk = _greedy_monotone_path(*_search_space(host, subset), k)
     if walk is not None:
         return _certified(pattern, host, Embedding(tuple(walk)), subset)
     return find_embedding(pattern, host, budget, subset)
@@ -441,7 +488,7 @@ def find_star_canonical_subclique(
     others = [v for v in range(host.n) if v != x]
     for rest in combinations(others, f - 1):
         meter.tick()
-        pairs = _pairs_within(host, {x, *rest})  # shared by all twenty types
+        pairs = _pairs_within(host, sorted((x, *rest)))  # shared by all twenty types
         for kind in ALL_STAR_TYPES:
             order = _star_pairs_match(pairs, f, x, kind)
             if order is not None:

@@ -104,13 +104,16 @@ class TilerConfig:
 def _spanning_sets(
     host: EdgeOrderedGraph,
     piece: EdgeOrderedGraph,
-    budget: SearchBudget,
+    meter: _Meter,
 ) -> dict[frozenset[int], Embedding]:
-    """Vertex sets of size |piece| carrying a spanning copy, with one witness."""
+    """Vertex sets of size |piece| carrying a spanning copy, with one witness.
+
+    Every subset search counts against the one ``meter``.
+    """
     f = piece.n
     witnesses: dict[frozenset[int], Embedding] = {}
     for subset in combinations(range(host.n), f):
-        emb = find_embedding(piece, host, budget, within=subset)
+        emb = find_embedding(piece, host, within=subset, meter=meter)
         if emb is not None:
             witnesses[frozenset(subset)] = emb
     return witnesses
@@ -120,15 +123,25 @@ def _cover(
     vertices: frozenset[int],
     witnesses: dict[frozenset[int], Embedding],
     meter: _Meter,
+    by_least: Optional[dict[int, list[frozenset[int]]]] = None,
 ) -> Optional[list[Embedding]]:
-    """Exact cover of ``vertices`` by disjoint witness sets, backtracking."""
+    """Exact cover of ``vertices`` by disjoint witness sets, backtracking.
+
+    The least uncovered vertex must be the least vertex of the set that
+    covers it.  So the top-level call groups the sets by least vertex, each
+    group in ascending order of sorted members, and the recursion passes
+    that grouping down as ``by_least`` instead of sorting at every node.
+    """
+    if by_least is None:
+        by_least = {}
+        for subset in sorted(witnesses, key=sorted):
+            by_least.setdefault(min(subset), []).append(subset)
     if not vertices:
         return []
     meter.tick()
-    pivot = min(vertices)
-    for subset in sorted(witnesses, key=sorted):
-        if pivot in subset and subset <= vertices:
-            rest = _cover(vertices - subset, witnesses, meter)
+    for subset in by_least.get(min(vertices), ()):
+        if subset <= vertices:
+            rest = _cover(vertices - subset, witnesses, meter, by_least)
             if rest is not None:
                 return [witnesses[subset]] + rest
     return None
@@ -139,13 +152,17 @@ def perfect_tiling_exact(
     piece: EdgeOrderedGraph,
     budget: SearchBudget = DEFAULT_BUDGET,
 ) -> Optional[Tiling]:
-    """A verified perfect tiling, or None proven within budget."""
+    """A verified perfect tiling, or None proven within budget.
+
+    One budget bounds the whole call: the spanning-set searches and the
+    exact cover all count against a single meter.
+    """
     if piece.n == 0:
         raise BadDivisibility("piece must have at least one vertex")
     if host.n % piece.n != 0:
         raise BadDivisibility(f"|piece|={piece.n} does not divide |host|={host.n}")
     meter = _Meter(budget)
-    witnesses = _spanning_sets(host, piece, budget)
+    witnesses = _spanning_sets(host, piece, meter)
     pieces = _cover(frozenset(range(host.n)), witnesses, meter)
     if pieces is None:
         return None

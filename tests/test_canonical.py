@@ -8,6 +8,7 @@ import pytest
 from eotile import (
     BadSize,
     BadVertex,
+    CertificateError,
     NotComplete,
     are_order_isomorphic,
     build_graph,
@@ -28,6 +29,7 @@ from eotile.canonical import (
     star_labels,
     star_subclique_matches,
 )
+from eotile import canonical
 
 
 def expected_label(kind, n, i, j):
@@ -254,6 +256,12 @@ class TestMonotoneHamiltonCycle:
     def test_even_size_rejected(self):
         with pytest.raises(BadSize):
             monotone_hamilton_cycle(ALL_STAR_TYPES[0], 6)
+
+    def test_failed_construction_raises(self, monkeypatch):
+        # 0-2-3-1 plus the special vertex is monotone in no rotation or direction.
+        monkeypatch.setattr(canonical, "_base_cycle", lambda kind, size: [0, 2, 3, 1])
+        with pytest.raises(CertificateError, match="no monotone cycle"):
+            monotone_hamilton_cycle(ALL_STAR_TYPES[0], 5)
 
 
 def reference_star_match(graph, vertices, special, kind):

@@ -34,6 +34,9 @@ from eotile import (
 )
 from eotile.canonical import CanonicalType, StarFamily, StarType, classify_star_canonical
 from eotile.characterize import d_graph, monotone_cycle
+from eotile.core import _pairs_within, _vertex_subset
+from eotile.embed import SearchBudget, _embeddings, _Meter
+from eotile.errors import Inconclusive
 
 
 def brute_injections(pattern, host):
@@ -370,6 +373,155 @@ class TestSearchWithin:
             find_embedding(monotone_path_graph(1), host, within=[0, 4])
         with pytest.raises(BadVertex):
             find_monotone_path(host, 1, within=[-1, 0, 1])
+
+
+def recursive_oracle(pattern, host, meter, fill_isolated, within=None):
+    """The recursive rank-chain search that ``_embeddings`` replaced: one
+    generator per search node, one per candidate list, and the subset's
+    pairs and incidence rebuilt by an O(m) scan on every call.  Kept as the
+    reference for yield order, maps, used sets and node counts."""
+    if within is None:
+        hpairs = host.pairs_by_rank
+        rank = host.rank
+        vertices = range(host.n)
+    else:
+        inside = set(within)
+        hpairs = [p for p in host.pairs_by_rank if p[0] in inside and p[1] in inside]
+        rank = {pair: i + 1 for i, pair in enumerate(hpairs)}
+        vertices = within
+    if pattern.n > len(vertices) or pattern.m > len(hpairs):
+        return
+    fpairs = pattern.pairs_by_rank
+    mf, mh = len(fpairs), len(hpairs)
+    incidence = [[] for _ in range(host.n)]
+    for idx, (u, v) in enumerate(hpairs):
+        incidence[u].append(idx)
+        incidence[v].append(idx)
+    fmap, used = {}, set()
+
+    def complete():
+        if not fill_isolated:
+            return dict(fmap), set(used)
+        full, taken = dict(fmap), set(used)
+        spare = iter(v for v in vertices if v not in taken)
+        for v in range(pattern.n):
+            if v not in full:
+                nxt = next(spare)
+                full[v] = nxt
+                taken.add(nxt)
+        return full, taken
+
+    def candidates(i, floor):
+        a, b = fpairs[i]
+        ceiling = mh - (mf - i - 1)
+        if a in fmap and b in fmap:
+            x, y = fmap[a], fmap[b]
+            r = rank.get((x, y) if x < y else (y, x))
+            if r is not None and floor <= r - 1 < ceiling:
+                yield r - 1
+            return
+        if a in fmap or b in fmap:
+            anchor = fmap[a] if a in fmap else fmap[b]
+            yield from (idx for idx in incidence[anchor] if floor <= idx < ceiling)
+            return
+        yield from range(floor, ceiling)
+
+    def place(i, floor):
+        meter.tick()
+        if i == mf:
+            yield complete()
+            return
+        a, b = fpairs[i]
+        for idx in candidates(i, floor):
+            c, d = hpairs[idx]
+            for x, y in ((c, d), (d, c)):
+                if fmap.get(a, x) != x or fmap.get(b, y) != y:
+                    continue
+                added, ok = [], True
+                for src, dst in ((a, x), (b, y)):
+                    if src not in fmap:
+                        if dst in used:
+                            ok = False
+                            break
+                        fmap[src] = dst
+                        used.add(dst)
+                        added.append(src)
+                if ok:
+                    yield from place(i + 1, idx + 1)
+                for src in added:
+                    used.discard(fmap.pop(src))
+
+    yield from place(0, 0)
+
+
+def kernel_trace(kernel, pattern, host, fill_isolated, within, node_limit):
+    """Everything a kernel yields, in order, then how it stopped and its node count."""
+    meter = _Meter(SearchBudget(node_limit=node_limit))
+    out = []
+    try:
+        for fmap, used in kernel(pattern, host, meter, fill_isolated, within):
+            out.append((fmap, used))
+        out.append("exhausted")
+    except Inconclusive:
+        out.append("inconclusive")
+    return out, meter.nodes
+
+
+class TestIterativeKernel:
+    @pytest.mark.parametrize("fill_isolated", [True, False])
+    def test_matches_recursive_oracle_seeded(self, fill_isolated):
+        rng = np.random.default_rng(4411 + fill_isolated)
+        seen = dict.fromkeys(
+            ("isolated", "no_edges", "whole", "empty", "proper", "yields", "inconclusive"), 0
+        )
+        for _ in range(700):
+            p_n = int(rng.integers(0, 6))
+            pattern = random_graph(rng, p_n, int(rng.integers(0, min(p_n * (p_n - 1) // 2, 5) + 1)))
+            host_n = int(rng.integers(0, 10))
+            host = random_graph(rng, host_n, int(rng.integers(0, host_n * (host_n - 1) // 2 + 1)))
+            draw = int(rng.integers(0, 3))
+            within = (
+                None if draw == 0 else [] if draw == 1 else sorted(random_subset(rng, host_n))
+            )
+            node_limit = int(rng.choice([1, 3, 8, 30, 10**6]))
+            expected = kernel_trace(recursive_oracle, pattern, host, fill_isolated, within, node_limit)
+            got = kernel_trace(_embeddings, pattern, host, fill_isolated, within, node_limit)
+            assert got == expected, (pattern, host, within, node_limit)
+            seen["isolated"] += bool(pattern.isolated_vertices()) and pattern.m > 0
+            seen["no_edges"] += pattern.m == 0
+            seen["whole" if within is None else "empty" if not within else "proper"] += 1
+            seen["yields"] += len(expected[0]) > 1
+            seen["inconclusive"] += expected[0][-1] == "inconclusive"
+        assert all(count >= 20 for count in seen.values()), seen
+
+    def test_dense_hosts_match_recursive_oracle(self):
+        # Deep searches with many backtracks: paths and 2K2+edge patterns into K8.
+        rng = np.random.default_rng(5150)
+        for _ in range(40):
+            host = random_graph(rng, 8, 28)
+            pattern = random_graph(rng, 5, int(rng.integers(3, 7)))
+            within = None if rng.integers(0, 2) else sorted(random_subset(rng, 8))
+            expected = kernel_trace(recursive_oracle, pattern, host, True, within, 10**6)
+            assert kernel_trace(_embeddings, pattern, host, True, within, 10**6) == expected
+
+    def test_pairs_within_lookup_and_scan_agree(self):
+        rng = np.random.default_rng(808)
+        branches = set()
+        for _ in range(200):
+            n = int(rng.integers(0, 12))
+            host = random_graph(rng, n, int(rng.integers(0, n * (n - 1) // 2 + 1)))
+            subset = _vertex_subset(host, random_subset(rng, n))
+            inside = set(subset)
+            expected = [p for p in host.pairs_by_rank if p[0] in inside and p[1] in inside]
+            assert _pairs_within(host, subset) == expected
+            branches.add(3 * len(subset) * (len(subset) - 1) // 2 < host.m)  # lookups?
+        assert branches == {True, False}
+
+    def test_host_incidence_is_cached(self):
+        host = canonical_clique(CanonicalType.MIN, 5)
+        assert host.incidence is host.incidence
+        assert host.incidence[0] == [0, 1, 2, 3]
+        assert host.incidence[4] == [3, 6, 8, 9]
 
 
 class TestCertificateChecks:

@@ -1,5 +1,9 @@
 """Tiling solvers against independent partition-based oracles."""
 
+import os
+import subprocess
+import sys
+import textwrap
 from itertools import combinations, permutations
 
 import numpy as np
@@ -29,6 +33,7 @@ from eotile import (
 from eotile import tiling as tiling_module
 from eotile.canonical import CanonicalType
 from eotile.characterize import path_with_ranks
+import eotile
 from eotile.embed import DEFAULT_BUDGET, _Meter
 
 
@@ -435,3 +440,90 @@ class TestDenseFallbackBudget:
         assert seen[-1] == (host.n, budget)
         assert [n for n, _ in seen].count(host.n) == 1
         assert all(b is budget for _, b in seen)
+
+
+def sorting_cover(vertices, witnesses, meter):
+    """The exact cover as it was before it sorted once per call: every
+    search node re-sorts all witness sets.  Reference for order and nodes."""
+    if not vertices:
+        return []
+    meter.tick()
+    pivot = min(vertices)
+    for subset in sorted(witnesses, key=sorted):
+        if pivot in subset and subset <= vertices:
+            rest = sorting_cover(vertices - subset, witnesses, meter)
+            if rest is not None:
+                return [witnesses[subset]] + rest
+    return None
+
+
+class TestCover:
+    def test_matches_sorting_reference_seeded(self):
+        rng = np.random.default_rng(3141)
+        outcomes = set()
+        for _ in range(150):
+            n, f = int(rng.integers(0, 4)) * 3, int(rng.choice([1, 3]))
+            blocks = list(combinations(range(n), f))
+            keep = rng.random(len(blocks)) < rng.uniform(0.05, 0.6)
+            # Inserted in random order, so only the cover's own sort orders them.
+            witnesses = {
+                frozenset(blocks[i]): Embedding(tuple(rng.permutation(blocks[i]).tolist()))
+                for i in rng.permutation(len(blocks))
+                if keep[i]
+            }
+            vertices = frozenset(range(n))
+            expected_meter, meter = _Meter(DEFAULT_BUDGET), _Meter(DEFAULT_BUDGET)
+            expected = sorting_cover(vertices, witnesses, expected_meter)
+            assert tiling_module._cover(vertices, witnesses, meter) == expected
+            assert meter.nodes == expected_meter.nodes
+            outcomes.add(expected is None)
+        assert outcomes == {True, False}
+
+
+ONE_BUDGET_SCRIPT = textwrap.dedent(
+    """
+    from itertools import combinations
+    from eotile import Inconclusive, SearchBudget, canonical_clique, find_embedding
+    from eotile import monotone_path_graph, perfect_tiling_exact
+    from eotile.canonical import CanonicalType
+    from eotile.embed import _embeddings, _Meter
+    from eotile.tiling import _cover
+
+    host, piece = canonical_clique(CanonicalType.MIN, 6), monotone_path_graph(2)
+    budget = SearchBudget(node_limit=10)
+    # Each of the 20 subset searches, and the cover, fits under the limit alone ...
+    total = _Meter(SearchBudget())
+    witnesses = {}
+    for subset in combinations(range(6), 3):
+        emb = find_embedding(piece, host, budget, within=subset)
+        if emb is not None:
+            witnesses[frozenset(subset)] = emb
+        next(_embeddings(piece, host, total, True, list(subset)), None)
+    if _cover(frozenset(range(6)), witnesses, _Meter(budget)) is None:
+        raise SystemExit("K6 has no P2 tiling")
+    # ... but together the subset searches expand more nodes than it allows.
+    if total.nodes <= budget.node_limit:
+        raise SystemExit(f"only {total.nodes} nodes in all subset searches")
+    try:
+        perfect_tiling_exact(host, piece, budget)
+    except Inconclusive:
+        print("inconclusive")
+    else:
+        raise SystemExit("a tiling came back: each sub-search had its own budget")
+    """
+)
+
+
+class TestOneBudget:
+    @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+    def test_exact_tiling_counts_every_subsearch(self, flags):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(eotile.__file__)))
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, *flags, "-c", ONE_BUDGET_SCRIPT],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "inconclusive"
