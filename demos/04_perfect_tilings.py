@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Perfect tilings: exact search, T(F), the dense pipeline, extremal limits.
+"""Perfect tilings: exact search, T(F), the dense tiler, extremal limits.
 
 Run:  python demos/04_perfect_tilings.py
 """
@@ -42,7 +42,7 @@ print(f"  min K_9, k=2: {len(absorbers)} absorber sets; first = "
       f"{sorted(absorbers[0].vertices)}")
 
 print()
-print("The dense tiler runs greedy -> windowed exact repair -> exact fallback:")
+print("The dense tiler runs the lazy least-vertex exact cover on the whole host:")
 rng = np.random.default_rng(17)
 pairs = [(u, v) for u in range(12) for v in range(u + 1, 12)]
 while True:

@@ -178,8 +178,11 @@ def _embeddings(
     hpairs, incidence = _search_space(host, within)
     if pattern.n > len(vertices) or pattern.m > len(hpairs):
         return
-    rank = host.rank if within is None else {pair: i + 1 for i, pair in enumerate(hpairs)}
     plan = _edge_plan(pattern)
+    # Only closed edges look up ranks; a subset's are positions in ``hpairs``.
+    rank: Mapping[Pair, int] = host.rank
+    if within is not None and any(kind == _CLOSED for _, _, kind in plan):
+        rank = {pair: i + 1 for i, pair in enumerate(hpairs)}
     mf, mh = len(plan), len(hpairs)
     fmap = [-1] * pattern.n  # host vertex per pattern vertex; isolated ones stay -1
     used = [False] * host.n

@@ -1,10 +1,11 @@
-"""Perfect tilings: exact solver, T(F), absorbers, and the dense pipeline.
+"""Perfect tilings: exact solver, T(F), absorbers, and the dense tiler.
 
-The exact solver is a set-cover backtracker over the vertex sets that
-carry a spanning copy of the piece.  The dense monotone-path tiler runs
-greedy, windowed exact repair, exact fallback; local absorbers are the
-paper's standalone objects, which it does not use.  Correctness always
-rests on re-verification, never on the pipeline's heuristics.
+Every tiler runs one exact cover: the least uncovered vertex is covered
+first, and a vertex set is searched for a spanning copy of the piece only
+when the cover reaches it (``find_embedding(..., within=)``).  The dense
+monotone-path tiler and each clique of the clique tiler are tiled this
+way; local absorbers are the paper's standalone objects, which no tiler
+uses.  Correctness always rests on re-verification.
 """
 
 from __future__ import annotations
@@ -12,10 +13,10 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional, TypeVar
 
 from .canonical import CanonicalType, canonical_labels
-from .core import EdgeOrderedGraph, build_graph, enumerate_orderings, induced_subgraph
+from .core import EdgeOrderedGraph, build_graph, enumerate_orderings
 from .embed import (
     DEFAULT_BUDGET,
     Embedding,
@@ -34,6 +35,8 @@ from .errors import (
     CertificateError,
     Inconclusive,
 )
+
+W = TypeVar("W")
 
 
 class DegreeBoundWarning(UserWarning):
@@ -89,7 +92,8 @@ class AbsorberSet:
 class TilerConfig:
     """Desk-scale tunables standing in for the asymptotic constants.
 
-    ``tile_dense_paths`` reads only ``absorb_budget``, not ``eta`` or ``seed``.
+    ``tile_dense_paths`` reads only ``absorb_budget``, the budget of its
+    exact solve; ``eta`` and ``seed`` are validated but read by no tiler.
     """
 
     eta: float = 0.25
@@ -101,50 +105,59 @@ class TilerConfig:
             raise ValueError(f"eta must lie in (0, 1/2), got {self.eta}")
 
 
-def _spanning_sets(
-    host: EdgeOrderedGraph,
-    piece: EdgeOrderedGraph,
-    meter: _Meter,
-) -> dict[frozenset[int], Embedding]:
-    """Vertex sets of size |piece| carrying a spanning copy, with one witness.
-
-    Every subset search counts against the one ``meter``.
-    """
-    f = piece.n
-    witnesses: dict[frozenset[int], Embedding] = {}
-    for subset in combinations(range(host.n), f):
-        emb = find_embedding(piece, host, within=subset, meter=meter)
-        if emb is not None:
-            witnesses[frozenset(subset)] = emb
-    return witnesses
-
-
 def _cover(
     vertices: frozenset[int],
-    witnesses: dict[frozenset[int], Embedding],
+    size: int,
+    witness: Callable[[tuple[int, ...]], Optional[W]],
     meter: _Meter,
-    by_least: Optional[dict[int, list[frozenset[int]]]] = None,
-) -> Optional[list[Embedding]]:
-    """Exact cover of ``vertices`` by disjoint witness sets, backtracking.
+    memo: Optional[dict[tuple[int, ...], Optional[W]]] = None,
+) -> Optional[list[W]]:
+    """Exact cover of ``vertices`` by disjoint ``size``-sets, backtracking.
 
-    The least uncovered vertex must be the least vertex of the set that
-    covers it.  So the top-level call groups the sets by least vertex, each
-    group in ascending order of sorted members, and the recursion passes
-    that grouping down as ``by_least`` instead of sorting at every node.
+    The least uncovered vertex v must lie in the set that covers it, so
+    each node tries v plus every (size-1)-subset of the other uncovered
+    vertices, in lexicographic order, and keeps the sets whose ``witness``
+    is not None.  Witnesses are asked lazily, once per set per top-level
+    call (``memo``).  This is Algorithm X with a fixed column order.
+
+    Sets are ascending tuples: a negative host can memoize most of its
+    C(n, size) sets, and a small tuple takes about a ninth of the memory of
+    a frozenset of the same vertices.
     """
-    if by_least is None:
-        by_least = {}
-        for subset in sorted(witnesses, key=sorted):
-            by_least.setdefault(min(subset), []).append(subset)
     if not vertices:
         return []
+    if memo is None:
+        memo = {}
     meter.tick()
-    for subset in by_least.get(min(vertices), ()):
-        if subset <= vertices:
-            rest = _cover(vertices - subset, witnesses, meter, by_least)
+    least = min(vertices)
+    for others in combinations(sorted(vertices - {least}), size - 1):
+        subset = (least, *others)
+        if subset not in memo:
+            memo[subset] = witness(subset)
+        found = memo[subset]
+        if found is not None:
+            rest = _cover(vertices.difference(subset), size, witness, meter, memo)
             if rest is not None:
-                return [witnesses[subset]] + rest
+                return [found] + rest
     return None
+
+
+def _tile(
+    host: EdgeOrderedGraph,
+    piece: EdgeOrderedGraph,
+    vertices: Iterable[int],
+    meter: _Meter,
+) -> Optional[list[Embedding]]:
+    """Pieces tiling ``vertices`` of ``host`` exactly, in host coordinates.
+
+    Every subset search and the cover count against ``meter``.
+    """
+    return _cover(
+        frozenset(vertices),
+        piece.n,
+        lambda subset: find_embedding(piece, host, within=subset, meter=meter),
+        meter,
+    )
 
 
 def perfect_tiling_exact(
@@ -154,16 +167,14 @@ def perfect_tiling_exact(
 ) -> Optional[Tiling]:
     """A verified perfect tiling, or None proven within budget.
 
-    One budget bounds the whole call: the spanning-set searches and the
-    exact cover all count against a single meter.
+    One budget bounds the whole call: the subset searches and the exact
+    cover all count against a single meter.
     """
     if piece.n == 0:
         raise BadDivisibility("piece must have at least one vertex")
     if host.n % piece.n != 0:
         raise BadDivisibility(f"|piece|={piece.n} does not divide |host|={host.n}")
-    meter = _Meter(budget)
-    witnesses = _spanning_sets(host, piece, meter)
-    pieces = _cover(frozenset(range(host.n)), witnesses, meter)
+    pieces = _tile(host, piece, range(host.n), _Meter(budget))
     if pieces is None:
         return None
     return _certified(host, piece, Tiling(tuple(pieces), frozenset(range(host.n))))
@@ -252,44 +263,16 @@ def local_absorbers(
 def tile_dense_paths(
     host: EdgeOrderedGraph, k: int, config: TilerConfig = TilerConfig()
 ) -> Optional[Tiling]:
-    """Perfect monotone-path tiling of a dense host.
+    """Perfect monotone-path tiling of a dense host, or None if none exists.
 
-    Greedy, windowed exact repair, exact fallback: strip monotone paths
-    smallest-rank-first; if vertices remain, release the last greedy
-    pieces one at a time and tile each freed window exactly; if no window
-    tiles, run the exact solver once on the whole host.  Every tiling
-    returned is re-verified.
+    The exact solver on the whole host under ``config.absorb_budget``.  On
+    a dense host the least uncovered vertex almost always starts a path
+    among the first sets tried, so the cover rarely backtracks.  The
+    tiling returned is re-verified.
     """
-    f = k + 1
-    if host.n % f != 0:
-        raise BadDivisibility(f"path on {f} vertices cannot tile n={host.n}")
-    piece = monotone_path_graph(k)
-    budget = config.absorb_budget
-    everything = frozenset(range(host.n))
-
-    greedy: list[Embedding] = []
-    uncovered = set(everything)
-    while uncovered:
-        emb = find_monotone_path(host, k, budget, within=uncovered)
-        if emb is None:
-            break
-        greedy.append(emb)
-        uncovered -= emb.image
-    if not uncovered:
-        return _certified(host, piece, Tiling(tuple(greedy), everything))
-
-    for kept in range(len(greedy) - 1, 0, -1):
-        freed = sorted(everything.difference(*(emb.image for emb in greedy[:kept])))
-        try:
-            partial = perfect_tiling_exact(induced_subgraph(host, freed), piece, budget)
-        except Inconclusive:
-            continue
-        if partial is not None:
-            lifted = tuple(
-                Embedding(tuple(freed[h] for h in emb.vertex_map)) for emb in partial.pieces
-            )
-            return _certified(host, piece, Tiling(tuple(greedy[:kept]) + lifted, everything))
-    return perfect_tiling_exact(host, piece, budget)
+    if host.n % (k + 1) != 0:
+        raise BadDivisibility(f"path on {k + 1} vertices cannot tile n={host.n}")
+    return perfect_tiling_exact(host, monotone_path_graph(k), config.absorb_budget)
 
 
 def tile_via_cliques(
@@ -302,7 +285,8 @@ def tile_via_cliques(
 
     The Hajnal-Szemeredi step is replaced by exact clique-cover search; the
     minimum-degree hypothesis is only advisory and produces a warning when
-    violated.
+    violated.  One budget bounds the whole call: the strips, the clique
+    cover and every clique's tiling count against a single meter.
     """
     f = piece.n
     if f == 0 or host.n % f != 0:
@@ -316,36 +300,32 @@ def tile_via_cliques(
             stacklevel=2,
         )
 
+    meter = _Meter(budget)
     stripped: list[Embedding] = []
     remaining = set(range(host.n))
     overshoot = host.n % t_clique
     for _ in range(overshoot // f):
-        emb = find_embedding(piece, host, budget, within=remaining)
+        emb = find_embedding(piece, host, within=remaining, meter=meter)
         if emb is None:
             return None
         stripped.append(emb)
         remaining -= emb.image
 
-    # Exact cover of the rest by T-cliques of the underlying graph.
-    subset = sorted(remaining)
-    cliques: dict[frozenset[int], Embedding] = {}
-    for combo in combinations(subset, t_clique):
-        if all(host.has_edge(a, b) for a, b in combinations(combo, 2)):
-            cliques[frozenset(combo)] = Embedding(combo)
-    meter = _Meter(budget)
-    cover = _cover(frozenset(subset), cliques, meter)
-    if cover is None:
+    def clique(subset: tuple[int, ...]) -> Optional[tuple[int, ...]]:
+        if all(host.has_edge(a, b) for a, b in combinations(subset, 2)):
+            return subset
         return None
 
+    # Exact cover of the rest by T-cliques of the underlying graph.
+    cover = _cover(frozenset(remaining), t_clique, clique, meter)
+    if cover is None:
+        return None
     pieces: list[Embedding] = list(stripped)
-    for clique_emb in cover:
-        block = sorted(clique_emb.vertex_map)
-        sub = induced_subgraph(host, block)
-        inner = perfect_tiling_exact(sub, piece, budget)
+    for members in cover:
+        inner = _tile(host, piece, members, meter)
         if inner is None:
             return None
-        for emb in inner.pieces:
-            pieces.append(Embedding(tuple(block[h] for h in emb.vertex_map)))
+        pieces.extend(inner)
     return _certified(host, piece, Tiling(tuple(pieces), frozenset(range(host.n))))
 
 

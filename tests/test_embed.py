@@ -35,7 +35,7 @@ from eotile import (
 from eotile.canonical import CanonicalType, StarFamily, StarType, classify_star_canonical
 from eotile.characterize import d_graph, monotone_cycle
 from eotile.core import _pairs_within, _vertex_subset
-from eotile.embed import SearchBudget, _embeddings, _Meter
+from eotile.embed import _CLOSED, SearchBudget, _edge_plan, _embeddings, _Meter
 from eotile.errors import Inconclusive
 
 
@@ -472,7 +472,9 @@ class TestIterativeKernel:
     def test_matches_recursive_oracle_seeded(self, fill_isolated):
         rng = np.random.default_rng(4411 + fill_isolated)
         seen = dict.fromkeys(
-            ("isolated", "no_edges", "whole", "empty", "proper", "yields", "inconclusive"), 0
+            ("isolated", "no_edges", "whole", "empty", "proper", "closed_in_subset", "yields",
+             "inconclusive"),
+            0,
         )
         for _ in range(700):
             p_n = int(rng.integers(0, 6))
@@ -490,6 +492,10 @@ class TestIterativeKernel:
             seen["isolated"] += bool(pattern.isolated_vertices()) and pattern.m > 0
             seen["no_edges"] += pattern.m == 0
             seen["whole" if within is None else "empty" if not within else "proper"] += 1
+            # Only closed edges (a triangle's third edge, say) look up subset ranks.
+            seen["closed_in_subset"] += bool(within) and any(
+                kind == _CLOSED for _, _, kind in _edge_plan(pattern)
+            )
             seen["yields"] += len(expected[0]) > 1
             seen["inconclusive"] += expected[0][-1] == "inconclusive"
         assert all(count >= 20 for count in seen.values()), seen

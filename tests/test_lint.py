@@ -39,3 +39,29 @@ def test_no_raise_assertion_error_in_the_package():
 def test_raise_assertion_error_is_detected():
     tree = ast.parse("raise AssertionError('x')\nraise AssertionError\nraise ValueError")
     assert [raises_assertion_error(node) for node in tree.body] == [True, True, False]
+
+
+def calls_induced_subgraph(node):
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    return name == "induced_subgraph"
+
+
+def test_only_core_calls_induced_subgraph():
+    # Subset searches take ``within=``: no module builds an induced subgraph,
+    # searches it and lifts the answer back.
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SOURCE.rglob("*.py"))
+        if path.name != "core.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if calls_induced_subgraph(node)
+    ]
+    assert found == [], "search inside a vertex subset with within=, not induced_subgraph"
+
+
+def test_induced_subgraph_call_is_detected():
+    tree = ast.parse("induced_subgraph(g, s)\ncore.induced_subgraph(g, s)\ninduced_subgraph")
+    assert [calls_induced_subgraph(node.value) for node in tree.body] == [True, True, False]

@@ -326,14 +326,15 @@ class TestTilerConfig:
 
 
 def reference_tiling_pieces(host, piece):
-    """The induce-search-lift exact solver: spanning witnesses found in
-    induced subgraphs, mapped back, then the same exact cover."""
+    """The eager induce-search-lift exact solver: a witness for every vertex
+    set, found in its induced subgraph and mapped back, then the sorting
+    cover over all of them."""
     witnesses = {}
     for subset in combinations(range(host.n), piece.n):
         emb = find_embedding(piece, induced_subgraph(host, subset))
         if emb is not None:
-            witnesses[frozenset(subset)] = Embedding(tuple(subset[h] for h in emb.vertex_map))
-    pieces = tiling_module._cover(frozenset(range(host.n)), witnesses, _Meter(DEFAULT_BUDGET))
+            witnesses[subset] = Embedding(tuple(subset[h] for h in emb.vertex_map))
+    pieces = sorting_cover(frozenset(range(host.n)), witnesses, _Meter(DEFAULT_BUDGET))
     return None if pieces is None else tuple(pieces)
 
 
@@ -353,6 +354,19 @@ class TestSubsetSearchEquivalence:
             assert (None if tiling is None else tiling.pieces) == expected
             outcomes.add(expected is None)
         assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("piece", ["P4", "1432"])
+    def test_k15_certificates_match_reference(self, piece):
+        piece = monotone_path_graph(4) if piece == "P4" else path_with_ranks(piece)
+        host = random_clique_ordering(np.random.default_rng(1515), 15)
+        tiling = perfect_tiling_exact(host, piece)
+        assert tiling is not None
+        assert tiling.pieces == reference_tiling_pieces(host, piece)
+
+    def test_two_cliques_negative_matches_reference(self):
+        host, piece = extremal_construction("TwoCliques", 12, 3), monotone_path_graph(3)
+        assert reference_tiling_pieces(host, piece) is None
+        assert perfect_tiling_exact(host, piece) is None
 
     def test_clique_tiler_strips_match_reference(self):
         rng = np.random.default_rng(77)
@@ -409,25 +423,10 @@ class TestCertificateChecks:
         with pytest.raises(CertificateError, match="minimum degree"):
             extremal_construction("TwoCliques", 16, 3)
 
-    @pytest.mark.parametrize("phase", ["greedy", "window"])
-    def test_tile_dense_paths(self, monkeypatch, phase):
-        if phase == "greedy":
-            host, k = canonical_clique(CanonicalType.MIN, 6), 2
-        else:
-            # Greedy strands three vertices; the window freed by releasing
-            # the last greedy piece tiles, so the whole host is never solved.
-            rng = np.random.default_rng(6)
-            host, k = random_graph(rng, 9, int(rng.integers(9, 36))), 2
-        assert tile_dense_paths(host, k) is not None
-        # Only perfect tilings of the host fail; a window's inner solve passes.
-        monkeypatch.setattr(
-            tiling_module, "verify_tiling", lambda g, p, t: len(t.covered) < host.n
-        )
-        seen = record_exact_calls(monkeypatch)
+    def test_tile_dense_paths(self, monkeypatch):
+        monkeypatch.setattr(tiling_module, "verify_tiling", lambda *args: False)
         with pytest.raises(CertificateError):
-            tile_dense_paths(host, k)
-        # Raised by the failing phase itself, not by a later whole-host solve.
-        assert [n for n, _ in seen] == ([] if phase == "greedy" else [6])
+            tile_dense_paths(canonical_clique(CanonicalType.MIN, 6), 2)
 
 
 class TestDenseFallbackBudget:
@@ -436,22 +435,22 @@ class TestDenseFallbackBudget:
         seen = record_exact_calls(monkeypatch)
         host = extremal_construction("TwoCliques", 8, 3)
         assert tile_dense_paths(host, 3, TilerConfig(absorb_budget=budget)) is None
-        # The last call is the whole-host fallback after every window failed.
-        assert seen[-1] == (host.n, budget)
-        assert [n for n, _ in seen].count(host.n) == 1
-        assert all(b is budget for _, b in seen)
+        # One exact solve of the whole host, under the configured budget.
+        assert seen == [(host.n, budget)]
+        assert seen[0][1] is budget
 
 
 def sorting_cover(vertices, witnesses, meter):
-    """The exact cover as it was before it sorted once per call: every
-    search node re-sorts all witness sets.  Reference for order and nodes."""
+    """The exact cover over precomputed witnesses, keyed by ascending vertex
+    tuples: every search node re-sorts all of them.  Reference for order and
+    nodes."""
     if not vertices:
         return []
     meter.tick()
     pivot = min(vertices)
-    for subset in sorted(witnesses, key=sorted):
-        if pivot in subset and subset <= vertices:
-            rest = sorting_cover(vertices - subset, witnesses, meter)
+    for subset in sorted(witnesses):
+        if pivot in subset and vertices.issuperset(subset):
+            rest = sorting_cover(vertices.difference(subset), witnesses, meter)
             if rest is not None:
                 return [witnesses[subset]] + rest
     return None
@@ -467,45 +466,82 @@ class TestCover:
             keep = rng.random(len(blocks)) < rng.uniform(0.05, 0.6)
             # Inserted in random order, so only the cover's own sort orders them.
             witnesses = {
-                frozenset(blocks[i]): Embedding(tuple(rng.permutation(blocks[i]).tolist()))
+                blocks[i]: Embedding(tuple(rng.permutation(blocks[i]).tolist()))
                 for i in rng.permutation(len(blocks))
                 if keep[i]
             }
             vertices = frozenset(range(n))
             expected_meter, meter = _Meter(DEFAULT_BUDGET), _Meter(DEFAULT_BUDGET)
             expected = sorting_cover(vertices, witnesses, expected_meter)
-            assert tiling_module._cover(vertices, witnesses, meter) == expected
+            assert tiling_module._cover(vertices, f, witnesses.get, meter) == expected
             assert meter.nodes == expected_meter.nodes
             outcomes.add(expected is None)
         assert outcomes == {True, False}
 
 
-ONE_BUDGET_SCRIPT = textwrap.dedent(
+EXACT_ONE_BUDGET_SCRIPT = textwrap.dedent(
     """
     from itertools import combinations
-    from eotile import Inconclusive, SearchBudget, canonical_clique, find_embedding
+    from eotile import Inconclusive, SearchBudget, extremal_construction, find_embedding
     from eotile import monotone_path_graph, perfect_tiling_exact
-    from eotile.canonical import CanonicalType
-    from eotile.embed import _embeddings, _Meter
-    from eotile.tiling import _cover
+    from eotile.embed import _Meter
+    from eotile.tiling import _cover, _tile
 
-    host, piece = canonical_clique(CanonicalType.MIN, 6), monotone_path_graph(2)
+    host, piece = extremal_construction("TwoCliques", 8, 3), monotone_path_graph(3)
     budget = SearchBudget(node_limit=10)
-    # Each of the 20 subset searches, and the cover, fits under the limit alone ...
-    total = _Meter(SearchBudget())
+    # Each of the 70 subset searches fits under the limit alone, and so does
+    # the cover over every copy they find ...
     witnesses = {}
-    for subset in combinations(range(6), 3):
+    for subset in combinations(range(8), 4):
         emb = find_embedding(piece, host, budget, within=subset)
         if emb is not None:
-            witnesses[frozenset(subset)] = emb
-        next(_embeddings(piece, host, total, True, list(subset)), None)
-    if _cover(frozenset(range(6)), witnesses, _Meter(budget)) is None:
-        raise SystemExit("K6 has no P2 tiling")
-    # ... but together the subset searches expand more nodes than it allows.
+            witnesses[subset] = emb
+    if _cover(frozenset(range(8)), 4, witnesses.get, _Meter(budget)) is not None:
+        raise SystemExit("TwoCliques(8, 3) has a P3 tiling")
+    # ... but the exact tiler's subset searches and cover need more together.
+    total = _Meter(SearchBudget())
+    if _tile(host, piece, range(8), total) is not None:
+        raise SystemExit("TwoCliques(8, 3) has a P3 tiling")
     if total.nodes <= budget.node_limit:
-        raise SystemExit(f"only {total.nodes} nodes in all subset searches")
+        raise SystemExit(f"only {total.nodes} nodes in the whole exact tiling")
     try:
         perfect_tiling_exact(host, piece, budget)
+    except Inconclusive:
+        print("inconclusive")
+    else:
+        raise SystemExit("an answer came back: each sub-search had its own budget")
+    """
+)
+
+CLIQUE_ONE_BUDGET_SCRIPT = textwrap.dedent(
+    """
+    from eotile import Inconclusive, SearchBudget, canonical_clique, find_embedding
+    from eotile import monotone_path_graph, tile_via_cliques
+    from eotile.canonical import CanonicalType
+    from eotile.embed import _Meter
+    from eotile.tiling import _cover, _tile
+
+    host, piece = canonical_clique(CanonicalType.MAX, 10), monotone_path_graph(1)
+    budget = SearchBudget(node_limit=14)
+    # Each sub-search fits under the limit alone: the strip that fixes
+    # divisibility (10 mod 4 = 2), the cover by 4-cliques (every 4-set of
+    # K10 is one) and the tiling of each clique ...
+    meters = [_Meter(budget)]
+    strip = find_embedding(piece, host, within=range(10), meter=meters[-1])
+    meters.append(_Meter(budget))
+    rest = frozenset(range(10)) - strip.image
+    cliques = _cover(rest, 4, lambda subset: subset, meters[-1])
+    for clique in cliques:
+        meters.append(_Meter(budget))
+        if _tile(host, piece, clique, meters[-1]) is None:
+            raise SystemExit(f"clique {clique} has no tiling")
+    # ... but together they need more nodes than it allows, and without any
+    # one of them the rest would fit.
+    sizes = [meter.nodes for meter in meters]
+    if len(sizes) != 4 or not sum(sizes) - min(sizes) <= budget.node_limit < sum(sizes):
+        raise SystemExit(f"sub-searches of {sizes} nodes")
+    try:
+        tile_via_cliques(host, piece, 4, budget)
     except Inconclusive:
         print("inconclusive")
     else:
@@ -514,16 +550,23 @@ ONE_BUDGET_SCRIPT = textwrap.dedent(
 )
 
 
+def run_script(script, flags):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(eotile.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run(
+        [sys.executable, *flags, "-c", script], capture_output=True, text=True, env=env
+    )
+
+
 class TestOneBudget:
     @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
     def test_exact_tiling_counts_every_subsearch(self, flags):
-        src = os.path.dirname(os.path.dirname(os.path.abspath(eotile.__file__)))
-        env = {**os.environ, "PYTHONPATH": src}
-        proc = subprocess.run(
-            [sys.executable, *flags, "-c", ONE_BUDGET_SCRIPT],
-            capture_output=True,
-            text=True,
-            env=env,
-        )
+        proc = run_script(EXACT_ONE_BUDGET_SCRIPT, flags)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "inconclusive"
+
+    @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+    def test_clique_tiling_counts_every_subsearch(self, flags):
+        proc = run_script(CLIQUE_ONE_BUDGET_SCRIPT, flags)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "inconclusive"
