@@ -1,10 +1,11 @@
-"""Generators and recognizers for canonical and star-canonical cliques.
+"""Generators for canonical and star-canonical cliques.
 
 Four canonical orderings of ``K_n`` (min, max, inverse min, inverse max)
 come from standard integer labelings.  A star-canonical ordering of
 ``K_{n+1}`` has one special vertex ``x`` whose removal leaves a canonical
 clique, with the ``x``-edge labels drawn from one of five families; five
-families times four canonical parts gives the twenty types.
+families times four canonical parts gives the twenty types.  Recognizing
+them in a graph runs on the embedding kernel, in :mod:`eotile.embed`.
 """
 
 from __future__ import annotations
@@ -12,18 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Optional, Sequence
 
-from .core import (
-    EdgeOrderedGraph,
-    Pair,
-    _edge_isomorphisms,
-    _pairs_within,
-    _vertex_subset,
-    build_graph,
-    order_isomorphisms,
-)
-from .errors import BadSize, BadSpec, CertificateError, NotComplete
+from .core import EdgeOrderedGraph, Pair, build_graph
+from .errors import BadSize, BadSpec, CertificateError
 
 
 class CanonicalType(Enum):
@@ -169,27 +161,6 @@ def star_canonical_clique(kind: StarType, size: int) -> tuple[EdgeOrderedGraph, 
     return graph, x
 
 
-def classify_star_canonical(
-    graph: EdgeOrderedGraph,
-) -> set[tuple[StarType, int, tuple[int, ...]]]:
-    """Every (type, special vertex, part vertex order) realizing ``graph``.
-
-    Empty when the complete graph is star-canonical under no type.  Types
-    coincide for small sizes, so a set is returned rather than one answer.
-    """
-    if not graph.is_complete():
-        raise NotComplete("star classification requires a complete graph")
-    results: set[tuple[StarType, int, tuple[int, ...]]] = set()
-    if graph.n < 3:
-        return results
-    for kind in ALL_STAR_TYPES:
-        generated, special = star_canonical_clique(kind, graph.n)
-        for cert in order_isomorphisms(generated, graph):
-            order = tuple(cert[v] for v in range(graph.n - 1))
-            results.add((kind, cert[special], order))
-    return results
-
-
 def _base_cycle(kind: StarType, n: int) -> list[int]:
     """Spanning cycle (0-based, x last) that comes out monotone for ``kind``.
 
@@ -240,30 +211,3 @@ def monotone_hamilton_cycle(kind: StarType, size: int) -> tuple[int, ...]:
             if all(ranks[i] < ranks[i + 1] for i in range(size - 1)):
                 return tuple(rotated)
     raise CertificateError(f"construction produced no monotone cycle for {kind}")
-
-
-def star_subclique_matches(
-    graph: EdgeOrderedGraph,
-    vertices: tuple[int, ...],
-    special: int,
-    kind: StarType,
-) -> Optional[tuple[int, ...]]:
-    """Order map if ``graph[vertices]`` is star-canonical of ``kind`` with
-    the given special vertex; None otherwise.  Helper shared by the
-    recognizers and the subclique search."""
-    subset = sorted(vertices)
-    inside = _vertex_subset(graph, subset)
-    return _star_pairs_match(_pairs_within(graph, inside), len(subset), special, kind)
-
-
-def _star_pairs_match(
-    pairs: Sequence[Pair], size: int, special: int, kind: StarType
-) -> Optional[tuple[int, ...]]:
-    """:func:`star_subclique_matches` on a ``size``-vertex subset given by
-    its rank-ordered pairs in host coordinates."""
-    generated, gen_special = star_canonical_clique(kind, size)
-    # The generated clique has no isolated vertex, so each match is total.
-    for vmap in _edge_isomorphisms(generated.pairs_by_rank, pairs):
-        if vmap[gen_special] == special:
-            return tuple(vmap[v] for v in range(size - 1))
-    return None

@@ -375,8 +375,12 @@ def emit_report(report: dict[str, Any]) -> bytes:
 def _read_graph_arg(path: str) -> EdgeOrderedGraph:
     if path == "-":
         return parse_graph(sys.stdin.read())
-    with open(path, "rb") as handle:
-        return parse_graph(handle.read())
+    try:
+        with open(path, "rb") as handle:
+            data = handle.read()
+    except OSError as exc:
+        raise ParseError(f"cannot read {path!r}: {exc.strerror}") from exc
+    return parse_graph(data)
 
 
 def _emit_graph(graph: EdgeOrderedGraph, as_dot: bool) -> None:

@@ -186,97 +186,6 @@ def induced_subgraph(graph: EdgeOrderedGraph, vertices) -> EdgeOrderedGraph:
     return build_graph(len(subset), kept)
 
 
-@dataclass(frozen=True)
-class IsoCertificate:
-    """A bijection witnessing order-isomorphism; index = source vertex."""
-
-    vertex_map: tuple[int, ...]
-
-    def apply(self, v: int) -> int:
-        return self.vertex_map[v]
-
-
-def _edge_isomorphisms(
-    fpairs: Sequence[Pair], spairs: Sequence[Pair]
-) -> Iterator[dict[int, int]]:
-    """All partial vertex maps realizing the forced rank-by-rank edge match.
-
-    The arguments are the two graphs' vertex pairs in ascending rank order.
-    Because both graphs have the same number of edges and the order must be
-    preserved, the rank-``i`` edge of the first can only map to the
-    rank-``i`` edge of the second; only endpoint orientations branch.
-    """
-    if len(fpairs) != len(spairs):
-        return
-    m = len(fpairs)
-
-    def extend(i: int, fmap: dict[int, int], used: set[int]) -> Iterator[dict[int, int]]:
-        if i == m:
-            yield dict(fmap)
-            return
-        a, b = fpairs[i]
-        c, d = spairs[i]
-        for x, y in ((c, d), (d, c)):
-            if fmap.get(a, x) != x or fmap.get(b, y) != y:
-                continue
-            added = []
-            ok = True
-            for src, dst in ((a, x), (b, y)):
-                if src not in fmap:
-                    if dst in used:
-                        ok = False
-                        break
-                    fmap[src] = dst
-                    used.add(dst)
-                    added.append((src, dst))
-            if ok:
-                yield from extend(i + 1, fmap, used)
-            for src, dst in added:
-                del fmap[src]
-                used.discard(dst)
-
-    yield from extend(0, {}, set())
-
-
-def order_isomorphisms(first: EdgeOrderedGraph, second: EdgeOrderedGraph) -> Iterator[tuple[int, ...]]:
-    """Yield all order-isomorphisms as full vertex maps, ascending.
-
-    Isolated vertices of ``first`` are matched to leftover vertices of
-    ``second`` in every possible way, so the stream is complete.
-    """
-    if first.n != second.n or first.m != second.m:
-        return
-    seen: set[tuple[int, ...]] = set()
-    for fmap in _edge_isomorphisms(first.pairs_by_rank, second.pairs_by_rank):
-        free_src = [v for v in range(first.n) if v not in fmap]
-        free_dst = [v for v in range(second.n) if v not in set(fmap.values())]
-        for assignment in permutations(free_dst):
-            full = dict(fmap)
-            full.update(zip(free_src, assignment))
-            cert = tuple(full[v] for v in range(first.n))
-            if cert not in seen:
-                seen.add(cert)
-                yield cert
-
-
-def are_order_isomorphic(
-    first: EdgeOrderedGraph, second: EdgeOrderedGraph
-) -> Optional[IsoCertificate]:
-    """Lexicographically least order-isomorphism certificate, or None."""
-    if first.n != second.n or first.m != second.m:
-        return None
-    best: Optional[tuple[int, ...]] = None
-    for fmap in _edge_isomorphisms(first.pairs_by_rank, second.pairs_by_rank):
-        free_src = [v for v in range(first.n) if v not in fmap]
-        free_dst = sorted(v for v in range(second.n) if v not in set(fmap.values()))
-        full = dict(fmap)
-        full.update(zip(free_src, free_dst))
-        cert = tuple(full[v] for v in range(first.n))
-        if best is None or cert < best:
-            best = cert
-    return IsoCertificate(best) if best is not None else None
-
-
 def _min_edge_sequence(n: int, pairs: Sequence[Pair]) -> tuple[Pair, ...]:
     """Lexicographically least relabeled edge sequence over all vertex bijections.
 

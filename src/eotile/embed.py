@@ -1,23 +1,27 @@
 """Order-preserving subgraph embedding and its specialized searches.
 
 The engine maps the pattern's edges in rank order, so partial maps are
-pruned by how many host ranks remain above the last used one.  Every
-public search returns certificates that re-verify with
-:func:`verify_embedding`, which is deliberately a plain double loop,
-independent of the search code.
+pruned by how many host ranks remain above the last used one.  It is the
+one order-preserving matcher: order-isomorphisms, star-canonical
+recognition and monotone paths all run on it.  Every public search
+returns certificates that re-verify with :func:`verify_embedding`, which
+is deliberately a plain double loop, independent of the search code.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 import time
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import combinations
+from functools import lru_cache
+from itertools import combinations, permutations
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-from .canonical import ALL_STAR_TYPES, StarType, _star_pairs_match, star_canonical_clique
+from .canonical import ALL_STAR_TYPES, StarType, star_canonical_clique
 from .core import EdgeOrderedGraph, Pair, _incidence, _pairs_within, _vertex_subset, build_graph
 from .errors import (
     BadSize,
@@ -48,6 +52,16 @@ class Embedding:
 
 
 @dataclass(frozen=True)
+class IsoCertificate:
+    """A bijection witnessing order-isomorphism; index = source vertex."""
+
+    vertex_map: tuple[int, ...]
+
+    def apply(self, v: int) -> int:
+        return self.vertex_map[v]
+
+
+@dataclass(frozen=True)
 class SearchBudget:
     """Node and wall-clock caps for backtracking searches."""
 
@@ -60,6 +74,9 @@ class SearchBudget:
 
 
 DEFAULT_BUDGET = SearchBudget()
+
+# Isomorphism tests take no budget; their searches run to the end.
+_UNLIMITED = SearchBudget(node_limit=sys.maxsize, time_limit=math.inf)
 
 
 @dataclass
@@ -341,44 +358,48 @@ def count_copies(
     return injections // auts
 
 
+def order_isomorphisms(
+    first: EdgeOrderedGraph, second: EdgeOrderedGraph
+) -> Iterator[tuple[int, ...]]:
+    """Yield all order-isomorphisms as full vertex maps.
+
+    With equal edge counts the kernel's window pins edge i of ``first`` to
+    edge i of ``second``, so only endpoint orientations branch.  Isolated
+    vertices of ``first`` are matched to leftover vertices of ``second`` in
+    every possible way, so the stream is complete.
+    """
+    if first.n != second.n or first.m != second.m:
+        return
+    isolated = first.isolated_vertices()
+    for fmap, used in _embeddings(first, second, _Meter(_UNLIMITED), fill_isolated=False):
+        spare = [v for v in range(second.n) if v not in used]
+        for assignment in permutations(spare):
+            fmap.update(zip(isolated, assignment))
+            yield tuple(fmap[v] for v in range(first.n))
+
+
+def are_order_isomorphic(
+    first: EdgeOrderedGraph, second: EdgeOrderedGraph
+) -> Optional[IsoCertificate]:
+    """Lexicographically least order-isomorphism certificate, or None.
+
+    Between graphs of equal size an embedding is an isomorphism, and the
+    first one found is the least: isomorphisms differ only by flipping
+    single-edge components and permuting isolated vertices, and the search
+    maps each such edge's lesser end first and fills isolated vertices in
+    ascending order.
+    """
+    if first.n != second.n or first.m != second.m:
+        return None
+    emb = find_embedding(first, second, _UNLIMITED)
+    return IsoCertificate(emb.vertex_map) if emb is not None else None
+
+
 def monotone_path_graph(k: int) -> EdgeOrderedGraph:
     """The monotone path with k edges: ranks increase along the traversal."""
     if k < 1:
         raise BadSize(f"monotone path needs k >= 1, got {k}")
     return build_graph(k + 1, [(i, i + 1, i + 1) for i in range(k)])
-
-
-def _greedy_monotone_path(
-    hpairs: Sequence[Pair], incidence: Mapping[int, Sequence[int]], k: int
-) -> Optional[list[int]]:
-    """Cheap first pass over the rank-ordered pairs ``hpairs`` and their
-    ``incidence`` (as from :func:`_search_space`): grow from each edge,
-    always taking the smallest feasible continuation.  No completeness
-    guarantee; the backtracking pass behind it has one."""
-    for idx, (u, v) in enumerate(hpairs):
-        for path in ([u, v], [v, u]):
-            last = idx
-            walk = list(path)
-            while len(walk) <= k:
-                head = walk[-1]
-                nxt = next(
-                    (
-                        j
-                        for j in incidence[head]
-                        if j > last
-                        and (hpairs[j][0] if hpairs[j][1] == head else hpairs[j][1])
-                        not in walk
-                    ),
-                    None,
-                )
-                if nxt is None:
-                    break
-                last = nxt
-                a, b = hpairs[nxt]
-                walk.append(a if b == head else b)
-            if len(walk) == k + 1:
-                return walk
-    return None
 
 
 def find_monotone_path(
@@ -389,17 +410,12 @@ def find_monotone_path(
 ) -> Optional[Embedding]:
     """A monotone path of length k, or None when none exists.
 
-    Greedy pass first, then complete backtracking, so absence of a result
-    is a proof.  Dense hosts (at least k(k+1)n/2 edges) always succeed.
-    With ``within``, the path uses only vertices of that subset, exactly as
-    :func:`find_embedding` does; the result is in host coordinates.
+    :func:`find_embedding` of :func:`monotone_path_graph`, so absence of a
+    result is a proof and ``budget`` bounds the whole search.  Dense hosts
+    (at least k(k+1)n/2 edges) always have one.  With ``within``, the path
+    uses only vertices of that subset; the result is in host coordinates.
     """
-    pattern = monotone_path_graph(k)
-    subset = None if within is None else _vertex_subset(host, within)
-    walk = _greedy_monotone_path(*_search_space(host, subset), k)
-    if walk is not None:
-        return _certified(pattern, host, Embedding(tuple(walk)), subset)
-    return find_embedding(pattern, host, budget, subset)
+    return find_embedding(monotone_path_graph(k), host, budget, within)
 
 
 def monotone_star_subsequence(host: EdgeOrderedGraph, x: int) -> tuple[int, ...]:
@@ -469,6 +485,48 @@ def star_edge_coloring(
     return StarColor.M
 
 
+def classify_star_canonical(
+    graph: EdgeOrderedGraph,
+) -> set[tuple[StarType, int, tuple[int, ...]]]:
+    """Every (type, special vertex, part vertex order) realizing ``graph``.
+
+    Empty when the complete graph is star-canonical under no type.  Types
+    coincide for small sizes, so a set is returned rather than one answer.
+    """
+    if not graph.is_complete():
+        raise NotComplete("star classification requires a complete graph")
+    results: set[tuple[StarType, int, tuple[int, ...]]] = set()
+    if graph.n < 3:
+        return results
+    for kind in ALL_STAR_TYPES:
+        generated, special = star_canonical_clique(kind, graph.n)
+        for cert in order_isomorphisms(generated, graph):
+            results.add((kind, cert[special], tuple(cert[v] for v in range(graph.n - 1))))
+    return results
+
+
+def _special_key(pairs: Sequence[Pair], x: int) -> tuple[int, ...]:
+    """The positions in rank-ordered ``pairs`` of the pairs through ``x``."""
+    return tuple(i for i, pair in enumerate(pairs) if x in pair)
+
+
+@lru_cache(maxsize=None)
+def _star_types_by_key(f: int) -> Mapping[tuple[int, ...], tuple[StarType, ...]]:
+    """The star types of ``K_f``, grouped by the :func:`_special_key` of the
+    special vertex in their generated clique, each group in check order.
+    Memoized per f, so the mapping is read-only.
+
+    An order-isomorphism maps rank i to rank i, so an f-subset can be
+    star-canonical with special vertex x only under the types whose key is
+    x's key among the subset's pairs.  There are six keys for f >= 4.
+    """
+    index: dict[tuple[int, ...], list[StarType]] = {}
+    for kind in ALL_STAR_TYPES:
+        generated, special = star_canonical_clique(kind, f)
+        index.setdefault(_special_key(generated.pairs_by_rank, special), []).append(kind)
+    return MappingProxyType({key: tuple(kinds) for key, kinds in index.items()})
+
+
 def find_star_canonical_subclique(
     host: EdgeOrderedGraph,
     x: int,
@@ -479,7 +537,11 @@ def find_star_canonical_subclique(
     ordering; returns its type and the embedding of the generated clique.
 
     Subsets are scanned in lexicographic order and types in the fixed
-    check order, so the result is deterministic.
+    check order, so the result is deterministic.  A subset is matched,
+    inside it (``within=``) and on the request's one meter, only against
+    the types its key admits (:func:`_star_types_by_key`).  The special
+    vertex's f-1 >= 2 edges then land on x's pairs, whose one common
+    vertex is x, so every match maps the special vertex to x.
     """
     if not host.is_complete():
         raise NotComplete("subclique search requires a complete host")
@@ -488,13 +550,14 @@ def find_star_canonical_subclique(
     if f < 3 or f > host.n:
         raise BadSize(f"subclique size {f} out of range 3..{host.n}")
     meter = _Meter(budget)
+    types_by_key = _star_types_by_key(f)
     others = [v for v in range(host.n) if v != x]
     for rest in combinations(others, f - 1):
         meter.tick()
-        pairs = _pairs_within(host, sorted((x, *rest)))  # shared by all twenty types
-        for kind in ALL_STAR_TYPES:
-            order = _star_pairs_match(pairs, f, x, kind)
-            if order is not None:
-                generated, _ = star_canonical_clique(kind, f)
-                return kind, _certified(generated, host, Embedding((*order, x)))
+        subset = sorted((x, *rest))
+        for kind in types_by_key.get(_special_key(_pairs_within(host, subset), x), ()):
+            generated, _ = star_canonical_clique(kind, f)
+            for full, _ in _embeddings(generated, host, meter, False, subset):
+                emb = Embedding(tuple(full[v] for v in range(f)))
+                return kind, _certified(generated, host, emb, subset)
     return None

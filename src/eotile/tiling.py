@@ -291,8 +291,8 @@ def tile_via_cliques(
     f = piece.n
     if f == 0 or host.n % f != 0:
         raise BadDivisibility(f"|piece|={f} does not divide |host|={host.n}")
-    if t_clique % f != 0:
-        raise BadDivisibility(f"clique size {t_clique} not a multiple of |piece|={f}")
+    if t_clique <= 0 or t_clique % f != 0:
+        raise BadDivisibility(f"clique size {t_clique} not a positive multiple of |piece|={f}")
     if host.n and host.min_degree() < (1 - 1 / t_clique) * host.n:
         warnings.warn(
             f"minimum degree {host.min_degree()} below (1-1/{t_clique})n",

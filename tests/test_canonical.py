@@ -1,6 +1,6 @@
 """Canonical and star-canonical generators, recognizers, and cycles."""
 
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -9,9 +9,11 @@ from eotile import (
     BadSize,
     BadVertex,
     CertificateError,
+    IsoCertificate,
     NotComplete,
     are_order_isomorphic,
     build_graph,
+    find_star_canonical_subclique,
     induced_subgraph,
     order_isomorphisms,
 )
@@ -23,13 +25,12 @@ from eotile.canonical import (
     StarType,
     canonical_clique,
     canonical_labels,
-    classify_star_canonical,
     monotone_hamilton_cycle,
     star_canonical_clique,
     star_labels,
-    star_subclique_matches,
 )
 from eotile import canonical
+from eotile.embed import classify_star_canonical
 
 
 def expected_label(kind, n, i, j):
@@ -264,16 +265,72 @@ class TestMonotoneHamiltonCycle:
             monotone_hamilton_cycle(ALL_STAR_TYPES[0], 5)
 
 
+def edge_isomorphisms_oracle(fpairs, spairs):
+    """The recursive forced matcher that the embedding kernel replaced:
+    the rank-i pair of one graph can only map to the rank-i pair of the
+    other, so only endpoint orientations branch.  Kept as the reference
+    for the maps and their order."""
+    if len(fpairs) != len(spairs):
+        return
+    m = len(fpairs)
+
+    def extend(i, fmap, used):
+        if i == m:
+            yield dict(fmap)
+            return
+        a, b = fpairs[i]
+        c, d = spairs[i]
+        for x, y in ((c, d), (d, c)):
+            if fmap.get(a, x) != x or fmap.get(b, y) != y:
+                continue
+            added, ok = [], True
+            for src, dst in ((a, x), (b, y)):
+                if src not in fmap:
+                    if dst in used:
+                        ok = False
+                        break
+                    fmap[src] = dst
+                    used.add(dst)
+                    added.append(src)
+            if ok:
+                yield from extend(i + 1, fmap, used)
+            for src in added:
+                used.discard(fmap.pop(src))
+
+    yield from extend(0, {}, set())
+
+
+def order_isomorphisms_oracle(first, second):
+    """Every full order-isomorphism, in the reference order: edge maps as
+    the oracle yields them, isolated vertices permuted over the leftovers."""
+    if first.n != second.n or first.m != second.m:
+        return
+    for fmap in edge_isomorphisms_oracle(first.pairs_by_rank, second.pairs_by_rank):
+        free_src = [v for v in range(first.n) if v not in fmap]
+        free_dst = [v for v in range(second.n) if v not in fmap.values()]
+        for assignment in permutations(free_dst):
+            full = {**fmap, **dict(zip(free_src, assignment))}
+            yield tuple(full[v] for v in range(first.n))
+
+
 def reference_star_match(graph, vertices, special, kind):
-    """The induce-then-compare path: order-isomorphisms from the generated
-    star-canonical clique onto the induced subgraph, mapped back."""
+    """The induce-then-compare path: the oracle's first order-isomorphism
+    from the generated star-canonical clique onto the induced subgraph that
+    maps the special vertex to ``special``, mapped back."""
     subset = sorted(vertices)
     induced = induced_subgraph(graph, subset)
     generated, gen_special = star_canonical_clique(kind, len(subset))
-    for cert in order_isomorphisms(generated, induced):
+    for cert in order_isomorphisms_oracle(generated, induced):
         if cert[gen_special] == subset.index(special):
             return tuple(subset[cert[v]] for v in range(len(subset) - 1))
     return None
+
+
+def random_graph(rng, n, m):
+    pairs = list(combinations(range(n), 2))
+    picked = rng.choice(len(pairs), size=m, replace=False)
+    ranks = rng.permutation(m) + 1
+    return build_graph(n, [(*pairs[int(i)], int(r)) for i, r in zip(picked, ranks)])
 
 
 def random_clique_ordering(rng, n):
@@ -282,35 +339,110 @@ def random_clique_ordering(rng, n):
     return build_graph(n, [(u, v, int(r)) for (u, v), r in zip(pairs, ranks)])
 
 
+def relabeled(rng, graph):
+    """``graph`` under a random vertex permutation: order-isomorphic to it."""
+    perm = [int(v) for v in rng.permutation(graph.n)]
+    return build_graph(graph.n, [(perm[u], perm[v], r) for u, v, r in graph.edges])
+
+
+class TestOrderIsomorphismsMatchOracle:
+    def test_same_maps_in_the_same_order_seeded(self):
+        rng = np.random.default_rng(7207)
+        seen = dict.fromkeys(("no_edges", "isolated", "isomorphic", "several", "not"), 0)
+        for _ in range(1500):
+            n = int(rng.integers(0, 8))
+            first = random_graph(rng, n, int(rng.integers(0, n * (n - 1) // 2 + 1)))
+            if rng.integers(0, 2):
+                second = relabeled(rng, first)
+            else:
+                second = random_graph(rng, n, first.m)
+            expected = list(order_isomorphisms_oracle(first, second))
+            assert list(order_isomorphisms(first, second)) == expected, (first, second)
+            least = IsoCertificate(min(expected)) if expected else None
+            assert are_order_isomorphic(first, second) == least
+            seen["no_edges"] += first.m == 0
+            seen["isolated"] += bool(first.isolated_vertices()) and first.m > 0
+            seen["isomorphic"] += bool(expected)
+            seen["several"] += len(expected) > 1 and first.m > 0
+            seen["not"] += not expected
+        assert all(count >= 50 for count in seen.values()), seen
+
+    def test_size_mismatch_yields_nothing(self):
+        path = build_graph(3, [(0, 1, 1), (1, 2, 2)])
+        assert list(order_isomorphisms(path, build_graph(4, [(0, 1, 1), (1, 2, 2)]))) == []
+        assert list(order_isomorphisms(path, build_graph(3, [(0, 1, 1)]))) == []
+        assert are_order_isomorphic(path, build_graph(3, [(0, 1, 1)])) is None
+
+
+def reference_classification(graph):
+    """:func:`classify_star_canonical` restated on the oracle."""
+    found = set()
+    for kind in ALL_STAR_TYPES:
+        generated, gen_special = star_canonical_clique(kind, graph.n)
+        for cert in order_isomorphisms_oracle(generated, graph):
+            found.add((kind, cert[gen_special], cert[: graph.n - 1]))
+    return found
+
+
+def reference_subclique(host, x, f):
+    """Lexicographically first f-subset through ``x``, first type in check
+    order, first oracle match: what :func:`find_star_canonical_subclique`
+    must return."""
+    for rest in combinations([v for v in range(host.n) if v != x], f - 1):
+        for kind in ALL_STAR_TYPES:
+            order = reference_star_match(host, (x, *rest), x, kind)
+            if order is not None:
+                return kind, (*order, x)
+    return None
+
+
+K9_HOSTS = {
+    "random": lambda: random_clique_ordering(np.random.default_rng(9), 9),
+    "star": lambda: star_canonical_clique(
+        StarType(StarFamily.MIDDLE_INC, CanonicalType.INV_MIN), 9
+    )[0],
+}
+
+
 class TestStarSubcliqueMatches:
     @pytest.mark.parametrize("host_kind", ["random", "star"])
     def test_matches_reference_on_every_6_subset_of_k9(self, host_kind):
-        if host_kind == "random":
-            host = random_clique_ordering(np.random.default_rng(9), 9)
-        else:
-            host, _ = star_canonical_clique(
-                StarType(StarFamily.MIDDLE_INC, CanonicalType.INV_MIN), 9
-            )
+        host = K9_HOSTS[host_kind]()
         hits = 0
         for subset in combinations(range(9), 6):
-            for kind in ALL_STAR_TYPES:
-                for special in subset:
-                    expected = reference_star_match(host, subset, special, kind)
-                    assert star_subclique_matches(host, subset, special, kind) == expected
-                    hits += expected is not None
+            induced = induced_subgraph(host, subset)
+            expected = reference_classification(induced)
+            assert classify_star_canonical(induced) == expected, subset
+            hits += bool(expected)
         # This random K9 has no star-canonical 6-subset; the star-canonical
         # host has many, since the property is hereditary.
         assert hits > 0 or host_kind == "random"
 
+    @pytest.mark.parametrize("host_kind", ["random", "star"])
+    def test_search_matches_lexicographic_reference(self, host_kind):
+        host = K9_HOSTS[host_kind]()
+        outcomes = set()
+        for x in range(9):
+            for f in range(3, 8):
+                expected = reference_subclique(host, x, f)
+                got = find_star_canonical_subclique(host, x, f)
+                if got is not None:
+                    got = got[0], got[1].vertex_map
+                assert got == expected, (x, f)
+                outcomes.add(expected is None)
+        assert outcomes == {True, False}
+
     def test_non_clique_subset_never_matches(self):
         host = build_graph(4, [(0, 1, 1), (1, 2, 2), (2, 3, 3), (0, 2, 4), (1, 3, 5)])
-        for kind in ALL_STAR_TYPES:
-            assert star_subclique_matches(host, (0, 1, 2, 3), 0, kind) is None
+        with pytest.raises(NotComplete):
+            classify_star_canonical(host)
+        with pytest.raises(NotComplete):
+            find_star_canonical_subclique(host, 0, 4)
 
     def test_rejects_foreign_vertices(self):
         host = canonical_clique(CanonicalType.MIN, 4)
         with pytest.raises(BadVertex):
-            star_subclique_matches(host, (0, 1, 4), 0, ALL_STAR_TYPES[0])
+            find_star_canonical_subclique(host, 4, 3)
 
 
 class TestMemoizedCliques:

@@ -219,8 +219,9 @@ class TestBadInput:
         [
             ["theorem1-grid", "--param", "n=9", "--param", "k=2", "--param", "trials=2"],
             ["catalog-verdicts", "--param", "f_max=3"],
+            ["rodl-threshold", "--param", "trials=2"],
         ],
-        ids=["theorem1-grid", "catalog-verdicts"],
+        ids=["theorem1-grid", "catalog-verdicts", "rodl-threshold"],
     )
     def test_experiments_honour_node_budget(self, capsys, monkeypatch, argv):
         monkeypatch.setenv("EOTILE_NODE_BUDGET", "1")
@@ -228,6 +229,26 @@ class TestBadInput:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "node budget 1 exhausted" in captured.err
+
+    @pytest.mark.parametrize("name", ["missing.json", "."], ids=["missing", "directory"])
+    def test_unreadable_graph_file_exit_code(self, capsys, tmp_path, name):
+        path = tmp_path / name
+        piece = tmp_path / "piece.json"
+        piece.write_bytes(serialize_graph(build_graph(2, [(0, 1, 1)])))
+        assert main(["tile", "clique", "--host", str(path), "--piece", str(piece), "-T", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot read") and str(path) in captured.err
+
+    def test_zero_clique_size_exit_code(self, capsys, tmp_path):
+        host = tmp_path / "host.json"
+        host.write_bytes(serialize_graph(canonical_clique(CanonicalType.MIN, 4)))
+        piece = tmp_path / "piece.json"
+        piece.write_bytes(serialize_graph(build_graph(2, [(0, 1, 1)])))
+        assert main(["tile", "clique", "--host", str(host), "--piece", str(piece), "-T", "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: clique size 0")
 
     def test_rejection_sampling_failure_exit_code(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "MAX_SAMPLING_DRAWS", 50)

@@ -32,10 +32,18 @@ from eotile import (
     star_edge_coloring,
     verify_embedding,
 )
-from eotile.canonical import CanonicalType, StarFamily, StarType, classify_star_canonical
+from eotile.canonical import ALL_STAR_TYPES, CanonicalType, StarFamily, StarType
 from eotile.characterize import d_graph, monotone_cycle
 from eotile.core import _pairs_within, _vertex_subset
-from eotile.embed import _CLOSED, SearchBudget, _edge_plan, _embeddings, _Meter
+from eotile.embed import (
+    _CLOSED,
+    SearchBudget,
+    _edge_plan,
+    _embeddings,
+    _Meter,
+    _star_types_by_key,
+    classify_star_canonical,
+)
 from eotile.errors import Inconclusive
 
 
@@ -170,6 +178,13 @@ class TestFindMonotonePath:
             flipped = Embedding(tuple(reversed(emb.vertex_map)))
             assert verify_embedding(monotone_path_graph(3), reverse(host), flipped)
 
+    def test_budget_bounds_the_search(self):
+        # A path exists, and finding it takes more than one node.
+        host = canonical_clique(CanonicalType.MIN, 5)
+        assert find_monotone_path(host, 4) is not None
+        with pytest.raises(Inconclusive):
+            find_monotone_path(host, 4, SearchBudget(node_limit=1))
+
     def test_rodl_density_sample(self):
         # Above the k(k+1)n/2 edge threshold a path always exists.
         rng = np.random.default_rng(11)
@@ -282,6 +297,25 @@ class TestStarSubcliqueSearch:
         kind, emb = result
         assert kind == StarType(StarFamily.SMALLER_INC, CanonicalType.MIN)
         assert emb.vertex_map == (1, 2, 3, 4, 0)
+
+    def test_type_index_keeps_every_type_in_check_order(self):
+        for f in range(3, 9):
+            index = _star_types_by_key(f)
+            # middle-inc's four parts each have their own key; larger and smaller one each
+            assert len(index) == (3 if f == 3 else 6)
+            grouped = [kind for kinds in index.values() for kind in kinds]
+            assert sorted(grouped, key=ALL_STAR_TYPES.index) == list(ALL_STAR_TYPES)
+            for kinds in index.values():
+                assert list(kinds) == sorted(kinds, key=ALL_STAR_TYPES.index)
+
+    def test_matching_counts_against_the_request_budget(self):
+        # The first subset matches.  Its node, the failed matches of the four
+        # smaller-dec types and the 11-node match of smaller-inc.min take 37
+        # nodes in all; a meter per match would never need more than 11.
+        host = canonical_clique(CanonicalType.MIN, 6)
+        assert find_star_canonical_subclique(host, 0, 5, SearchBudget(node_limit=37)) is not None
+        with pytest.raises(Inconclusive):
+            find_star_canonical_subclique(host, 0, 5, SearchBudget(node_limit=36))
 
     def test_adversarial_labels_pinned_by_classifier(self):
         from eotile.canonical import canonical_labels

@@ -65,3 +65,59 @@ def test_only_core_calls_induced_subgraph():
 def test_induced_subgraph_call_is_detected():
     tree = ast.parse("induced_subgraph(g, s)\ncore.induced_subgraph(g, s)\ninduced_subgraph")
     assert [calls_induced_subgraph(node.value) for node in tree.body] == [True, True, False]
+
+
+# Each module may import only from lower layers; necessity and tiling share one.
+LAYER = {
+    "errors": 0,
+    "core": 1,
+    "canonical": 2,
+    "embed": 3,
+    "characterize": 4,
+    "necessity": 5,
+    "tiling": 5,
+    "cli": 6,
+}
+
+
+def upward_imports(module, tree):
+    """Module-level relative imports of ``module`` that do not go to a lower layer.
+
+    Function-level imports are exempt: they run after every module loaded.
+    """
+    return [
+        f"{module} imports {node.module}"
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        and node.level == 1
+        and not LAYER.get(node.module, len(LAYER)) < LAYER[module]
+    ]
+
+
+def test_modules_import_only_lower_layers():
+    # Keeps the matcher from drifting back into core through an import cycle.
+    modules = {path.stem: path for path in SOURCE.glob("*.py") if path.stem != "__init__"}
+    assert sorted(modules) == sorted(LAYER), "place every module in a layer"
+    found = [
+        line
+        for module, path in sorted(modules.items())
+        for line in upward_imports(module, ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert found == [], "import from a lower layer, or inside a function"
+
+
+def test_upward_import_is_detected():
+    tree = ast.parse(
+        "from .core import build_graph\n"
+        "from .embed import find_embedding\n"
+        "from .canonical import canonical_clique\n"
+        "from .unknown import thing\n"
+        "import math\n"
+        "def late():\n"
+        "    from .tiling import tile_dense_paths\n"
+    )
+    assert upward_imports("canonical", tree) == [
+        "canonical imports embed",
+        "canonical imports canonical",
+        "canonical imports unknown",
+    ]

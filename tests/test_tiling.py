@@ -279,6 +279,13 @@ class TestTileViaCliques:
         with pytest.raises(BadDivisibility):
             tile_via_cliques(host, path_with_ranks("132"), 6)
 
+    @pytest.mark.parametrize("t_clique", [0, -2])
+    def test_clique_size_must_be_positive(self, t_clique):
+        # 0 and -f are multiples of f; 0 used to reach a division by zero.
+        host = canonical_clique(CanonicalType.MIN, 4)
+        with pytest.raises(BadDivisibility, match="positive multiple"):
+            tile_via_cliques(host, build_graph(2, [(0, 1, 1)]), t_clique)
+
 
 class TestExtremalConstruction:
     def test_two_cliques_10_1(self):
