@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Optional
+from functools import lru_cache
+from typing import Any, Iterable, Iterator, Optional
 
 from .canonical import (
     ALL_STAR_TYPES,
+    CANONICAL_COINCIDENT_TYPES,
     CANONICAL_ORDER,
     CanonicalType,
     StarType,
@@ -25,6 +27,8 @@ from .embed import (
     DEFAULT_BUDGET,
     Embedding,
     SearchBudget,
+    _Meter,
+    are_order_isomorphic,
     find_embedding,
     iter_embeddings,
     monotone_path_graph,
@@ -53,45 +57,63 @@ def _trivial_pattern(graph: EdgeOrderedGraph) -> bool:
     return graph.n <= 2
 
 
+def _tile_checks(f: int) -> tuple[tuple[StarType, EdgeOrderedGraph], ...]:
+    return tuple((kind, star_canonical_clique(kind, f)[0]) for kind in ALL_STAR_TYPES)
+
+
+def _type_checks(
+    graph: EdgeOrderedGraph, checks: Iterable[tuple[Any, EdgeOrderedGraph]], meter: _Meter
+) -> Iterator[tuple[Any, Optional[Embedding]]]:
+    """Each kind in check order with the first embedding of ``graph`` into
+    its host, or None; every search counts against the one ``meter``."""
+    for kind, host in checks:
+        yield kind, find_embedding(graph, host, meter=meter)
+
+
 def is_turanable(
     graph: EdgeOrderedGraph, budget: SearchBudget = DEFAULT_BUDGET
 ) -> TuranVerdict:
     """Check the four canonical orderings of K_f in fixed order.
 
     Returns certificates for all four on success, or the first failing
-    type.  Budget exhaustion raises Inconclusive rather than answering.
+    type.  One budget bounds all four searches; its exhaustion raises
+    Inconclusive rather than answering.
     """
     if _trivial_pattern(graph):
         return TuranVerdict(True)
-    f = graph.n
+    checks = ((kind, canonical_clique(kind, graph.n)) for kind in CANONICAL_ORDER)
     certificates: dict[CanonicalType, Embedding] = {}
-    for kind in CANONICAL_ORDER:
-        host = canonical_clique(kind, f)
-        emb = find_embedding(graph, host, budget)
+    for kind, emb in _type_checks(graph, checks, _Meter(budget)):
         if emb is None:
             return TuranVerdict(False, failing=kind)
         certificates[kind] = emb
     return TuranVerdict(True, certificates=certificates)
 
 
+_isomorphism = lru_cache(maxsize=None)(are_order_isomorphic)
+
+
 def is_tileable(
     graph: EdgeOrderedGraph, budget: SearchBudget = DEFAULT_BUDGET
 ) -> TileVerdict:
-    """Check the twenty star-canonical orderings of K_f in fixed order."""
+    """Check the twenty star-canonical orderings of K_f in fixed order, on
+    one budget.  Four types are order-isomorphic to the canonical orderings,
+    so their certificates, mapped onto those, re-check Turanability.
+    """
     if _trivial_pattern(graph):
         return TileVerdict(True)
     f = graph.n
     certificates: dict[StarType, Embedding] = {}
-    for kind in ALL_STAR_TYPES:
-        host, _ = star_canonical_clique(kind, f)
-        emb = find_embedding(graph, host, budget)
+    for kind, emb in _type_checks(graph, _tile_checks(f), _Meter(budget)):
         if emb is None:
             return TileVerdict(False, failing=kind)
         certificates[kind] = emb
-    # Four of the twenty types coincide with the canonical orderings, so a
-    # tileable graph is always Turanable.
-    if not is_turanable(graph, budget).value:
-        raise CertificateError("tileable graph failed the Turan re-check")
+    for kind in CANONICAL_COINCIDENT_TYPES:
+        canonical = canonical_clique(kind.part, f)
+        iso = _isomorphism(star_canonical_clique(kind, f)[0], canonical)
+        mapped = iso and Embedding(tuple(map(iso.apply, certificates[kind].vertex_map)))
+        if not mapped or not verify_embedding(graph, canonical, mapped):
+            raise CertificateError("tileable graph failed the Turan re-check")
     return TileVerdict(True, certificates=certificates)
 
 

@@ -460,7 +460,7 @@ def _cmd_tile(args: argparse.Namespace) -> int:
 
 def _cmd_necessity(args: argparse.Namespace) -> int:
     if args.mode == "witness":
-        report = necessity_witness(StarType.parse(args.target), args.f_max)
+        report = necessity_witness(StarType.parse(args.target), args.f_max, default_budget())
         out = {
             "target": report.target.label,
             "witness": graph_to_doc(report.witness) if report.witness else None,
@@ -470,7 +470,7 @@ def _cmd_necessity(args: argparse.Namespace) -> int:
         }
     else:
         subset = frozenset(StarType.parse(t) for t in args.types)
-        counterexample = sufficiency_probe(subset, args.f_max)
+        counterexample = sufficiency_probe(subset, args.f_max, default_budget())
         out = {
             "subset": sorted(t.label for t in subset),
             "counterexample": graph_to_doc(counterexample) if counterexample else None,

@@ -492,16 +492,19 @@ def classify_star_canonical(
 
     Empty when the complete graph is star-canonical under no type.  Types
     coincide for small sizes, so a set is returned rather than one answer.
+    A vertex is matched only against the types its key admits
+    (:func:`_star_types_by_key`); no two vertices of K_f share a key.
     """
     if not graph.is_complete():
         raise NotComplete("star classification requires a complete graph")
     results: set[tuple[StarType, int, tuple[int, ...]]] = set()
     if graph.n < 3:
         return results
-    for kind in ALL_STAR_TYPES:
-        generated, special = star_canonical_clique(kind, graph.n)
-        for cert in order_isomorphisms(generated, graph):
-            results.add((kind, cert[special], tuple(cert[v] for v in range(graph.n - 1))))
+    for x in range(graph.n):
+        for kind in _star_types_by_key(graph.n).get(_special_key(graph.pairs_by_rank, x), ()):
+            generated, special = star_canonical_clique(kind, graph.n)
+            for cert in order_isomorphisms(generated, graph):
+                results.add((kind, cert[special], tuple(cert[v] for v in range(graph.n - 1))))
     return results
 
 

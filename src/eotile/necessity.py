@@ -15,14 +15,15 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterator, Optional
 
-from .canonical import ALL_STAR_TYPES, StarType, star_canonical_clique
+from .canonical import ALL_STAR_TYPES, StarType
+from .characterize import _tile_checks, _trivial_pattern, _type_checks
 from .core import (
     EdgeOrderedGraph,
     build_graph,
     canonical_code,
     enumerate_orderings,
 )
-from .embed import DEFAULT_BUDGET, Embedding, SearchBudget, find_embedding, verify_embedding
+from .embed import DEFAULT_BUDGET, Embedding, SearchBudget, _Meter, verify_embedding
 from .errors import BadSize, CertificateError
 
 # Types whose necessity is already established by small witnesses: the
@@ -47,21 +48,6 @@ class NecessityReport:
     certificates: dict[StarType, Embedding] = field(default_factory=dict)
     refutation: bool = False
     classes_scanned: int = 0
-
-
-def _star_profile(graph: EdgeOrderedGraph, budget: SearchBudget) -> tuple[bool, ...]:
-    """Which of the twenty star-canonical K_f orderings contain the graph.
-
-    Graphs on at most two vertices embed into every ordered clique of
-    their size, so their profile is all-true.
-    """
-    if graph.n <= 2:
-        return tuple(True for _ in ALL_STAR_TYPES)
-    flags = []
-    for kind in ALL_STAR_TYPES:
-        host, _ = star_canonical_clique(kind, graph.n)
-        flags.append(find_embedding(graph, host, budget) is not None)
-    return tuple(flags)
 
 
 def scan_classes(f_max: int) -> Iterator[EdgeOrderedGraph]:
@@ -92,10 +78,16 @@ def scan_classes(f_max: int) -> Iterator[EdgeOrderedGraph]:
 def _profile_table(
     f_max: int, node_limit: int, time_limit: float
 ) -> tuple[tuple[EdgeOrderedGraph, tuple[bool, ...]], ...]:
-    budget = SearchBudget(node_limit, time_limit)
-    return tuple(
-        (graph, _star_profile(graph, budget)) for graph in scan_classes(f_max)
-    )
+    """Each scanned class with the star types it embeds into, on one budget."""
+    meter = _Meter(SearchBudget(node_limit, time_limit))
+    table = []
+    for graph in scan_classes(f_max):
+        if _trivial_pattern(graph):
+            table.append((graph, tuple(True for _ in ALL_STAR_TYPES)))
+        else:
+            found = _type_checks(graph, _tile_checks(graph.n), meter)
+            table.append((graph, tuple(emb is not None for _, emb in found)))
+    return tuple(table)
 
 
 def necessity_witness(
@@ -105,48 +97,29 @@ def necessity_witness(
 ) -> NecessityReport:
     """Scan for the first graph separating ``target`` from the other types.
 
-    Every claim in the report is re-verified: the nineteen certificates
-    through the independent embedding checker, the refutation by a fresh
-    search against the target ordering.
+    The witness's twenty searches run again on one budget: the nineteen
+    certificates are re-verified by the independent embedding checker, and
+    the search against the target ordering must come back empty.
     """
     if f_max < 2:
         raise BadSize(f"witness scan needs f_max >= 2, got {f_max}")
     table = _profile_table(f_max, budget.node_limit, budget.time_limit)
-    target_index = ALL_STAR_TYPES.index(target)
-    scanned = 0
-    for graph, profile in table:
-        scanned += 1
-        if profile[target_index]:
+    separating = tuple(kind != target for kind in ALL_STAR_TYPES)
+    for scanned, (graph, profile) in enumerate(table, 1):
+        if profile != separating:
             continue
-        if not all(flag for i, flag in enumerate(profile) if i != target_index):
-            continue
-        certificates: dict[StarType, Embedding] = {}
-        for kind in ALL_STAR_TYPES:
-            if kind == target:
-                continue
-            host, _ = star_canonical_clique(kind, graph.n)
-            emb = find_embedding(graph, host, budget)
-            if emb is None or not verify_embedding(graph, host, emb):
+        checks = _tile_checks(graph.n)
+        found = dict(_type_checks(graph, checks, _Meter(budget)))
+        for kind, host in checks:
+            emb = found[kind]
+            if kind != target and (emb is None or not verify_embedding(graph, host, emb)):
                 raise CertificateError(f"witness certificate for {kind} failed re-verification")
-            certificates[kind] = emb
-        target_host, _ = star_canonical_clique(target, graph.n)
-        if find_embedding(graph, target_host, budget) is not None:
+        if found.pop(target) is not None:
             raise CertificateError(f"witness refutation for {target} failed re-verification")
         return NecessityReport(
-            target=target,
-            witness=graph,
-            f_searched=f_max,
-            certificates=certificates,
-            refutation=True,
-            classes_scanned=scanned,
+            target, graph, f_max, found, refutation=True, classes_scanned=scanned
         )
-    return NecessityReport(
-        target=target,
-        witness=None,
-        f_searched=f_max,
-        refutation=False,
-        classes_scanned=scanned,
-    )
+    return NecessityReport(target, None, f_max, classes_scanned=len(table))
 
 
 def sufficiency_probe(
@@ -163,10 +136,8 @@ def sufficiency_probe(
     unknown = chosen - set(ALL_STAR_TYPES)
     if unknown:
         raise BadSize(f"unknown star types in subset: {unknown}")
-    table = _profile_table(f_max, budget.node_limit, budget.time_limit)
-    indices = [i for i, kind in enumerate(ALL_STAR_TYPES) if kind in chosen]
-    omitted = [i for i in range(len(ALL_STAR_TYPES)) if i not in indices]
-    for graph, profile in table:
-        if all(profile[i] for i in indices) and any(not profile[i] for i in omitted):
+    for graph, profile in _profile_table(f_max, budget.node_limit, budget.time_limit):
+        passed = {kind for kind, flag in zip(ALL_STAR_TYPES, profile) if flag}
+        if chosen <= passed and len(passed) < len(ALL_STAR_TYPES):
             return graph
     return None

@@ -396,6 +396,20 @@ def reference_subclique(host, x, f):
     return None
 
 
+@pytest.mark.parametrize("f", range(3, 8))
+def test_classification_matches_every_type_on_generated_cliques(f):
+    # Matching each vertex only against its key's types loses nothing: the
+    # generated cliques, relabeled, are classified exactly as when every
+    # vertex is tried against all twenty types.
+    rng = np.random.default_rng(f)
+    graphs = [star_canonical_clique(kind, f)[0] for kind in ALL_STAR_TYPES]
+    graphs += [canonical_clique(kind, f) for kind in CanonicalType]
+    graphs = [relabeled(rng, g) for g in graphs]
+    graphs += [random_clique_ordering(rng, f) for _ in range(20)]
+    for graph in graphs:
+        assert classify_star_canonical(graph) == reference_classification(graph)
+
+
 K9_HOSTS = {
     "random": lambda: random_clique_ordering(np.random.default_rng(9), 9),
     "star": lambda: star_canonical_clique(

@@ -14,7 +14,10 @@ from eotile import (
     BadAnchor,
     BadSpec,
     CertificateError,
+    Inconclusive,
+    IsoCertificate,
     NotTuranable,
+    SearchBudget,
     are_order_isomorphic,
     build_graph,
     canonical_clique,
@@ -25,8 +28,17 @@ from eotile import (
     reverse,
     star_canonical_clique,
 )
-from eotile.canonical import CANONICAL_ORDER, CanonicalType, StarFamily, StarType
+from eotile.canonical import (
+    ALL_STAR_TYPES,
+    CANONICAL_COINCIDENT_TYPES,
+    CANONICAL_ORDER,
+    CanonicalType,
+    StarFamily,
+    StarType,
+)
 from eotile.characterize import (
+    TileVerdict,
+    TuranVerdict,
     add_pendant,
     add_two_pendants,
     c4_1243,
@@ -43,11 +55,22 @@ from eotile.characterize import (
     turanable_four_coloring,
 )
 from eotile.embed import find_embedding, monotone_path_graph
-from eotile.necessity import scan_classes
+from eotile.necessity import _profile_table, scan_classes
 
 
 def diamond_shape():
     return build_graph(4, [(0, 1, 1), (0, 2, 2), (0, 3, 3), (1, 3, 4), (2, 3, 5)])
+
+
+def run_optimized(script):
+    """Run ``script`` under ``python -O`` against this package; its stdout."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(eotile.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
 
 
 class TestTuranable:
@@ -339,8 +362,10 @@ class TestCertificateChecks:
     """Consistency checks raise CertificateError instead of relying on assert."""
 
     def test_tileable_rechecks_turanability(self, monkeypatch):
+        # A wrong isomorphism maps the coincident certificates off the
+        # canonical cliques, so the re-check must refuse them.
         monkeypatch.setattr(
-            characterize, "is_turanable", lambda g, b: characterize.TuranVerdict(False)
+            characterize, "_isomorphism", lambda a, b: IsoCertificate(tuple(range(a.n)))
         )
         with pytest.raises(CertificateError, match="Turan re-check"):
             is_tileable(path_with_ranks("123"))
@@ -352,20 +377,20 @@ class TestCertificateChecks:
             from eotile import CertificateError
 
             assert False  # stripped under -O
-            c.is_turanable = lambda g, b: c.TuranVerdict(False)
+            c.verify_embedding = lambda *args: False
             try:
                 c.is_tileable(c.path_with_ranks("123"))
-            except CertificateError:
-                print("checked")
+            except CertificateError as exc:
+                print("checked" if "Turan re-check" in str(exc) else exc)
             """
         )
-        src = os.path.dirname(os.path.dirname(os.path.abspath(eotile.__file__)))
-        env = {**os.environ, "PYTHONPATH": src}
-        proc = subprocess.run(
-            [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "checked"
+        assert run_optimized(script) == "checked"
+
+    def test_coincident_types_map_onto_canonical_cliques(self):
+        for f in range(3, 10):
+            for kind in CANONICAL_COINCIDENT_TYPES:
+                star, _ = star_canonical_clique(kind, f)
+                assert are_order_isomorphic(star, canonical_clique(kind.part, f)) is not None
 
     def test_extremal_vertices_nonempty(self, monkeypatch):
         monkeypatch.setattr(characterize, "iter_embeddings", lambda *args: iter(()))
@@ -378,3 +403,108 @@ class TestCertificateChecks:
         monkeypatch.setattr(characterize, "_position_order", lambda g, kind, b: list(range(g.n)))
         with pytest.raises(CertificateError, match="not a forest"):
             turanable_four_coloring(canonical_clique(CanonicalType.MIN, 4))
+
+
+class TestOneBudgetPerCall:
+    """Every search of one decision counts against a single budget."""
+
+    # Each of the twenty star searches of the path 1-2-3 expands 4 nodes,
+    # and each of the four canonical ones too.
+    @pytest.mark.parametrize("decide, total", [(is_tileable, 80), (is_turanable, 16)])
+    def test_node_limit_bounds_the_whole_call(self, decide, total):
+        graph = path_with_ranks("123")
+        assert decide(graph, SearchBudget(node_limit=total)).value
+        with pytest.raises(Inconclusive, match=f"node budget {total - 1} exhausted"):
+            decide(graph, SearchBudget(node_limit=total - 1))
+
+    def test_node_limit_survives_optimized_mode(self):
+        script = textwrap.dedent(
+            """
+            from eotile import Inconclusive, SearchBudget
+            from eotile.characterize import is_tileable, path_with_ranks
+
+            assert False  # stripped under -O
+            graph = path_with_ranks("123")
+            decided = is_tileable(graph, SearchBudget(node_limit=80)).value
+            try:
+                is_tileable(graph, SearchBudget(node_limit=79))
+            except Inconclusive:
+                print("bounded" if decided else "wrong verdict")
+            """
+        )
+        assert run_optimized(script) == "bounded"
+
+
+def reference_turanable(graph):
+    """The four canonical checks, each search on a fresh budget."""
+    if graph.n <= 2:
+        return TuranVerdict(True)
+    certificates = {}
+    for kind in CANONICAL_ORDER:
+        emb = find_embedding(graph, canonical_clique(kind, graph.n), SearchBudget())
+        if emb is None:
+            return TuranVerdict(False, failing=kind)
+        certificates[kind] = emb
+    return TuranVerdict(True, certificates=certificates)
+
+
+def reference_profile(graph):
+    """Which star types ``graph`` embeds into, each search on a fresh budget."""
+    if graph.n <= 2:
+        return tuple(True for _ in ALL_STAR_TYPES)
+    return tuple(
+        find_embedding(graph, star_canonical_clique(kind, graph.n)[0], SearchBudget()) is not None
+        for kind in ALL_STAR_TYPES
+    )
+
+
+def reference_tileable(graph):
+    """The twenty star checks, each on a fresh budget, then a full Turan search."""
+    if graph.n <= 2:
+        return TileVerdict(True)
+    certificates = {}
+    for kind in ALL_STAR_TYPES:
+        emb = find_embedding(graph, star_canonical_clique(kind, graph.n)[0], SearchBudget())
+        if emb is None:
+            return TileVerdict(False, failing=kind)
+        certificates[kind] = emb
+    assert reference_turanable(graph).value
+    return TileVerdict(True, certificates=certificates)
+
+
+@pytest.fixture(scope="module")
+def oracle_graphs():
+    """The f <= 4 catalog and every ordering class of three 5-vertex shapes."""
+    shapes = [
+        build_graph(5, [(0, 1, 1), (1, 2, 2), (2, 3, 3), (3, 4, 4), (0, 4, 5)]),  # C5
+        build_graph(5, [(0, 1, 1), (1, 2, 2), (0, 2, 3), (2, 3, 4), (3, 4, 5), (1, 4, 6)]),
+        build_graph(5, [(0, 1, 1), (0, 2, 2), (0, 3, 3), (0, 4, 4), (1, 2, 5), (3, 4, 6)]),
+    ]
+    graphs = list(scan_classes(4))
+    for shape in shapes:
+        graphs.extend(enumerate_orderings(shape))
+    return graphs
+
+
+class TestTypeLoopMatchesPerSearchOracle:
+    """One loop on one meter decides exactly what separately budgeted
+    searches decided: same values, failing types and certificates."""
+
+    def test_catalog_size(self, oracle_graphs):
+        assert len(oracle_graphs) == 91 + 462
+
+    def test_turanable(self, oracle_graphs):
+        verdicts = [is_turanable(g) for g in oracle_graphs]
+        assert verdicts == [reference_turanable(g) for g in oracle_graphs]
+        assert {v.value for v in verdicts} == {True, False}
+
+    def test_tileable(self, oracle_graphs):
+        verdicts = [is_tileable(g) for g in oracle_graphs]
+        assert verdicts == [reference_tileable(g) for g in oracle_graphs]
+        assert {v.value for v in verdicts} == {True, False}
+        assert any(v.value and v.certificates for v in verdicts)
+
+    def test_profile_table(self):
+        budget = SearchBudget()
+        rows = _profile_table(4, budget.node_limit, budget.time_limit)
+        assert rows == tuple((g, reference_profile(g)) for g in scan_classes(4))

@@ -230,6 +230,21 @@ class TestBadInput:
         assert captured.out == ""
         assert "node budget 1 exhausted" in captured.err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["witness", "--target", "larger-dec.min", "--f-max", "3"],
+            ["probe", "--types", "larger-dec.min", "smaller-inc.min", "--f-max", "3"],
+        ],
+        ids=["witness", "probe"],
+    )
+    def test_necessity_honours_node_budget(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("EOTILE_NODE_BUDGET", "1")
+        assert main(["necessity", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "node budget 1 exhausted" in captured.err
+
     @pytest.mark.parametrize("name", ["missing.json", "."], ids=["missing", "directory"])
     def test_unreadable_graph_file_exit_code(self, capsys, tmp_path, name):
         path = tmp_path / name

@@ -1,10 +1,14 @@
 """Necessity scans: determinism, re-verification, and the probe results."""
 
+import math
+
 import pytest
 
 from eotile import (
     BadSize,
     CertificateError,
+    Inconclusive,
+    SearchBudget,
     are_order_isomorphic,
     build_graph,
     find_embedding,
@@ -104,6 +108,27 @@ class TestNecessityWitness:
             report = necessity_witness(kind, 3)
             if report.witness is None:
                 assert report.f_searched == 3  # bounded statement only
+
+
+class TestOneBudget:
+    """A profile table and a witness certification each run on one budget."""
+
+    def test_profile_table_runs_on_one_budget(self):
+        # The seven classes on at most three vertices take 213 nodes in all.
+        assert len(_profile_table(3, 213, math.inf)) == 7
+        with pytest.raises(Inconclusive, match="node budget 212 exhausted"):
+            _profile_table(3, 212, math.inf)
+
+    def test_witness_certification_runs_on_one_budget(self, monkeypatch):
+        # One edge on three vertices embeds into each of the twenty types
+        # after 2 nodes, so its full run takes 40.
+        profile = tuple(kind != LD_MIN for kind in ALL_STAR_TYPES)
+        edge = build_graph(3, [(0, 1, 1)])
+        monkeypatch.setattr(necessity, "_profile_table", lambda *args: ((edge, profile),))
+        with pytest.raises(CertificateError, match="refutation"):
+            necessity_witness(LD_MIN, 2, SearchBudget(node_limit=40))
+        with pytest.raises(Inconclusive, match="node budget 39 exhausted"):
+            necessity_witness(LD_MIN, 2, SearchBudget(node_limit=39))
 
 
 class TestSufficiencyProbe:
