@@ -27,10 +27,10 @@ from .embed import (
     DEFAULT_BUDGET,
     Embedding,
     SearchBudget,
+    _embeddings,
     _Meter,
     are_order_isomorphic,
     find_embedding,
-    iter_embeddings,
     monotone_path_graph,
     verify_embedding,
 )
@@ -70,6 +70,19 @@ def _type_checks(
         yield kind, find_embedding(graph, host, meter=meter)
 
 
+def _turan_verdict(
+    graph: EdgeOrderedGraph, kinds: Iterable[CanonicalType], meter: _Meter
+) -> TuranVerdict:
+    """The canonical checks of ``kinds`` in order on one ``meter``, to the first failure."""
+    checks = ((kind, canonical_clique(kind, graph.n)) for kind in kinds)
+    certificates: dict[CanonicalType, Embedding] = {}
+    for kind, emb in _type_checks(graph, checks, meter):
+        if emb is None:
+            return TuranVerdict(False, failing=kind)
+        certificates[kind] = emb
+    return TuranVerdict(True, certificates=certificates)
+
+
 def is_turanable(
     graph: EdgeOrderedGraph, budget: SearchBudget = DEFAULT_BUDGET
 ) -> TuranVerdict:
@@ -81,13 +94,7 @@ def is_turanable(
     """
     if _trivial_pattern(graph):
         return TuranVerdict(True)
-    checks = ((kind, canonical_clique(kind, graph.n)) for kind in CANONICAL_ORDER)
-    certificates: dict[CanonicalType, Embedding] = {}
-    for kind, emb in _type_checks(graph, checks, _Meter(budget)):
-        if emb is None:
-            return TuranVerdict(False, failing=kind)
-        certificates[kind] = emb
-    return TuranVerdict(True, certificates=certificates)
+    return _turan_verdict(graph, CANONICAL_ORDER, _Meter(budget))
 
 
 _isomorphism = lru_cache(maxsize=None)(are_order_isomorphic)
@@ -169,20 +176,21 @@ def is_universally_tileable(graph: EdgeOrderedGraph) -> bool:
 def extremal_vertices(
     graph: EdgeOrderedGraph, budget: SearchBudget = DEFAULT_BUDGET
 ) -> tuple[frozenset[int], frozenset[int]]:
-    """Vertices able to play v_1 in a min embedding / v_f in a max embedding."""
-    verdict = is_turanable(graph, budget)
-    if not verdict.value:
-        raise NotTuranable(f"no canonical embedding of type {verdict.failing}")
+    """Vertices able to play v_1 in a min / v_f in a max embedding, on one budget."""
     if graph.n == 1:
         return frozenset({0}), frozenset({0})
+    meter = _Meter(budget)
+    verdict = _turan_verdict(graph, CANONICAL_ORDER, meter)
+    if not verdict.value:
+        raise NotTuranable(f"no canonical embedding of type {verdict.failing}")
     f = graph.n
     min_host = canonical_clique(CanonicalType.MIN, f)
     max_host = canonical_clique(CanonicalType.MAX, f)
     minimal = frozenset(
-        emb.vertex_map.index(0) for emb in iter_embeddings(graph, min_host, budget)
+        v for full, _ in _embeddings(graph, min_host, meter, True) for v in full if full[v] == 0
     )
     maximal = frozenset(
-        emb.vertex_map.index(f - 1) for emb in iter_embeddings(graph, max_host, budget)
+        v for full, _ in _embeddings(graph, max_host, meter, True) for v in full if full[v] == f - 1
     )
     if not (minimal and maximal):
         raise CertificateError("Turanable graph has no extremal vertex")
@@ -312,15 +320,6 @@ def family_graph(descriptor: str) -> EdgeOrderedGraph:
     raise BadSpec(f"unknown family {name!r}")
 
 
-def _position_order(graph: EdgeOrderedGraph, kind: CanonicalType, budget: SearchBudget) -> list[int]:
-    """Positions 0..f-1 each vertex takes in an embedding into ``kind``."""
-    host = canonical_clique(kind, graph.n)
-    emb = find_embedding(graph, host, budget)
-    if emb is None:
-        raise NotTuranable(f"no embedding into the {kind.value} ordering")
-    return list(emb.vertex_map)
-
-
 def turanable_four_coloring(
     graph: EdgeOrderedGraph, budget: SearchBudget = DEFAULT_BUDGET
 ) -> dict[int, int]:
@@ -334,10 +333,12 @@ def turanable_four_coloring(
         return {}
     if graph.m == 0:
         return {v: 0 for v in range(graph.n)}
-    pos_min = _position_order(graph, CanonicalType.MIN, budget)
-    pos_inv = _position_order(graph, CanonicalType.INV_MIN, budget)
+    verdict = _turan_verdict(graph, (CanonicalType.MIN, CanonicalType.INV_MIN), _Meter(budget))
+    if not verdict.value:
+        raise NotTuranable(f"no embedding into the {verdict.failing.value} ordering")
+    pos_min, pos_inv = (emb.vertex_map for emb in verdict.certificates.values())
 
-    def sinks(pos: list[int]) -> set[int]:
+    def sinks(pos: tuple[int, ...]) -> set[int]:
         return {
             v
             for v in range(graph.n)

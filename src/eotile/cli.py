@@ -29,7 +29,7 @@ from .canonical import (
     star_canonical_clique,
 )
 from .characterize import family_graph, is_tileable, is_turanable, is_universally_tileable
-from .core import EdgeOrderedGraph, build_graph
+from .core import EdgeOrderedGraph, build_graph, chromatic_number
 from .embed import (
     Embedding,
     SearchBudget,
@@ -284,17 +284,13 @@ def _experiment_necessity_scan(spec: ExperimentSpec, budget: SearchBudget) -> di
     trial_rows = []
     witnesses = 0
     for kind in ALL_STAR_TYPES:
-        report = necessity_witness(kind, f_max, budget)
-        cert = (
-            _digest(serialize_graph(report.witness)) if report.witness is not None else ""
-        )
-        if report.witness is not None:
-            witnesses += 1
+        witness = necessity_witness(kind, f_max, budget).witness
+        witnesses += witness is not None
         trial_rows.append(
             {
                 "input_digest": _digest(kind.label.encode("ascii")),
-                "outcome": "witness" if report.witness is not None else "none",
-                "certificate_digest": cert,
+                "outcome": "witness" if witness is not None else "none",
+                "certificate_digest": _digest(serialize_graph(witness)) if witness else "",
                 "wall_ms": 0,
             }
         )
@@ -307,20 +303,15 @@ def _experiment_catalog_verdicts(spec: ExperimentSpec, budget: SearchBudget) -> 
     trial_rows = []
     turanable = tileable = 0
     max_chromatic = 0
-    from .core import chromatic_number
-
     for graph in scan_classes(f_max):
-        t = is_turanable(graph, budget)
         verdict = "not-turanable"
-        if t.value:
+        if is_turanable(graph, budget).value:
             turanable += 1
-            chi = chromatic_number(graph)
-            max_chromatic = max(max_chromatic, chi)
+            max_chromatic = max(max_chromatic, chromatic_number(graph))
+            verdict = "turanable-only"
             if is_tileable(graph, budget).value:
                 tileable += 1
                 verdict = "tileable"
-            else:
-                verdict = "turanable-only"
         trial_rows.append(
             {
                 "input_digest": _digest(serialize_graph(graph)),

@@ -18,8 +18,8 @@ from .errors import BadVertex, BudgetExceeded, CertificateError, DuplicateEdge, 
 
 Pair = tuple[int, int]
 
-# Cap on the m! labelings of a shape, though only m!/|Aut| are visited;
-# 8 edges is the default cap.
+# Caps a shape's m! labelings (only m!/|Aut| are visited; 8 edges pass) and
+# the C(f,2)!/f! classes of the K_f level of a necessity scan (f = 5 passes).
 DEFAULT_MAX_LABELINGS = 50_000
 
 # Exact chromatic number search is exponential; refuse silly instances.

@@ -10,6 +10,7 @@ found" is always a bounded statement, never a universal one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
@@ -18,13 +19,10 @@ from typing import Iterator, Optional
 from .canonical import ALL_STAR_TYPES, StarType
 from .characterize import _tile_checks, _trivial_pattern, _type_checks
 from .core import (
-    EdgeOrderedGraph,
-    build_graph,
-    canonical_code,
-    enumerate_orderings,
+    DEFAULT_MAX_LABELINGS, EdgeOrderedGraph, Pair, _encode, _from_sequence, _min_edge_sequence
 )
 from .embed import DEFAULT_BUDGET, Embedding, SearchBudget, _Meter, verify_embedding
-from .errors import BadSize, CertificateError
+from .errors import BadSize, BudgetExceeded, CertificateError
 
 # Types whose necessity is already established by small witnesses: the
 # smaller orderings over min / inverse min parts and the larger orderings
@@ -57,21 +55,31 @@ def scan_classes(f_max: int) -> Iterator[EdgeOrderedGraph]:
     canonical code ascending.  Denser classes come first so that scans
     surface the clique-like members of a class family before the sparse
     ones; the order is fixed for reproducibility.
+
+    Classes on f vertices grow level by level from the empty graph: level
+    m appends each non-edge of each level m-1 class as its new top edge
+    and keeps each child once, by code.  Deleting a class's top edge leaves
+    one parent class, so every class turns up (McKay, J. Algorithms 1998).
+    The largest levels, K_f and K_f minus an edge, hold C(f,2)!/f! classes
+    each; past ``DEFAULT_MAX_LABELINGS`` at f_max the first ``next()``
+    raises :class:`BudgetExceeded`: f_max = 5 (30,240) runs, 6 does not.
     """
+    top = math.factorial(math.comb(max(f_max, 0), 2)) // math.factorial(max(f_max, 0))
+    if top > DEFAULT_MAX_LABELINGS:
+        raise BudgetExceeded(f"K_{f_max} has {top} ordering classes, over {DEFAULT_MAX_LABELINGS}")
     for f in range(1, f_max + 1):
-        pairs = list(combinations(range(f), 2))
-        for m in range(len(pairs), -1, -1):
-            seen: set[bytes] = set()
-            bucket: dict[bytes, EdgeOrderedGraph] = {}
-            for chosen in combinations(pairs, m):
-                shape = build_graph(f, [(u, v, i + 1) for i, (u, v) in enumerate(chosen)])
-                for ordering in enumerate_orderings(shape):
-                    code = canonical_code(ordering).data
-                    if code not in seen:
-                        seen.add(code)
-                        bucket[code] = ordering
-            for code in sorted(bucket):
-                yield bucket[code]
+        levels: list[dict[bytes, tuple[Pair, ...]]] = [{_encode(f, ()): ()}]
+        for _ in range(math.comb(f, 2)):
+            children = (
+                _min_edge_sequence(f, seq + (pair,))
+                for seq in levels[-1].values()
+                for pair in combinations(range(f), 2)
+                if pair not in seq
+            )
+            levels.append({_encode(f, child): child for child in children})
+        for level in reversed(levels):
+            for code in sorted(level):
+                yield _from_sequence(f, level[code])
 
 
 @lru_cache(maxsize=8)

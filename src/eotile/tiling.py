@@ -16,7 +16,7 @@ from itertools import combinations
 from typing import Callable, Iterable, Iterator, Optional, TypeVar
 
 from .canonical import CanonicalType, canonical_labels
-from .core import EdgeOrderedGraph, build_graph, enumerate_orderings
+from .core import DEFAULT_MAX_LABELINGS, EdgeOrderedGraph, build_graph, enumerate_orderings
 from .embed import (
     DEFAULT_BUDGET,
     Embedding,
@@ -184,7 +184,7 @@ def tiling_number(
     piece: EdgeOrderedGraph,
     t_max: int,
     budget: SearchBudget = DEFAULT_BUDGET,
-    max_labelings: int = 50_000,
+    max_labelings: int = DEFAULT_MAX_LABELINGS,
 ) -> Optional[int]:
     """Least t <= t_max such that every ordering class of K_t tiles perfectly.
 

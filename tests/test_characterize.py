@@ -54,7 +54,7 @@ from eotile.characterize import (
     path_with_ranks,
     turanable_four_coloring,
 )
-from eotile.embed import find_embedding, monotone_path_graph
+from eotile.embed import Embedding, find_embedding, monotone_path_graph
 from eotile.necessity import _profile_table, scan_classes
 
 
@@ -393,14 +393,20 @@ class TestCertificateChecks:
                 assert are_order_isomorphic(star, canonical_clique(kind.part, f)) is not None
 
     def test_extremal_vertices_nonempty(self, monkeypatch):
-        monkeypatch.setattr(characterize, "iter_embeddings", lambda *args: iter(()))
+        monkeypatch.setattr(characterize, "_embeddings", lambda *args: iter(()))
         with pytest.raises(CertificateError, match="extremal vertex"):
             extremal_vertices(monotone_path_graph(3))
 
     def test_four_coloring_leftover_forest(self, monkeypatch):
         # With both orders equal, K4 has one sink and its other three
         # vertices, a triangle, are left over.
-        monkeypatch.setattr(characterize, "_position_order", lambda g, kind, b: list(range(g.n)))
+        monkeypatch.setattr(
+            characterize,
+            "_turan_verdict",
+            lambda g, kinds, meter: TuranVerdict(
+                True, {kind: Embedding(tuple(range(g.n))) for kind in kinds}
+            ),
+        )
         with pytest.raises(CertificateError, match="not a forest"):
             turanable_four_coloring(canonical_clique(CanonicalType.MIN, 4))
 
@@ -416,6 +422,34 @@ class TestOneBudgetPerCall:
         assert decide(graph, SearchBudget(node_limit=total)).value
         with pytest.raises(Inconclusive, match=f"node budget {total - 1} exhausted"):
             decide(graph, SearchBudget(node_limit=total - 1))
+
+    # d_graph(5): the MIN and INV_MIN searches expand 8 nodes each; the four
+    # Turan checks and both extremal enumerations expand 101 in all.
+    @pytest.mark.parametrize(
+        "construct, total", [(turanable_four_coloring, 16), (extremal_vertices, 101)]
+    )
+    def test_node_limit_bounds_the_constructions(self, construct, total):
+        graph = d_graph(5)
+        assert construct(graph, SearchBudget(node_limit=total))
+        with pytest.raises(Inconclusive, match=f"node budget {total - 1} exhausted"):
+            construct(graph, SearchBudget(node_limit=total - 1))
+
+    def test_construction_limit_survives_optimized_mode(self):
+        script = textwrap.dedent(
+            """
+            from eotile import Inconclusive, SearchBudget
+            from eotile.characterize import d_graph, extremal_vertices
+
+            assert False  # stripped under -O
+            graph = d_graph(5)
+            found = extremal_vertices(graph, SearchBudget(node_limit=101))
+            try:
+                extremal_vertices(graph, SearchBudget(node_limit=100))
+            except Inconclusive:
+                print("bounded" if found else "no vertices")
+            """
+        )
+        assert run_optimized(script) == "bounded"
 
     def test_node_limit_survives_optimized_mode(self):
         script = textwrap.dedent(

@@ -245,6 +245,12 @@ class TestBadInput:
         assert captured.out == ""
         assert "node budget 1 exhausted" in captured.err
 
+    def test_necessity_scan_over_the_cap_exit_code(self, capsys):
+        assert main(["necessity", "witness", "--target", "larger-dec.min", "--f-max", "6"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: K_6 has") and "Traceback" not in captured.err
+
     @pytest.mark.parametrize("name", ["missing.json", "."], ids=["missing", "directory"])
     def test_unreadable_graph_file_exit_code(self, capsys, tmp_path, name):
         path = tmp_path / name

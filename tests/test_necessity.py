@@ -1,16 +1,21 @@
 """Necessity scans: determinism, re-verification, and the probe results."""
 
 import math
+from collections import Counter
+from itertools import combinations, permutations
 
 import pytest
 
 from eotile import (
     BadSize,
+    BudgetExceeded,
     CertificateError,
     Inconclusive,
     SearchBudget,
     are_order_isomorphic,
     build_graph,
+    canonical_code,
+    enumerate_orderings,
     find_embedding,
     star_canonical_clique,
     verify_embedding,
@@ -24,6 +29,7 @@ from eotile.canonical import (
 )
 from eotile import necessity
 from eotile.characterize import d_graph, is_tileable, is_turanable
+from eotile.core import _encode
 from eotile.necessity import (
     ESTABLISHED_NECESSARY,
     _profile_table,
@@ -33,6 +39,49 @@ from eotile.necessity import (
 )
 
 LD_MIN = StarType(StarFamily.LARGER_DEC, CanonicalType.MIN)
+
+
+def labeled_shape_scan(f_max):
+    """Oracle: the classes of every labeled shape on f vertices from
+    ``enumerate_orderings``, duplicates dropped by canonical code, in the
+    order ``scan_classes`` documents."""
+    for f in range(1, f_max + 1):
+        pairs = list(combinations(range(f), 2))
+        for m in range(len(pairs), -1, -1):
+            bucket = {}
+            for chosen in combinations(pairs, m):
+                shape = build_graph(f, [(u, v, i + 1) for i, (u, v) in enumerate(chosen)])
+                for ordering in enumerate_orderings(shape):
+                    bucket.setdefault(canonical_code(ordering).data, ordering)
+            for code in sorted(bucket):
+                yield bucket[code]
+
+
+def shapes_up_to_isomorphism(f, m):
+    """One labeled shape per isomorphism class of graphs on f vertices with
+    m edges, found by brute force over all f! vertex permutations."""
+    seen = set()
+    shapes = []
+    for chosen in combinations(combinations(range(f), 2), m):
+        key = min(
+            tuple(sorted(tuple(sorted((p[u], p[v]))) for u, v in chosen))
+            for p in permutations(range(f))
+        )
+        if key not in seen:
+            seen.add(key)
+            shapes.append(build_graph(f, [(u, v, i + 1) for i, (u, v) in enumerate(chosen)]))
+    return shapes
+
+
+def code(graph):
+    # Both generators yield canonical forms, whose rank order is the code.
+    return _encode(graph.n, graph.pairs_by_rank)
+
+
+@pytest.fixture(scope="module")
+def five_vertex_codes():
+    """Edge count and code of each 5-vertex class of ``scan_classes(5)``, in order."""
+    return [(graph.m, code(graph)) for graph in scan_classes(5) if graph.n == 5]
 
 
 class TestScanClasses:
@@ -53,6 +102,36 @@ class TestScanClasses:
         for i, a in enumerate(classes):
             for b in classes[i + 1 :]:
                 assert are_order_isomorphic(a, b) is None
+
+    @pytest.mark.parametrize("f_max", [1, 2, 3, 4])
+    def test_matches_labeled_shape_scan(self, f_max):
+        assert list(scan_classes(f_max)) == list(labeled_shape_scan(f_max))
+
+    def test_five_vertex_counts_and_order(self, five_vertex_codes):
+        counts = Counter(m for m, _ in five_vertex_codes)
+        assert counts == {0: 1, 1: 1, 2: 2, 3: 8, 4: 44, 5: 252, 6: 1260, 7: 5040,
+                          8: 15120, 9: 30240, 10: 30240}
+        keys = [(-m, data) for m, data in five_vertex_codes]
+        assert keys == sorted(keys)
+
+    def test_five_vertex_codes_match_orbit_enumeration(self, five_vertex_codes):
+        shapes = {m: shapes_up_to_isomorphism(5, m) for m in range(9)}
+        assert sum(map(len, shapes.values())) == 32  # all 34 shapes but K5 - e and K5
+        scanned = {m: set() for m in shapes}
+        for m, data in five_vertex_codes:
+            scanned.get(m, set()).add(data)
+        for m, group in shapes.items():
+            expected = {code(graph) for shape in group for graph in enumerate_orderings(shape)}
+            assert scanned[m] == expected
+
+    def test_six_vertices_exceed_the_cap_before_any_work(self, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("the scan coded a class before checking its cap")
+
+        monkeypatch.setattr(necessity, "_min_edge_sequence", no_work)
+        classes = scan_classes(6)
+        with pytest.raises(BudgetExceeded, match="K_6 has 1816214400 ordering classes"):
+            next(classes)
 
 
 class TestNecessityWitness:
