@@ -22,7 +22,7 @@ from .canonical import (
     canonical_clique,
     star_canonical_clique,
 )
-from .core import EdgeOrderedGraph, build_graph
+from .core import EdgeOrderedGraph, build_graph, components
 from .embed import (
     DEFAULT_BUDGET,
     Embedding,
@@ -124,32 +124,13 @@ def is_tileable(
     return TileVerdict(True, certificates=certificates)
 
 
-def _components(graph: EdgeOrderedGraph) -> list[set[int]]:
-    seen: set[int] = set()
-    comps: list[set[int]] = []
-    for start in range(graph.n):
-        if start in seen:
-            continue
-        comp = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for w in graph.adjacency[v]:
-                if w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        seen |= comp
-        comps.append(comp)
-    return comps
-
-
 def is_universally_tileable(graph: EdgeOrderedGraph) -> bool:
     """True iff every edge-ordering of the underlying graph is tileable.
 
     Holds exactly for star forests, the three-edge path, and the triangle,
     each allowing extra isolated vertices.
     """
-    comps = [c for c in _components(graph) if len(c) > 1]
+    comps = [c for c in components(graph) if len(c) > 1]
     if not comps:
         return True
 

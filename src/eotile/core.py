@@ -18,8 +18,9 @@ from .errors import BadVertex, BudgetExceeded, CertificateError, DuplicateEdge, 
 
 Pair = tuple[int, int]
 
-# Caps a shape's m! labelings (only m!/|Aut| are visited; 8 edges pass) and
-# the C(f,2)!/f! classes of the K_f level of a necessity scan (f = 5 passes).
+# Caps the m!/|Aut| ordering classes of a shape (every shape on 5 vertices
+# passes, K5 with 30,240) and the C(f,2)!/f! classes of the K_f level of a
+# necessity scan (f = 5 passes).
 DEFAULT_MAX_LABELINGS = 50_000
 
 # Exact chromatic number search is exponential; refuse silly instances.
@@ -186,49 +187,71 @@ def induced_subgraph(graph: EdgeOrderedGraph, vertices) -> EdgeOrderedGraph:
     return build_graph(len(subset), kept)
 
 
+def components(graph: EdgeOrderedGraph) -> list[set[int]]:
+    """The vertex sets of the connected components, by least vertex."""
+    seen: set[int] = set()
+    comps: list[set[int]] = []
+    for start in range(graph.n):
+        if start in seen:
+            continue
+        comp = {start}
+        stack = [start]
+        while stack:
+            v = stack.pop()
+            for w in graph.adjacency[v]:
+                if w not in comp:
+                    comp.add(w)
+                    stack.append(w)
+        seen |= comp
+        comps.append(comp)
+    return comps
+
+
 def _min_edge_sequence(n: int, pairs: Sequence[Pair]) -> tuple[Pair, ...]:
     """Lexicographically least relabeled edge sequence over all vertex bijections.
 
     ``pairs`` are the graph's vertex pairs in ascending rank order.
-    Candidates are partial relabelings; at each rank only the relabelings
-    achieving the minimal next pair survive, which is exactly lexicographic
-    minimization with pruning.
+    Candidates are partial relabelings (``-1`` for a vertex not yet seen);
+    at each rank only the relabelings achieving the minimal next pair
+    survive, which is exactly lexicographic minimization with pruning.
+
+    A least sequence gives labels out in order of first appearance, so
+    after ``k`` labels every candidate has mapped the same vertices to
+    ``0..k-1`` and the next fresh label is ``k``.  Only an edge with two
+    fresh ends branches, into its two orientations; an edge with one or no
+    fresh end keeps the candidates with the least pair and labels in place.
     """
     seq: list[Pair] = []
-    candidates: list[tuple[dict[int, int], set[int]]] = [({}, set())]
+    candidates: list[list[int]] = [[-1] * n]
+    k = 0
     for a, b in pairs:
-        best_pair: Optional[Pair] = None
-        survivors: list[tuple[Pair, dict[int, int], set[int]]] = []
-        for vmap, used in candidates:
-            options: list[tuple[Pair, list[tuple[int, int]]]] = []
-            if a in vmap and b in vmap:
-                x, y = vmap[a], vmap[b]
-                options.append(((min(x, y), max(x, y)), []))
-            elif a in vmap or b in vmap:
-                mapped, fresh = (a, b) if a in vmap else (b, a)
-                u = vmap[mapped]
-                w = next(i for i in range(n) if i not in used)
-                options.append(((min(u, w), max(u, w)), [(fresh, w)]))
-            else:
-                free = [i for i in range(n) if i not in used][:2]
-                x0, x1 = free[0], free[1]
-                options.append(((x0, x1), [(a, x0), (b, x1)]))
-                options.append(((x0, x1), [(a, x1), (b, x0)]))
-            for pair, additions in options:
-                if best_pair is None or pair < best_pair:
-                    best_pair = pair
-                    survivors = []
-                if pair == best_pair:
-                    new_map = dict(vmap)
-                    new_used = set(used)
-                    for src, dst in additions:
-                        new_map[src] = dst
-                        new_used.add(dst)
-                    survivors.append((pair, new_map, new_used))
-        if best_pair is None:
+        if not candidates:
             raise CertificateError(f"no relabeling survives at edge ({a},{b})")
-        seq.append(best_pair)
-        candidates = [(vmap, used) for _, vmap, used in survivors]
+        first = candidates[0]
+        if first[a] < 0 and first[b] < 0:
+            flipped = []
+            for vmap in candidates:
+                other = vmap.copy()
+                vmap[a], vmap[b] = k, k + 1
+                other[a], other[b] = k + 1, k
+                flipped.append(other)
+            candidates += flipped
+            pair = (k, k + 1)
+            k += 2
+        elif first[a] < 0 or first[b] < 0:
+            mapped, fresh = (b, a) if first[a] < 0 else (a, b)
+            labels = [vmap[mapped] for vmap in candidates]
+            u = min(labels)
+            candidates = [vmap for vmap, label in zip(candidates, labels) if label == u]
+            for vmap in candidates:
+                vmap[fresh] = k
+            pair = (u, k)
+            k += 1
+        else:
+            ends = [(min(vmap[a], vmap[b]), max(vmap[a], vmap[b])) for vmap in candidates]
+            pair = min(ends)
+            candidates = [vmap for vmap, end in zip(candidates, ends) if end == pair]
+        seq.append(pair)
     return tuple(seq)
 
 
@@ -266,32 +289,39 @@ def canonical_form(graph: EdgeOrderedGraph) -> EdgeOrderedGraph:
     return _from_sequence(graph.n, _min_edge_sequence(graph.n, graph.pairs_by_rank))
 
 
-def _edge_automorphisms(shape: EdgeOrderedGraph) -> tuple[tuple[int, ...], ...]:
+def _edge_automorphisms(shape: EdgeOrderedGraph, limit: int) -> tuple[tuple[int, ...], ...]:
     """Aut(shape) as permutations of the indices of ``sorted(shape.pairs_by_rank)``.
 
     Vertex automorphisms of the non-isolated vertices are found by
     backtracking, pruned by degree and by adjacency to the vertices already
-    mapped; distinct vertex maps can induce one edge permutation (the two
-    ends of an isolated edge), so the permutations are deduplicated.
+    mapped.  The lower end of an isolated edge only maps to a lower end;
+    then distinct vertex maps induce distinct edge permutations, so each
+    element is found once (the orbit count of :func:`enumerate_orderings`
+    checks this).  :class:`BudgetExceeded` past ``limit`` elements.
     Sorted, so the identity comes first.
     """
     pairs = sorted(shape.pairs_by_rank)
     index = {pair: i for i, pair in enumerate(pairs)}
     adj = shape.adjacency
     verts = [v for v in range(shape.n) if adj[v]]
+    low = {  # the lower end of each isolated edge
+        v for v in verts if len(adj[v]) == 1 and all(u > v and len(adj[u]) == 1 for u in adj[v])
+    }
     image: dict[int, int] = {}
-    found: set[tuple[int, ...]] = set()
+    found: list[tuple[int, ...]] = []
 
     def extend(k: int) -> None:
         if k == len(verts):
-            found.add(
+            found.append(
                 tuple(index[(min(image[u], image[v]), max(image[u], image[v]))] for u, v in pairs)
             )
+            if len(found) > limit:
+                raise BudgetExceeded(f"Aut(shape) has more than {limit} elements")
             return
         v = verts[k]
         taken = set(image.values())
         for w in verts:
-            if w in taken or len(adj[w]) != len(adj[v]):
+            if w in taken or len(adj[w]) != len(adj[v]) or (w in low) != (v in low):
                 continue
             if any((u in adj[v]) != (image[u] in adj[w]) for u in verts[:k]):
                 continue
@@ -345,15 +375,22 @@ def enumerate_orderings(
     members.  One least sequence per orbit is generated and coded once.
     Yields canonical forms in ascending code order.
 
-    The cap still counts labelings: ``m! > max_labelings`` raises
-    :class:`BudgetExceeded`, although only ``m!/|Aut|`` are visited.
+    The cap counts what is visited: more than ``max_labelings`` classes
+    (``m!/|Aut|``), or automorphisms, raise :class:`BudgetExceeded` before
+    any class is coded.  ``|Aut|`` is at most ``k!`` for ``k`` non-isolated
+    vertices, so a shape with ``m!/k!`` over the cap (K_6 and up) raises
+    before the automorphisms are searched.
     """
     m, n = shape.m, shape.n
     total = math.factorial(m)
-    if total > max_labelings:
-        raise BudgetExceeded(f"{m}! = {total} labelings exceed budget {max_labelings}")
+    if total > max_labelings * math.factorial(n - len(shape.isolated_vertices())):
+        raise BudgetExceeded(f"{m}! labelings make over {max_labelings} classes")
+    group = _edge_automorphisms(shape, max_labelings)
+    if total // len(group) > max_labelings:
+        raise BudgetExceeded(
+            f"{m}!/{len(group)} = {total // len(group)} classes exceed budget {max_labelings}"
+        )
     pairs = sorted(shape.pairs_by_rank)
-    group = _edge_automorphisms(shape)
     classes: dict[bytes, tuple[Pair, ...]] = {}
     for order in _orbit_representatives(m, group):
         seq = _min_edge_sequence(n, [pairs[e] for e in order])

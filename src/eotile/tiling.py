@@ -6,6 +6,11 @@ when the cover reaches it (``find_embedding(..., within=)``).  The dense
 monotone-path tiler and each clique of the clique tiler are tiled this
 way; local absorbers are the paper's standalone objects, which no tiler
 uses.  Correctness always rests on re-verification.
+
+A None from the exact solver is a proof: either the cover was exhausted,
+or, before any search, a component of the host has a size that a
+connected piece does not divide (each copy of a connected piece lies in
+one component), which refutes the two-clique lower-bound construction.
 """
 
 from __future__ import annotations
@@ -16,7 +21,13 @@ from itertools import combinations
 from typing import Callable, Iterable, Iterator, Optional, TypeVar
 
 from .canonical import CanonicalType, canonical_labels
-from .core import DEFAULT_MAX_LABELINGS, EdgeOrderedGraph, build_graph, enumerate_orderings
+from .core import (
+    DEFAULT_MAX_LABELINGS,
+    EdgeOrderedGraph,
+    build_graph,
+    components,
+    enumerate_orderings,
+)
 from .embed import (
     DEFAULT_BUDGET,
     Embedding,
@@ -160,6 +171,18 @@ def _tile(
     )
 
 
+def _split_by_components(host: EdgeOrderedGraph, piece: EdgeOrderedGraph) -> bool:
+    """True if ``piece`` is connected and ``piece.n`` does not divide the
+    size of some component of ``host``, so no perfect tiling exists.
+
+    A disconnected host misses at least n-1 of the C(n,2) pairs, so a host
+    with more than C(n-1,2) edges is connected and needs no search.
+    """
+    if host.m > (host.n - 1) * (host.n - 2) // 2 or len(components(piece)) > 1:
+        return False
+    return any(len(comp) % piece.n for comp in components(host))
+
+
 def perfect_tiling_exact(
     host: EdgeOrderedGraph,
     piece: EdgeOrderedGraph,
@@ -168,12 +191,16 @@ def perfect_tiling_exact(
     """A verified perfect tiling, or None proven within budget.
 
     One budget bounds the whole call: the subset searches and the exact
-    cover all count against a single meter.
+    cover all count against a single meter.  A connected piece and a host
+    component whose size it does not divide give None before any search,
+    with no node counted.
     """
     if piece.n == 0:
         raise BadDivisibility("piece must have at least one vertex")
     if host.n % piece.n != 0:
         raise BadDivisibility(f"|piece|={piece.n} does not divide |host|={host.n}")
+    if _split_by_components(host, piece):
+        return None
     pieces = _tile(host, piece, range(host.n), _Meter(budget))
     if pieces is None:
         return None

@@ -2,6 +2,7 @@
 
 import inspect
 import math
+import random
 from itertools import combinations, permutations
 
 import pytest
@@ -185,6 +186,21 @@ class TestCanonicalCode:
         )
         assert canonical_code(k4) == canonical_code(raw)
 
+    @pytest.mark.parametrize("n", range(7))
+    def test_least_sequence_is_the_brute_force_minimum(self, n):
+        # Oracle: the least relabeled sequence over all n! vertex bijections.
+        rng = random.Random(600 + n)
+        pairs = list(combinations(range(n), 2))
+        cases = [rng.sample(pairs, rng.randint(0, len(pairs))) for _ in range(25)]
+        # The complete graph and a perfect matching branch the most.
+        cases += [rng.sample(pairs, len(pairs)), [(i, i + 1) for i in range(0, n - 1, 2)]]
+        for chosen in cases:
+            want = min(
+                tuple(tuple(sorted((perm[u], perm[v]))) for u, v in chosen)
+                for perm in permutations(range(n))
+            )
+            assert core._min_edge_sequence(n, chosen) == want, chosen
+
     @settings(deadline=None, max_examples=50)
     @given(small_graphs(max_n=4), small_graphs(max_n=4))
     def test_code_equality_iff_isomorphic(self, a, b):
@@ -336,16 +352,43 @@ class TestOrbitEnumeration:
         ids=["C4", "K4", "P3", "K13", "2K2", "K2+isolated"],
     )
     def test_automorphism_group_orders(self, g, order):
-        group = core._edge_automorphisms(g)
+        group = core._edge_automorphisms(g, core.DEFAULT_MAX_LABELINGS)
         assert len(group) == order
         assert group[0] == tuple(range(g.m))
         # One sequence per orbit, never two from the same class.
         reps = list(core._orbit_representatives(g.m, group))
         assert len(reps) == math.factorial(g.m) // order == len(labeling_oracle(g))
 
+    def test_classes_not_labelings_are_capped(self):
+        # The 3-edge path has 3! = 6 labelings but 6/2 = 3 classes.
+        p3 = shape(4, "01 12 23")
+        assert len(list(enumerate_orderings(p3, max_labelings=3))) == 3
+        with pytest.raises(BudgetExceeded, match="3 classes"):
+            next(enumerate_orderings(p3, max_labelings=2))
+
+    def test_automorphism_search_is_capped(self):
+        # A 7-edge matching has one class; each of its 7! automorphisms is
+        # found once, not 2^7 times by swapping the ends of each edge.
+        matching = build_graph(14, [(2 * i, 2 * i + 1, i + 1) for i in range(7)])
+        assert len(core._edge_automorphisms(matching, math.factorial(7))) == math.factorial(7)
+        assert len(list(enumerate_orderings(matching, max_labelings=math.factorial(7)))) == 1
+        # The 6-edge star has one class too, but 6! = 720 automorphisms.
+        star = build_graph(7, [(0, i, i) for i in range(1, 7)])
+        with pytest.raises(BudgetExceeded, match="Aut"):
+            next(enumerate_orderings(star, max_labelings=719))
+
+    def test_large_cliques_exceed_the_cap_before_any_search(self, monkeypatch):
+        def no_search(*args):
+            raise AssertionError("searched the automorphisms of a shape over the cap")
+
+        monkeypatch.setattr(core, "_edge_automorphisms", no_search)
+        # At least 15!/6! classes, since |Aut(K_6)| <= 6!.
+        with pytest.raises(BudgetExceeded, match="15! labelings"):
+            next(enumerate_orderings(canonical_clique(CanonicalType.MIN, 6)))
+
     def test_orbit_count_check_catches_a_wrong_group(self, monkeypatch):
         c4 = shape(4, "01 12 23 03")
-        monkeypatch.setattr(core, "_edge_automorphisms", lambda g: (tuple(range(g.m)),))
+        monkeypatch.setattr(core, "_edge_automorphisms", lambda g, limit: (tuple(range(g.m)),))
         with pytest.raises(CertificateError, match="labelings"):
             list(enumerate_orderings(c4))
 

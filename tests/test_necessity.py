@@ -115,11 +115,13 @@ class TestScanClasses:
         assert keys == sorted(keys)
 
     def test_five_vertex_codes_match_orbit_enumeration(self, five_vertex_codes):
-        shapes = {m: shapes_up_to_isomorphism(5, m) for m in range(9)}
-        assert sum(map(len, shapes.values())) == 32  # all 34 shapes but K5 - e and K5
+        # Every one of the 34 shapes, K5 - e and K5 included, fits the cap.
+        shapes = {m: shapes_up_to_isomorphism(5, m) for m in range(11)}
+        assert sum(map(len, shapes.values())) == 34
         scanned = {m: set() for m in shapes}
         for m, data in five_vertex_codes:
-            scanned.get(m, set()).add(data)
+            scanned[m].add(data)
+        assert sum(map(len, scanned.values())) == 82_208
         for m, group in shapes.items():
             expected = {code(graph) for shape in group for graph in enumerate_orderings(shape)}
             assert scanned[m] == expected

@@ -389,6 +389,56 @@ class TestSubsetSearchEquivalence:
             remaining -= stripped.image
 
 
+def disjoint_union_host(rng, sizes):
+    """Random graphs on blocks of ``sizes`` vertices, no edge between
+    blocks, with the vertices shuffled so the blocks interleave."""
+    n = sum(sizes)
+    perm = rng.permutation(n)
+    pairs, start = [], 0
+    for size in sizes:
+        block = [int(v) for v in perm[start : start + size]]
+        pairs.extend(p for p in combinations(block, 2) if rng.random() < 0.8)
+        start += size
+    ranks = rng.permutation(len(pairs)) + 1
+    return build_graph(n, [(u, v, int(r)) for (u, v), r in zip(pairs, ranks)])
+
+
+class TestComponentDivisibility:
+    """A connected piece is refuted at the root when it does not divide
+    the size of some component of the host; every answer is the search's."""
+
+    def test_large_two_cliques_refuted_without_search(self):
+        host, piece = extremal_construction("TwoCliques", 30, 4), monotone_path_graph(4)
+        # One node would not cover even the first subset search.
+        assert perfect_tiling_exact(host, piece, SearchBudget(node_limit=1)) is None
+
+    @pytest.mark.parametrize("kind", ["P2", "2K2"])
+    def test_disjoint_unions_match_reference(self, kind):
+        if kind == "P2":
+            piece = monotone_path_graph(2)
+        else:
+            piece = build_graph(4, [(0, 1, 1), (2, 3, 2)])
+        rng = np.random.default_rng(2024 + piece.n)
+        split = tiled_split = 0
+        for _ in range(30):
+            blocks = int(rng.integers(2, 4))
+            n = piece.n * int(rng.integers(2, 4))
+            cuts = sorted(rng.choice(range(1, n), size=blocks - 1, replace=False))
+            sizes = [int(b - a) for a, b in zip([0, *cuts], [*cuts, n])]
+            host = disjoint_union_host(rng, sizes)
+            tiling = perfect_tiling_exact(host, piece)
+            expected = reference_tiling_pieces(host, piece)
+            assert (None if tiling is None else tiling.pieces) == expected, host
+            uneven = any(len(comp) % piece.n for comp in eotile.core.components(host))
+            split += uneven and expected is None
+            tiled_split += uneven and expected is not None
+        if kind == "P2":
+            assert split >= 10 and tiled_split == 0
+        else:
+            # Two disjoint edges tile across components: the cut must not fire.
+            assert tiled_split >= 3
+
+
 def record_exact_calls(monkeypatch):
     """Record (host.n, budget) of every ``perfect_tiling_exact`` call the tilers make."""
     seen = []
@@ -494,8 +544,11 @@ EXACT_ONE_BUDGET_SCRIPT = textwrap.dedent(
     from eotile.embed import _Meter
     from eotile.tiling import _cover, _tile
 
-    host, piece = extremal_construction("TwoCliques", 8, 3), monotone_path_graph(3)
-    budget = SearchBudget(node_limit=10)
+    # K_{2,6} is connected, so no component argument refutes it: only the
+    # search can, and a P3 takes two vertices of each side.
+    host = extremal_construction("Bipartite", 8, 3, 0.25)
+    piece = monotone_path_graph(3)
+    budget = SearchBudget(node_limit=20)
     # Each of the 70 subset searches fits under the limit alone, and so does
     # the cover over every copy they find ...
     witnesses = {}
@@ -504,11 +557,11 @@ EXACT_ONE_BUDGET_SCRIPT = textwrap.dedent(
         if emb is not None:
             witnesses[subset] = emb
     if _cover(frozenset(range(8)), 4, witnesses.get, _Meter(budget)) is not None:
-        raise SystemExit("TwoCliques(8, 3) has a P3 tiling")
+        raise SystemExit("K_{2,6} has a P3 tiling")
     # ... but the exact tiler's subset searches and cover need more together.
     total = _Meter(SearchBudget())
     if _tile(host, piece, range(8), total) is not None:
-        raise SystemExit("TwoCliques(8, 3) has a P3 tiling")
+        raise SystemExit("K_{2,6} has a P3 tiling")
     if total.nodes <= budget.node_limit:
         raise SystemExit(f"only {total.nodes} nodes in the whole exact tiling")
     try:
