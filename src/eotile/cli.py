@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -22,6 +23,7 @@ import numpy as np
 
 from .canonical import (
     ALL_STAR_TYPES,
+    CANONICAL_COINCIDENT_TYPES,
     CANONICAL_ORDER,
     CanonicalType,
     StarType,
@@ -46,7 +48,7 @@ from .errors import (
     SamplingFailed,
     UnknownExperiment,
 )
-from .necessity import necessity_witness, scan_classes, sufficiency_probe
+from .necessity import _class_profiles, necessity_witness, sufficiency_probe
 from .tiling import (
     Tiling,
     TilerConfig,
@@ -166,7 +168,30 @@ class ExperimentSpec:
 
     @property
     def seed(self) -> int:
-        return int(self.parameters["seed"])
+        return _param(self.parameters, "seed", None)
+
+
+def _param(
+    params: dict[str, Any], key: str, default: Any, kind: type = int, low: Optional[int] = None
+) -> Any:
+    """Parameter ``key`` of an experiment, ``default`` when absent.
+
+    ``kind=int`` takes an integer, ``kind=float`` any finite number, and
+    either at least ``low`` when given; any other value raises
+    :class:`BadSpec` naming the key.
+    """
+    value = params.get(key, default)
+    accepted = (int,) if kind is int else (int, float)
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, accepted)
+        or (isinstance(value, float) and not math.isfinite(value))
+        or (low is not None and value < low)
+    ):
+        wanted = "an integer" if kind is int else "a finite number"
+        bound = "" if low is None else f" >= {low}"
+        raise BadSpec(f"parameter {key} must be {wanted}{bound}, got {value!r}")
+    return kind(value)
 
 
 def _trial_rng(seed: int, index: int) -> np.random.Generator:
@@ -211,13 +236,15 @@ def _random_edge_count_host(
 
 def _experiment_theorem1_grid(spec: ExperimentSpec, budget: SearchBudget) -> dict[str, Any]:
     p = spec.parameters
-    n = int(p.get("n", 8))
-    k = int(p.get("k", 1))
+    n = _param(p, "n", 8, low=1)
+    k = _param(p, "k", 1, low=1)
     if n % (k + 1) != 0:
         raise BadSpec(f"grid cell infeasible: {k + 1} does not divide n={n}")
-    trials = int(p.get("trials", 20))
-    eta = float(p.get("eta", 0.25))
-    edge_prob = float(p.get("edge_prob", 0.9))
+    trials = _param(p, "trials", 20, low=0)
+    eta = _param(p, "eta", 0.25, float)
+    if not 0 < eta < 0.5:
+        raise BadSpec(f"parameter eta must lie in (0, 1/2), got {eta}")
+    edge_prob = _param(p, "edge_prob", 0.9, float)
     min_degree = -(-int((0.5 + eta) * 2 * n) // 2)  # ceil((1/2+eta)n)
     piece = monotone_path_graph(k)
     config = TilerConfig(eta=eta, seed=spec.seed, absorb_budget=budget)
@@ -252,10 +279,10 @@ def _experiment_theorem1_grid(spec: ExperimentSpec, budget: SearchBudget) -> dic
 
 def _experiment_rodl_threshold(spec: ExperimentSpec, budget: SearchBudget) -> dict[str, Any]:
     p = spec.parameters
-    n = int(p.get("n", 10))
-    k = int(p.get("k", 2))
-    trials = int(p.get("trials", 100))
-    edges = int(p.get("edges", k * (k + 1) * n // 2))
+    n = _param(p, "n", 10, low=1)
+    k = _param(p, "k", 2, low=1)
+    trials = _param(p, "trials", 100, low=0)
+    edges = _param(p, "edges", k * (k + 1) * n // 2, low=0)
     piece = monotone_path_graph(k)
     trial_rows = []
     found = 0
@@ -280,7 +307,7 @@ def _experiment_rodl_threshold(spec: ExperimentSpec, budget: SearchBudget) -> di
 
 
 def _experiment_necessity_scan(spec: ExperimentSpec, budget: SearchBudget) -> dict[str, Any]:
-    f_max = int(spec.parameters.get("f_max", 4))
+    f_max = _param(spec.parameters, "f_max", 4)
     trial_rows = []
     witnesses = 0
     for kind in ALL_STAR_TYPES:
@@ -299,17 +326,22 @@ def _experiment_necessity_scan(spec: ExperimentSpec, budget: SearchBudget) -> di
 
 
 def _experiment_catalog_verdicts(spec: ExperimentSpec, budget: SearchBudget) -> dict[str, Any]:
-    f_max = int(spec.parameters.get("f_max", 4))
+    """Each class's verdict read off its type profile: Turanable iff it
+    embeds into the four ``CANONICAL_COINCIDENT_TYPES`` cliques, which are
+    the canonical cliques up to order isomorphism; tileable iff into all
+    twenty.  Every search of the experiment runs on ``budget``."""
+    f_max = _param(spec.parameters, "f_max", 4)
+    coincident = [ALL_STAR_TYPES.index(kind) for kind in CANONICAL_COINCIDENT_TYPES]
     trial_rows = []
     turanable = tileable = 0
     max_chromatic = 0
-    for graph in scan_classes(f_max):
+    for graph, profile in _class_profiles(f_max, budget):
         verdict = "not-turanable"
-        if is_turanable(graph, budget).value:
+        if all(profile[i] for i in coincident):
             turanable += 1
             max_chromatic = max(max_chromatic, chromatic_number(graph))
             verdict = "turanable-only"
-            if is_tileable(graph, budget).value:
+            if all(profile):
                 tileable += 1
                 verdict = "tileable"
         trial_rows.append(
@@ -343,7 +375,11 @@ def run_experiment(spec: ExperimentSpec) -> dict[str, Any]:
 
     The wall_ms field exists for schema compatibility and is pinned to 0 in
     canonical reports so that identical specs give identical bytes.  Every
-    solver call shares one :func:`default_budget`.
+    solver call gets the one :func:`default_budget`: ``theorem1-grid`` and
+    ``rodl-threshold`` meter each call on its own, ``necessity-scan`` meters
+    its profile table once and each witness certification once, and
+    ``catalog-verdicts`` meters the whole experiment once.  A parameter of
+    the wrong type raises :class:`BadSpec` naming it.
     """
     if spec.name not in _EXPERIMENTS:
         raise UnknownExperiment(f"unknown experiment {spec.name!r}")

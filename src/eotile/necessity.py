@@ -17,23 +17,35 @@ from itertools import combinations
 from typing import Iterator, Optional
 
 from .canonical import ALL_STAR_TYPES, StarType
-from .characterize import _tile_checks, _trivial_pattern, _type_checks
+from .characterize import _tile_checks, _type_checks
 from .core import (
-    DEFAULT_MAX_LABELINGS, EdgeOrderedGraph, Pair, _encode, _from_sequence, _min_edge_sequence
+    DEFAULT_MAX_LABELINGS, EdgeOrderedGraph, Pair, _encode, _from_sequence, _min_edge_sequence,
+    canonical_code,
 )
 from .embed import DEFAULT_BUDGET, Embedding, SearchBudget, _Meter, verify_embedding
 from .errors import BadSize, BudgetExceeded, CertificateError
 
-# Types whose necessity is already established by small witnesses: the
-# smaller orderings over min / inverse min parts and the larger orderings
-# over max / inverse max parts (these include the four canonical ones).
-# Scans can corroborate but never refute membership in this list.
-ESTABLISHED_NECESSARY = tuple(
-    kind
-    for kind in ALL_STAR_TYPES
-    if (kind.family.value.startswith("smaller") and kind.part.value in ("min", "inv-min"))
-    or (kind.family.value.startswith("larger") and kind.part.value in ("max", "inv-max"))
-)
+# One checked witness per type, as a ``path_with_ranks`` string: each 8-vertex
+# path embeds into the other nineteen star-canonical K8s and not into its
+# type's.  The two paths of a row are reverses of each other.
+WITNESSES: dict[StarType, str] = {
+    StarType.parse(label): ranks
+    for label, ranks in (
+        ("larger-dec.max", "1345762"), ("smaller-dec.min", "6213457"),
+        ("larger-dec.inv-max", "1354762"), ("smaller-dec.inv-min", "6214357"),
+        ("larger-inc.max", "1345672"), ("smaller-inc.min", "6123457"),
+        ("larger-inc.inv-max", "1354672"), ("smaller-inc.inv-min", "6124357"),
+    )
+}
+
+# Types whose necessity a witness in the table establishes.  Scans can
+# corroborate but never refute membership in this list.
+ESTABLISHED_NECESSARY = tuple(kind for kind in ALL_STAR_TYPES if kind in WITNESSES)
+
+# A class's profile inside the augmentation loop: bit i set iff it embeds
+# into the clique of ALL_STAR_TYPES[i].
+_TYPE_BITS = tuple(1 << i for i in range(len(ALL_STAR_TYPES)))
+_ALL_TYPES = sum(_TYPE_BITS)
 
 
 @dataclass(frozen=True)
@@ -56,46 +68,100 @@ def scan_classes(f_max: int) -> Iterator[EdgeOrderedGraph]:
     surface the clique-like members of a class family before the sparse
     ones; the order is fixed for reproducibility.
 
+    The classes come from the augmentation levels of
+    :func:`_class_profiles`, which searches nothing here.  Past
+    ``DEFAULT_MAX_LABELINGS`` classes on the K_f level the first ``next()``
+    raises :class:`BudgetExceeded`: f_max = 5 (30,240) runs, 6 does not.
+    """
+    for graph, _ in _class_profiles(f_max):
+        yield graph
+
+
+def _class_profiles(
+    f_max: int, budget: Optional[SearchBudget] = None
+) -> Iterator[tuple[EdgeOrderedGraph, tuple[bool, ...]]]:
+    """Each class of ``scan_classes(f_max)``, in its order, with the star
+    types (in ``ALL_STAR_TYPES`` order) it embeds into.
+
     Classes on f vertices grow level by level from the empty graph: level
     m appends each non-edge of each level m-1 class as its new top edge
     and keeps each child once, by code.  Deleting a class's top edge leaves
     one parent class, so every class turns up (McKay, J. Algorithms 1998).
-    The largest levels, K_f and K_f minus an edge, hold C(f,2)!/f! classes
-    each; past ``DEFAULT_MAX_LABELINGS`` at f_max the first ``next()``
-    raises :class:`BudgetExceeded`: f_max = 5 (30,240) runs, 6 does not.
+
+    A parent is a subgraph of its child, so a type one parent fails the
+    child fails too: the child starts from the types all of its parents
+    passed and is searched only for those, every search on one ``budget``.
+    Types whose cliques are order-isomorphic at size f share one search.
+    The empty graph and the classes on at most two vertices pass all twenty
+    with no search.  Without a budget nothing is searched and every class
+    reads as passing all twenty.
     """
     top = math.factorial(math.comb(max(f_max, 0), 2)) // math.factorial(max(f_max, 0))
     if top > DEFAULT_MAX_LABELINGS:
         raise BudgetExceeded(f"K_{f_max} has {top} ordering classes, over {DEFAULT_MAX_LABELINGS}")
+    meter = _Meter(budget) if budget else None
     for f in range(1, f_max + 1):
-        levels: list[dict[bytes, tuple[Pair, ...]]] = [{_encode(f, ()): ()}]
+        # [types, clique] per ordering class of the twenty cliques: one at
+        # f = 3, twelve at f = 4, twenty from f = 5 on.
+        checks: dict[bytes, list] = {}
+        if meter and f > 2:
+            for bit, (_, host) in zip(_TYPE_BITS, _tile_checks(f)):
+                checks.setdefault(canonical_code(host).data, [0, host])[0] |= bit
+        levels: list[dict[bytes, tuple[tuple[Pair, ...], int]]] = [
+            {_encode(f, ()): ((), _ALL_TYPES)}
+        ]
         for _ in range(math.comb(f, 2)):
-            children = (
-                _min_edge_sequence(f, seq + (pair,))
-                for seq in levels[-1].values()
-                for pair in combinations(range(f), 2)
-                if pair not in seq
-            )
-            levels.append({_encode(f, child): child for child in children})
-        for level in reversed(levels):
+            inherited: dict[bytes, tuple[tuple[Pair, ...], int]] = {}
+            for seq, passed in levels[-1].values():
+                for pair in combinations(range(f), 2):
+                    if pair not in seq:
+                        child = _min_edge_sequence(f, seq + (pair,))
+                        code = _encode(f, child)
+                        _, shared = inherited.setdefault(code, (child, passed))
+                        inherited[code] = (child, shared & passed)
+            if checks:
+                for code, (child, passed) in inherited.items():
+                    pending = [(kinds, host) for kinds, host in checks.values() if passed & kinds]
+                    for kinds, emb in _type_checks(_from_sequence(f, child), pending, meter):
+                        if emb is None:
+                            passed &= ~kinds
+                    inherited[code] = (child, passed)
+            levels.append(inherited)
+        while levels:  # densest first, each level freed once yielded
+            level = levels.pop()
             for code in sorted(level):
-                yield _from_sequence(f, level[code])
+                seq, passed = level[code]
+                yield _from_sequence(f, seq), tuple(passed & bit > 0 for bit in _TYPE_BITS)
 
 
 @lru_cache(maxsize=8)
 def _profile_table(
     f_max: int, node_limit: int, time_limit: float
 ) -> tuple[tuple[EdgeOrderedGraph, tuple[bool, ...]], ...]:
-    """Each scanned class with the star types it embeds into, on one budget."""
-    meter = _Meter(SearchBudget(node_limit, time_limit))
-    table = []
-    for graph in scan_classes(f_max):
-        if _trivial_pattern(graph):
-            table.append((graph, tuple(True for _ in ALL_STAR_TYPES)))
-        else:
-            found = _type_checks(graph, _tile_checks(graph.n), meter)
-            table.append((graph, tuple(emb is not None for _, emb in found)))
-    return tuple(table)
+    """The rows of :func:`_class_profiles` on one budget, kept for the
+    witness scans and probes that read them again."""
+    return tuple(_class_profiles(f_max, SearchBudget(node_limit, time_limit)))
+
+
+def _certify_witness(
+    graph: EdgeOrderedGraph, target: StarType, budget: SearchBudget
+) -> dict[StarType, Embedding]:
+    """The nineteen certificates of ``graph`` as a witness for ``target``.
+
+    All twenty searches run on one budget.  Each certificate is re-verified
+    by the independent embedding checker, and the search against the
+    target's ordering must come back empty; otherwise
+    :class:`CertificateError` is raised.
+    """
+    checks = _tile_checks(graph.n)
+    found = dict(_type_checks(graph, checks, _Meter(budget)))
+    for kind, host in checks:
+        emb = found[kind]
+        if kind != target and (emb is None or not verify_embedding(graph, host, emb)):
+            raise CertificateError(f"witness certificate for {kind} failed re-verification")
+    if found.pop(target) is not None:
+        raise CertificateError(f"witness refutation for {target} failed re-verification")
+    return found
 
 
 def necessity_witness(
@@ -105,28 +171,18 @@ def necessity_witness(
 ) -> NecessityReport:
     """Scan for the first graph separating ``target`` from the other types.
 
-    The witness's twenty searches run again on one budget: the nineteen
-    certificates are re-verified by the independent embedding checker, and
-    the search against the target ordering must come back empty.
+    The witness is certified by :func:`_certify_witness` on a fresh budget.
     """
     if f_max < 2:
         raise BadSize(f"witness scan needs f_max >= 2, got {f_max}")
     table = _profile_table(f_max, budget.node_limit, budget.time_limit)
     separating = tuple(kind != target for kind in ALL_STAR_TYPES)
     for scanned, (graph, profile) in enumerate(table, 1):
-        if profile != separating:
-            continue
-        checks = _tile_checks(graph.n)
-        found = dict(_type_checks(graph, checks, _Meter(budget)))
-        for kind, host in checks:
-            emb = found[kind]
-            if kind != target and (emb is None or not verify_embedding(graph, host, emb)):
-                raise CertificateError(f"witness certificate for {kind} failed re-verification")
-        if found.pop(target) is not None:
-            raise CertificateError(f"witness refutation for {target} failed re-verification")
-        return NecessityReport(
-            target, graph, f_max, found, refutation=True, classes_scanned=scanned
-        )
+        if profile == separating:
+            certificates = _certify_witness(graph, target, budget)
+            return NecessityReport(
+                target, graph, f_max, certificates, refutation=True, classes_scanned=scanned
+            )
     return NecessityReport(target, None, f_max, classes_scanned=len(table))
 
 

@@ -1,5 +1,6 @@
 """CLI: document round trips, DOT export, commands, report stability."""
 
+import hashlib
 import json
 
 import pytest
@@ -184,6 +185,18 @@ class TestExperiments:
                 ExperimentSpec("theorem1-grid", {"seed": 5, "n": 8, "k": 2, "trials": 1})
             )
 
+    @pytest.mark.parametrize(
+        "name, digest",
+        [
+            ("catalog-verdicts", "744ea661c740265c7856cd6ac406a69bdbd494ff88d875c7d9325a884a5b4175"),
+            ("necessity-scan", "f387dcd05ad2d6688ea80a448061211f554a04597e91693f55bae329d991cdff"),
+        ],
+    )
+    def test_f_max_four_report_bytes_are_pinned(self, name, digest):
+        # The same SHA-256 values the benchmark's catalog workload checks.
+        report = emit_report(run_experiment(ExperimentSpec(name, {"f_max": 4, "seed": 0})))
+        assert hashlib.sha256(report).hexdigest() == digest
+
     def test_experiment_command(self, capsys):
         assert main(
             ["experiment", "rodl-threshold", "--seed", "7",
@@ -215,6 +228,28 @@ class TestBadInput:
         assert "EOTILE_NODE_BUDGET" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "name, param",
+        [
+            ("catalog-verdicts", "f_max=abc"),
+            ("catalog-verdicts", "f_max=null"),
+            ("catalog-verdicts", "f_max=1.5"),
+            ("necessity-scan", "f_max=true"),
+            ("theorem1-grid", "n=x"),
+            ("theorem1-grid", "eta=x"),
+            ("theorem1-grid", "eta=-1"),
+            ("theorem1-grid", "k=-1"),
+            ("rodl-threshold", "edges=-1"),
+            ("rodl-threshold", "n=-3"),
+        ],
+    )
+    def test_bad_experiment_parameter_exit_code(self, capsys, name, param):
+        assert main(["experiment", name, "--seed", "0", "--param", param]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        key = param.split("=")[0]
+        assert captured.err.startswith(f"error: parameter {key} must ")
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["theorem1-grid", "--param", "n=9", "--param", "k=2", "--param", "trials=2"],
@@ -229,6 +264,18 @@ class TestBadInput:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "node budget 1 exhausted" in captured.err
+
+    def test_catalog_verdicts_runs_on_one_budget(self, capsys, monkeypatch):
+        # All searches of the f_max=4 catalog take 4,582 nodes on one meter.
+        argv = ["experiment", "catalog-verdicts", "--seed", "0", "--param", "f_max=4"]
+        monkeypatch.setenv("EOTILE_NODE_BUDGET", "4582")
+        assert main(argv) == 0
+        capsys.readouterr()
+        monkeypatch.setenv("EOTILE_NODE_BUDGET", "4581")
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "node budget 4581 exhausted" in captured.err
 
     @pytest.mark.parametrize(
         "argv",

@@ -1,6 +1,9 @@
 """Necessity scans: determinism, re-verification, and the probe results."""
 
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
 from itertools import combinations, permutations
 
@@ -27,11 +30,15 @@ from eotile.canonical import (
     StarFamily,
     StarType,
 )
+import eotile
 from eotile import necessity
-from eotile.characterize import d_graph, is_tileable, is_turanable
-from eotile.core import _encode
+from eotile.characterize import d_graph, is_tileable, is_turanable, path_with_ranks
+from eotile.core import _encode, reverse
+from eotile.embed import DEFAULT_BUDGET
 from eotile.necessity import (
     ESTABLISHED_NECESSARY,
+    WITNESSES,
+    _certify_witness,
     _profile_table,
     necessity_witness,
     scan_classes,
@@ -39,6 +46,28 @@ from eotile.necessity import (
 )
 
 LD_MIN = StarType(StarFamily.LARGER_DEC, CanonicalType.MIN)
+
+# Reversing a graph's edge order maps its profile by this involution:
+# larger-X.p <-> smaller-X.p' and middle-inc.p <-> middle-inc.p', where p'
+# swaps min <-> max and inv-min <-> inv-max.
+_MIRROR_FAMILY = {
+    StarFamily.LARGER_DEC: StarFamily.SMALLER_DEC,
+    StarFamily.SMALLER_DEC: StarFamily.LARGER_DEC,
+    StarFamily.LARGER_INC: StarFamily.SMALLER_INC,
+    StarFamily.SMALLER_INC: StarFamily.LARGER_INC,
+    StarFamily.MIDDLE_INC: StarFamily.MIDDLE_INC,
+}
+_MIRROR_PART = {
+    CanonicalType.MIN: CanonicalType.MAX,
+    CanonicalType.MAX: CanonicalType.MIN,
+    CanonicalType.INV_MIN: CanonicalType.INV_MAX,
+    CanonicalType.INV_MAX: CanonicalType.INV_MIN,
+}
+
+
+def dual(kind):
+    """The type that ``reverse`` of a witness for ``kind`` separates."""
+    return StarType(_MIRROR_FAMILY[kind.family], _MIRROR_PART[kind.part])
 
 
 def labeled_shape_scan(f_max):
@@ -191,14 +220,77 @@ class TestNecessityWitness:
                 assert report.f_searched == 3  # bounded statement only
 
 
+class TestWitnessTable:
+    """Each tabled witness certifies, and so does its reverse for the dual type."""
+
+    def test_established_types_are_the_witnessed_ones(self):
+        assert ESTABLISHED_NECESSARY == tuple(k for k in ALL_STAR_TYPES if k in WITNESSES)
+        assert set(ESTABLISHED_NECESSARY) == {
+            kind
+            for kind in ALL_STAR_TYPES
+            if (kind.family.value.startswith("smaller") and kind.part.value in ("min", "inv-min"))
+            or (kind.family.value.startswith("larger") and kind.part.value in ("max", "inv-max"))
+        }
+
+    @pytest.mark.parametrize("kind", list(WITNESSES), ids=str)
+    def test_witness_and_its_reverse_certify(self, kind):
+        witness = path_with_ranks(WITNESSES[kind])
+        assert witness.n == 8
+        certificates = _certify_witness(witness, kind, DEFAULT_BUDGET)
+        assert set(certificates) == set(ALL_STAR_TYPES) - {kind}
+        mirrored = _certify_witness(reverse(witness), dual(kind), DEFAULT_BUDGET)
+        assert set(mirrored) == set(ALL_STAR_TYPES) - {dual(kind)}
+        # The dual type's tabled path is that reverse, read from its other end.
+        assert are_order_isomorphic(reverse(witness), path_with_ranks(WITNESSES[dual(kind)]))
+
+    def test_witness_certification_runs_under_python_O(self):
+        # Certification rests on explicit checks, not on assert: under -O all
+        # eight witnesses still certify and a wrong target is still refused.
+        script = (
+            "from eotile.characterize import path_with_ranks\n"
+            "from eotile.embed import DEFAULT_BUDGET\n"
+            "from eotile.errors import CertificateError\n"
+            "from eotile.necessity import WITNESSES, _certify_witness\n"
+            "print(sum(len(_certify_witness(path_with_ranks(r), k, DEFAULT_BUDGET))\n"
+            "          for k, r in WITNESSES.items()))\n"
+            "kinds = list(WITNESSES)\n"
+            "try:\n"
+            "    _certify_witness(path_with_ranks(WITNESSES[kinds[0]]), kinds[1], DEFAULT_BUDGET)\n"
+            "except CertificateError as exc:\n"
+            "    print(exc)\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(eotile.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "152",
+            f"witness certificate for {list(WITNESSES)[0]} failed re-verification",
+        ]
+
+
 class TestOneBudget:
     """A profile table and a witness certification each run on one budget."""
 
     def test_profile_table_runs_on_one_budget(self):
-        # The seven classes on at most three vertices take 213 nodes in all.
-        assert len(_profile_table(3, 213, math.inf)) == 7
-        with pytest.raises(Inconclusive, match="node budget 212 exhausted"):
-            _profile_table(3, 212, math.inf)
+        # The seven classes on at most three vertices take 10 nodes in all:
+        # the empty graphs pass every type with no search, and the twenty
+        # cliques on three vertices are one ordering, searched once.
+        assert len(_profile_table(3, 10, math.inf)) == 7
+        with pytest.raises(Inconclusive, match="node budget 9 exhausted"):
+            _profile_table(3, 9, math.inf)
+
+    def test_children_search_only_the_types_their_parents_passed(self):
+        # The 91 classes on at most four vertices take 4,582 nodes; searching
+        # each for every clique instead of those its parents embed into
+        # takes 6,434.
+        assert len(_profile_table(4, 4_582, math.inf)) == 91
+        with pytest.raises(Inconclusive, match="node budget 4581 exhausted"):
+            _profile_table(4, 4_581, math.inf)
 
     def test_witness_certification_runs_on_one_budget(self, monkeypatch):
         # One edge on three vertices embeds into each of the twenty types
