@@ -4,7 +4,8 @@ Graphs travel as JSON documents ``{"n": int, "edges": [[u, v, rank], ...]}``
 with edges serialized in ascending rank order.  Experiment reports are
 canonical JSON whose bytes depend only on the spec and seed.
 
-Exit codes: 0 decided, 2 inconclusive (budget ran out), 1 error.
+Exit codes: 0 decided, 2 inconclusive (budget ran out), 1 error, usage
+errors included.
 """
 
 from __future__ import annotations
@@ -60,10 +61,13 @@ from .tiling import (
     verify_tiling,
 )
 
-EXPERIMENT_NAMES = ("theorem1-grid", "rodl-threshold", "necessity-scan", "catalog-verdicts")
-
 # Draws before theorem1-grid's host sampler gives up on a minimum degree.
 MAX_SAMPLING_DRAWS = 100_000
+
+# Largest n of a random host.  Each draw lists all C(n,2) pairs, about
+# 5*10^5 at this cap; a far larger n would spend its time and memory there
+# before any search, and one past float range cannot be sampled at all.
+MAX_HOST_VERTICES = 1_000
 
 
 def default_budget() -> SearchBudget:
@@ -194,6 +198,23 @@ def _param(
     return kind(value)
 
 
+def _host_size(params: dict[str, Any], default: int) -> int:
+    n = _param(params, "n", default, low=1)
+    if n > MAX_HOST_VERTICES:
+        raise BadSpec(f"parameter n must be at most {MAX_HOST_VERTICES}, got {n}")
+    return n
+
+
+def _row(input_digest: str, outcome: str, certificate_digest: str = "") -> dict[str, Any]:
+    """One trial of a report; ``wall_ms`` is pinned to 0 (see :func:`run_experiment`)."""
+    return {
+        "input_digest": input_digest,
+        "outcome": outcome,
+        "certificate_digest": certificate_digest,
+        "wall_ms": 0,
+    }
+
+
 def _trial_rng(seed: int, index: int) -> np.random.Generator:
     # One stream per trial, split deterministically from the master seed.
     return np.random.default_rng(np.random.SeedSequence([seed, index]))
@@ -236,7 +257,7 @@ def _random_edge_count_host(
 
 def _experiment_theorem1_grid(spec: ExperimentSpec, budget: SearchBudget) -> dict[str, Any]:
     p = spec.parameters
-    n = _param(p, "n", 8, low=1)
+    n = _host_size(p, 8)
     k = _param(p, "k", 1, low=1)
     if n % (k + 1) != 0:
         raise BadSpec(f"grid cell infeasible: {k + 1} does not divide n={n}")
@@ -245,9 +266,11 @@ def _experiment_theorem1_grid(spec: ExperimentSpec, budget: SearchBudget) -> dic
     if not 0 < eta < 0.5:
         raise BadSpec(f"parameter eta must lie in (0, 1/2), got {eta}")
     edge_prob = _param(p, "edge_prob", 0.9, float)
+    if not 0 < edge_prob <= 1:
+        raise BadSpec(f"parameter edge_prob must lie in (0, 1], got {edge_prob}")
     min_degree = -(-int((0.5 + eta) * 2 * n) // 2)  # ceil((1/2+eta)n)
     piece = monotone_path_graph(k)
-    config = TilerConfig(eta=eta, seed=spec.seed, absorb_budget=budget)
+    config = TilerConfig(absorb_budget=budget)
     trial_rows = []
     successes = 0
     for index in range(trials):
@@ -258,14 +281,11 @@ def _experiment_theorem1_grid(spec: ExperimentSpec, budget: SearchBudget) -> dic
             if not verify_tiling(host, piece, tiling):
                 raise CertificateError(f"trial {index}: tiling failed re-verification")
             successes += 1
-        trial_rows.append(
-            {
-                "input_digest": _digest(serialize_graph(host)),
-                "outcome": "tiled" if tiling is not None else "no-tiling",
-                "certificate_digest": _tiling_digest(tiling) if tiling else "",
-                "wall_ms": 0,
-            }
-        )
+        digest = _digest(serialize_graph(host))
+        if tiling is None:
+            trial_rows.append(_row(digest, "no-tiling"))
+        else:
+            trial_rows.append(_row(digest, "tiled", _tiling_digest(tiling)))
     extremal = extremal_construction("TwoCliques", n, k)
     refuted = perfect_tiling_exact(extremal, piece, budget) is None
     summary = {
@@ -279,7 +299,7 @@ def _experiment_theorem1_grid(spec: ExperimentSpec, budget: SearchBudget) -> dic
 
 def _experiment_rodl_threshold(spec: ExperimentSpec, budget: SearchBudget) -> dict[str, Any]:
     p = spec.parameters
-    n = _param(p, "n", 10, low=1)
+    n = _host_size(p, 10)
     k = _param(p, "k", 2, low=1)
     trials = _param(p, "trials", 100, low=0)
     edges = _param(p, "edges", k * (k + 1) * n // 2, low=0)
@@ -294,14 +314,11 @@ def _experiment_rodl_threshold(spec: ExperimentSpec, budget: SearchBudget) -> di
             if not verify_embedding(piece, host, emb):
                 raise CertificateError(f"trial {index}: path failed re-verification")
             found += 1
-        trial_rows.append(
-            {
-                "input_digest": _digest(serialize_graph(host)),
-                "outcome": "found" if emb is not None else "not-found",
-                "certificate_digest": _embedding_digest(emb) if emb else "",
-                "wall_ms": 0,
-            }
-        )
+        digest = _digest(serialize_graph(host))
+        if emb is None:
+            trial_rows.append(_row(digest, "not-found"))
+        else:
+            trial_rows.append(_row(digest, "found", _embedding_digest(emb)))
     summary = {"trials": trials, "found": found, "edges": edges}
     return {"trials": trial_rows, "summary": summary}
 
@@ -313,14 +330,11 @@ def _experiment_necessity_scan(spec: ExperimentSpec, budget: SearchBudget) -> di
     for kind in ALL_STAR_TYPES:
         witness = necessity_witness(kind, f_max, budget).witness
         witnesses += witness is not None
-        trial_rows.append(
-            {
-                "input_digest": _digest(kind.label.encode("ascii")),
-                "outcome": "witness" if witness is not None else "none",
-                "certificate_digest": _digest(serialize_graph(witness)) if witness else "",
-                "wall_ms": 0,
-            }
-        )
+        digest = _digest(kind.label.encode("ascii"))
+        if witness is None:
+            trial_rows.append(_row(digest, "none"))
+        else:
+            trial_rows.append(_row(digest, "witness", _digest(serialize_graph(witness))))
     summary = {"f_max": f_max, "targets": len(ALL_STAR_TYPES), "witnesses": witnesses}
     return {"trials": trial_rows, "summary": summary}
 
@@ -344,14 +358,7 @@ def _experiment_catalog_verdicts(spec: ExperimentSpec, budget: SearchBudget) -> 
             if all(profile):
                 tileable += 1
                 verdict = "tileable"
-        trial_rows.append(
-            {
-                "input_digest": _digest(serialize_graph(graph)),
-                "outcome": verdict,
-                "certificate_digest": "",
-                "wall_ms": 0,
-            }
-        )
+        trial_rows.append(_row(_digest(serialize_graph(graph)), verdict))
     summary = {
         "f_max": f_max,
         "classes": len(trial_rows),
@@ -368,6 +375,8 @@ _EXPERIMENTS = {
     "necessity-scan": _experiment_necessity_scan,
     "catalog-verdicts": _experiment_catalog_verdicts,
 }
+
+EXPERIMENT_NAMES = tuple(_EXPERIMENTS)
 
 
 def run_experiment(spec: ExperimentSpec) -> dict[str, Any]:
@@ -462,7 +471,7 @@ def _cmd_tile(args: argparse.Namespace) -> int:
         tiling = perfect_tiling_exact(host, piece, budget)
     elif args.mode == "dense":
         piece = monotone_path_graph(args.k)
-        tiling = tile_dense_paths(host, args.k, TilerConfig(seed=args.seed, absorb_budget=budget))
+        tiling = tile_dense_paths(host, args.k, TilerConfig(absorb_budget=budget))
     else:
         piece = _read_graph_arg(args.piece)
         t_value = args.T
@@ -474,6 +483,8 @@ def _cmd_tile(args: argparse.Namespace) -> int:
         tiling = tile_via_cliques(host, piece, t_value, budget)
     if tiling is None:
         out: dict[str, Any] = {"tiled": False}
+        if args.mode == "clique":  # not a proof: `tile exact` decides
+            out["reason"] = "no-clique-tiling"
     elif not verify_tiling(host, piece, tiling):
         raise CertificateError("tiling failed re-verification")
     else:
@@ -515,7 +526,7 @@ def _parse_params(pairs: list[str]) -> dict[str, Any]:
         key, value = pair.split("=", 1)
         try:
             out[key] = json.loads(value)
-        except json.JSONDecodeError:
+        except ValueError:  # not JSON, or an integer past the digit limit of int()
             out[key] = value
     return out
 
@@ -529,10 +540,19 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error exits 1 like any other bad input; 2 means inconclusive.
+
+    Subparsers are made with the parser's own class, so they exit 1 too.
+    """
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="eotile", description="edge-ordered graph tilings toolkit"
-    )
+    parser = _Parser(prog="eotile", description="edge-ordered graph tilings toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate graphs")
@@ -573,7 +593,6 @@ def build_parser() -> argparse.ArgumentParser:
     t_dense = tile_sub.add_parser("dense")
     t_dense.add_argument("--host", required=True)
     t_dense.add_argument("-k", type=int, required=True)
-    t_dense.add_argument("--seed", type=int, default=0)
     t_dense.set_defaults(func=_cmd_tile)
     t_clique = tile_sub.add_parser("clique")
     t_clique.add_argument("--host", required=True)

@@ -57,10 +57,6 @@ class EdgeOrderedGraph:
         return _incidence(range(self.n), self.pairs_by_rank)
 
     @cached_property
-    def pair_set(self) -> frozenset[Pair]:
-        return frozenset(self.pairs_by_rank)
-
-    @cached_property
     def adjacency(self) -> tuple[frozenset[int], ...]:
         nbrs: list[set[int]] = [set() for _ in range(self.n)]
         for u, v, _ in self.edges:
@@ -71,7 +67,7 @@ class EdgeOrderedGraph:
     def has_edge(self, u: int, v: int) -> bool:
         if u > v:
             u, v = v, u
-        return (u, v) in self.pair_set
+        return (u, v) in self.rank
 
     def rank_of(self, u: int, v: int) -> Optional[int]:
         if u > v:
@@ -403,13 +399,11 @@ def enumerate_orderings(
         yield _from_sequence(n, classes[code])
 
 
-def chromatic_number(
-    graph: EdgeOrderedGraph, max_vertices: int = DEFAULT_MAX_COLOR_VERTICES
-) -> int:
+def chromatic_number(graph: EdgeOrderedGraph) -> int:
     """Exact chromatic number of the underlying graph (small n only)."""
     n = graph.n
-    if n > max_vertices:
-        raise BudgetExceeded(f"exact coloring capped at {max_vertices} vertices")
+    if n > DEFAULT_MAX_COLOR_VERTICES:
+        raise BudgetExceeded(f"exact coloring capped at {DEFAULT_MAX_COLOR_VERTICES} vertices")
     if n == 0:
         return 0
     if graph.m == 0:

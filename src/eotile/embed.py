@@ -47,9 +47,6 @@ class Embedding:
     def image(self) -> frozenset[int]:
         return frozenset(self.vertex_map)
 
-    def as_dict(self) -> dict[int, int]:
-        return dict(enumerate(self.vertex_map))
-
 
 @dataclass(frozen=True)
 class IsoCertificate:

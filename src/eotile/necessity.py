@@ -134,13 +134,14 @@ def _class_profiles(
                 yield _from_sequence(f, seq), tuple(passed & bit > 0 for bit in _TYPE_BITS)
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=1)
 def _profile_table(
-    f_max: int, node_limit: int, time_limit: float
+    f_max: int, budget: SearchBudget
 ) -> tuple[tuple[EdgeOrderedGraph, tuple[bool, ...]], ...]:
     """The rows of :func:`_class_profiles` on one budget, kept for the
-    witness scans and probes that read them again."""
-    return tuple(_class_profiles(f_max, SearchBudget(node_limit, time_limit)))
+    witness scans and probes that read them again.  Every request reads one
+    table, and an f_max = 5 table holds 82,299 rows, so only the last is kept."""
+    return tuple(_class_profiles(f_max, budget))
 
 
 def _certify_witness(
@@ -175,7 +176,7 @@ def necessity_witness(
     """
     if f_max < 2:
         raise BadSize(f"witness scan needs f_max >= 2, got {f_max}")
-    table = _profile_table(f_max, budget.node_limit, budget.time_limit)
+    table = _profile_table(f_max, budget)
     separating = tuple(kind != target for kind in ALL_STAR_TYPES)
     for scanned, (graph, profile) in enumerate(table, 1):
         if profile == separating:
@@ -200,7 +201,7 @@ def sufficiency_probe(
     unknown = chosen - set(ALL_STAR_TYPES)
     if unknown:
         raise BadSize(f"unknown star types in subset: {unknown}")
-    for graph, profile in _profile_table(f_max, budget.node_limit, budget.time_limit):
+    for graph, profile in _profile_table(f_max, budget):
         passed = {kind for kind, flag in zip(ALL_STAR_TYPES, profile) if flag}
         if chosen <= passed and len(passed) < len(ALL_STAR_TYPES):
             return graph

@@ -21,20 +21,13 @@ from itertools import combinations
 from typing import Callable, Iterable, Iterator, Optional, TypeVar
 
 from .canonical import CanonicalType, canonical_labels
-from .core import (
-    DEFAULT_MAX_LABELINGS,
-    EdgeOrderedGraph,
-    build_graph,
-    components,
-    enumerate_orderings,
-)
+from .core import EdgeOrderedGraph, build_graph, components, enumerate_orderings
 from .embed import (
     DEFAULT_BUDGET,
     Embedding,
     SearchBudget,
     _Meter,
     find_embedding,
-    find_monotone_path,
     monotone_path_graph,
     verify_embedding,
 )
@@ -211,7 +204,6 @@ def tiling_number(
     piece: EdgeOrderedGraph,
     t_max: int,
     budget: SearchBudget = DEFAULT_BUDGET,
-    max_labelings: int = DEFAULT_MAX_LABELINGS,
 ) -> Optional[int]:
     """Least t <= t_max such that every ordering class of K_t tiles perfectly.
 
@@ -230,7 +222,7 @@ def tiling_number(
             t, [(u, v, i + 1) for i, (u, v) in enumerate(combinations(range(t), 2))]
         )
         try:
-            classes = enumerate_orderings(clique, max_labelings)
+            classes = enumerate_orderings(clique)
             if all(
                 perfect_tiling_exact(ordering, piece, budget) is not None
                 for ordering in classes
@@ -251,39 +243,43 @@ def local_absorbers(
     """Stream the (2k+1)-sets that absorb a swap between ``x`` and ``y``.
 
     One absorber per vertex set, using the first valid decomposition in
-    lexicographic order; each is re-verified to tile both extensions.
+    lexicographic order (P_x, then P_y, which leaves out the swing vertex
+    w); each is re-verified to tile both extensions.  One budget bounds the
+    whole stream: every path search counts against a single meter.
     """
     if x == y:
         raise BadVertex("absorber endpoints must be distinct")
     others = [v for v in range(host.n) if v not in (x, y)]
     piece = monotone_path_graph(k)
-    for chunk in combinations(others, 2 * k + 1):
-        found: Optional[AbsorberSet] = None
+    meter = _Meter(budget)
+
+    def first_absorber(chunk: tuple[int, ...]) -> Optional[AbsorberSet]:
         for p_x in combinations(chunk, k):
-            if found:
-                break
+            path_xx = find_embedding(piece, host, within=(*p_x, x), meter=meter)
+            if path_xx is None:
+                continue
             rest = [v for v in chunk if v not in p_x]
-            for p_y in combinations(rest, k):
-                leftover = [v for v in rest if v not in p_y]
-                w = leftover[0]
-                path_xx = find_monotone_path(host, k, budget, within=(*p_x, x))
-                if path_xx is None:
-                    continue
-                path_wx = find_monotone_path(host, k, budget, within=(*p_x, w))
+            # P_y is rest less w, w taken last-first: the order of combinations(rest, k).
+            for w in reversed(rest):
+                p_y = [v for v in rest if v != w]
+                path_wx = find_embedding(piece, host, within=(*p_x, w), meter=meter)
                 if path_wx is None:
                     continue
-                path_yy = find_monotone_path(host, k, budget, within=(*p_y, y))
+                path_yy = find_embedding(piece, host, within=(*p_y, y), meter=meter)
                 if path_yy is None:
                     continue
-                path_wy = find_monotone_path(host, k, budget, within=(*p_y, w))
+                path_wy = find_embedding(piece, host, within=(*p_y, w), meter=meter)
                 if path_wy is None:
                     continue
                 absorber = AbsorberSet(frozenset(p_x), frozenset(p_y), w)
                 _certified(host, piece, Tiling((path_xx, path_wy), absorber.vertices | {x}))
                 _certified(host, piece, Tiling((path_yy, path_wx), absorber.vertices | {y}))
-                found = absorber
-                break
-        if found:
+                return absorber
+        return None
+
+    for chunk in combinations(others, 2 * k + 1):
+        found = first_absorber(chunk)
+        if found is not None:
             yield found
 
 
@@ -297,8 +293,6 @@ def tile_dense_paths(
     among the first sets tried, so the cover rarely backtracks.  The
     tiling returned is re-verified.
     """
-    if host.n % (k + 1) != 0:
-        raise BadDivisibility(f"path on {k + 1} vertices cannot tile n={host.n}")
     return perfect_tiling_exact(host, monotone_path_graph(k), config.absorb_budget)
 
 
@@ -308,12 +302,19 @@ def tile_via_cliques(
     t_clique: int,
     budget: SearchBudget = DEFAULT_BUDGET,
 ) -> Optional[Tiling]:
-    """Strip pieces to fix divisibility, clique-tile, then tile each clique.
+    """Strip pieces to fix divisibility, then cover the rest by T-cliques
+    that each tile.
 
-    The Hajnal-Szemeredi step is replaced by exact clique-cover search; the
-    minimum-degree hypothesis is only advisory and produces a warning when
-    violated.  One budget bounds the whole call: the strips, the clique
-    cover and every clique's tiling count against a single meter.
+    The Hajnal-Szemeredi step is replaced by exact clique-cover search, in
+    which a clique counts only once it is tiled, so the cover backtracks
+    past a clique that does not tile.  The minimum-degree hypothesis is
+    only advisory and produces a warning when violated.  One budget bounds
+    the whole call: the strips, the clique cover and every clique's tiling
+    count against a single meter.
+
+    None is not a proof that no tiling exists: the strips are greedy and a
+    tiling need not follow any clique cover.  :func:`perfect_tiling_exact`
+    decides.
     """
     f = piece.n
     if f == 0 or host.n % f != 0:
@@ -338,21 +339,15 @@ def tile_via_cliques(
         stripped.append(emb)
         remaining -= emb.image
 
-    def clique(subset: tuple[int, ...]) -> Optional[tuple[int, ...]]:
+    def tiled_clique(subset: tuple[int, ...]) -> Optional[list[Embedding]]:
         if all(host.has_edge(a, b) for a, b in combinations(subset, 2)):
-            return subset
+            return _tile(host, piece, subset, meter)
         return None
 
-    # Exact cover of the rest by T-cliques of the underlying graph.
-    cover = _cover(frozenset(remaining), t_clique, clique, meter)
+    cover = _cover(frozenset(remaining), t_clique, tiled_clique, meter)
     if cover is None:
         return None
-    pieces: list[Embedding] = list(stripped)
-    for members in cover:
-        inner = _tile(host, piece, members, meter)
-        if inner is None:
-            return None
-        pieces.extend(inner)
+    pieces = stripped + [emb for inner in cover for emb in inner]
     return _certified(host, piece, Tiling(tuple(pieces), frozenset(range(host.n))))
 
 

@@ -539,6 +539,5 @@ class TestTypeLoopMatchesPerSearchOracle:
         assert any(v.value and v.certificates for v in verdicts)
 
     def test_profile_table(self):
-        budget = SearchBudget()
-        rows = _profile_table(4, budget.node_limit, budget.time_limit)
+        rows = _profile_table(4, SearchBudget())
         assert rows == tuple((g, reference_profile(g)) for g in scan_classes(4))

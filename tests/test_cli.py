@@ -7,7 +7,7 @@ import pytest
 
 from eotile import DuplicateEdge, ParseError, build_graph, canonical_clique
 from eotile.canonical import CanonicalType
-from eotile.characterize import d_graph
+from eotile.characterize import d_graph, path_with_ranks
 from eotile import cli
 from eotile import tiling as tiling_module
 from eotile.cli import (
@@ -109,6 +109,23 @@ class TestCommands:
         host = tmp_path / "host.json"
         host.write_bytes(serialize_graph(canonical_clique(CanonicalType.MIN, 8)))
         assert main(["tile", "dense", "--host", str(host), "-k", "3"]) == 0
+        assert json.loads(capsys.readouterr().out)["tiled"] is True
+
+    def test_tile_clique_negative_is_not_a_proof(self, capsys, tmp_path):
+        # Two disjoint 4-cycles hold no K_4, so the clique tiler finds nothing,
+        # yet the exact solver tiles them by paths 132.
+        host = tmp_path / "host.json"
+        host.write_bytes(serialize_graph(build_graph(8, [
+            (0, 1, 1), (1, 2, 2), (2, 3, 3), (0, 3, 4),
+            (4, 5, 5), (5, 6, 6), (6, 7, 7), (4, 7, 8),
+        ])))
+        piece = tmp_path / "piece.json"
+        piece.write_bytes(serialize_graph(path_with_ranks("132")))
+        files = ["--host", str(host), "--piece", str(piece)]
+        with pytest.warns(tiling_module.DegreeBoundWarning):
+            assert main(["tile", "clique", *files, "-T", "4"]) == 0
+        assert capsys.readouterr().out == '{"reason":"no-clique-tiling","tiled":false}\n'
+        assert main(["tile", "exact", *files]) == 0
         assert json.loads(capsys.readouterr().out)["tiled"] is True
 
     def test_necessity_probe(self, capsys):
@@ -240,6 +257,13 @@ class TestBadInput:
             ("theorem1-grid", "k=-1"),
             ("rodl-threshold", "edges=-1"),
             ("rodl-threshold", "n=-3"),
+            ("theorem1-grid", "edge_prob=2"),
+            ("theorem1-grid", "edge_prob=0"),
+            pytest.param("theorem1-grid", "n=8" + "0" * 399, id="theorem1-grid-n-400-digits"),
+            pytest.param(
+                "theorem1-grid", "n=8" + "0" * 5000, id="theorem1-grid-n-past-int-digit-limit"
+            ),
+            ("rodl-threshold", "n=1001"),
         ],
     )
     def test_bad_experiment_parameter_exit_code(self, capsys, name, param):
@@ -248,6 +272,31 @@ class TestBadInput:
         assert captured.out == ""
         key = param.split("=")[0]
         assert captured.err.startswith(f"error: parameter {key} must ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "bogus", "x"],
+            ["tile", "dense", "--host", "x", "-k", "notanint"],
+            ["experiment", "nosuch", "--seed", "0"],
+            ["tile", "dense", "--host", "x", "-k", "3", "--seed", "0"],
+        ],
+        ids=["choice", "type", "experiment", "dense-seed"],
+    )
+    def test_usage_error_exit_code(self, capsys, argv):
+        # argparse exits 2 by default, which here means "inconclusive".
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: eotile ") and "error: " in captured.err
+
+    def test_help_exit_code(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: eotile ")
 
     @pytest.mark.parametrize(
         "argv",

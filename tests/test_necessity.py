@@ -280,17 +280,17 @@ class TestOneBudget:
         # The seven classes on at most three vertices take 10 nodes in all:
         # the empty graphs pass every type with no search, and the twenty
         # cliques on three vertices are one ordering, searched once.
-        assert len(_profile_table(3, 10, math.inf)) == 7
+        assert len(_profile_table(3, SearchBudget(10, math.inf))) == 7
         with pytest.raises(Inconclusive, match="node budget 9 exhausted"):
-            _profile_table(3, 9, math.inf)
+            _profile_table(3, SearchBudget(9, math.inf))
 
     def test_children_search_only_the_types_their_parents_passed(self):
         # The 91 classes on at most four vertices take 4,582 nodes; searching
         # each for every clique instead of those its parents embed into
         # takes 6,434.
-        assert len(_profile_table(4, 4_582, math.inf)) == 91
+        assert len(_profile_table(4, SearchBudget(4_582, math.inf))) == 91
         with pytest.raises(Inconclusive, match="node budget 4581 exhausted"):
-            _profile_table(4, 4_581, math.inf)
+            _profile_table(4, SearchBudget(4_581, math.inf))
 
     def test_witness_certification_runs_on_one_budget(self, monkeypatch):
         # One edge on three vertices embeds into each of the twenty types

@@ -15,6 +15,7 @@ from eotile import (
     CertificateError,
     DegreeBoundWarning,
     Embedding,
+    Inconclusive,
     SearchBudget,
     TilerConfig,
     build_graph,
@@ -181,6 +182,24 @@ class TestLocalAbsorbers:
     def test_isolated_endpoint_has_no_absorbers(self):
         host = build_graph(6, [(1, 2, 1), (2, 3, 2), (3, 4, 3), (4, 5, 4), (1, 5, 5)])
         assert list(local_absorbers(host, 0, 1, 1)) == []
+
+    def test_one_budget_bounds_the_whole_stream(self):
+        host, piece = canonical_clique(CanonicalType.MIN, 9), monotone_path_graph(1)
+        budget = SearchBudget(node_limit=20)
+        # Every path search on two vertices of K9 takes the same 2 nodes, far
+        # under the limit ...
+        costs = set()
+        for pair in combinations(range(9), 2):
+            meter = _Meter(budget)
+            assert find_embedding(piece, host, within=pair, meter=meter) is not None
+            costs.add(meter.nodes)
+        assert costs == {2}
+        # ... but each absorber takes four searches, so the stream's 35 take
+        # 280 nodes: two absorbers come out, then the one meter runs dry.
+        stream = local_absorbers(host, 0, 1, 1, budget)
+        assert [next(stream).w, next(stream).w] == [4, 5]
+        with pytest.raises(Inconclusive, match="node budget 20 exhausted"):
+            next(stream)
 
     def test_absorber_components_disjoint(self):
         host = canonical_clique(CanonicalType.MAX, 8)
