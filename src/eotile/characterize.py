@@ -135,7 +135,7 @@ def is_universally_tileable(graph: EdgeOrderedGraph) -> bool:
         return True
 
     def is_star(comp: set[int]) -> bool:
-        edges = [(u, v) for u, v, _ in graph.edges if u in comp]
+        edges = [(u, v) for u, v in graph.pairs_by_rank if u in comp]
         if len(edges) != len(comp) - 1:
             return False
         return sum(1 for v in comp if graph.degree(v) > 1) <= 1
@@ -145,7 +145,7 @@ def is_universally_tileable(graph: EdgeOrderedGraph) -> bool:
     if len(comps) != 1:
         return False
     comp = comps[0]
-    edges = [(u, v) for u, v, _ in graph.edges if u in comp]
+    edges = [(u, v) for u, v in graph.pairs_by_rank if u in comp]
     if len(comp) == 3 and len(edges) == 3:
         return True  # triangle
     if len(comp) == 4 and len(edges) == 3:
@@ -189,14 +189,12 @@ def add_pendant(graph: EdgeOrderedGraph, v: int, side: str) -> EdgeOrderedGraph:
         raise BadSpec(f"side must be 'below' or 'above', got {side!r}")
     if graph.m == 0:
         raise BadAnchor("pendant extension needs at least one edge")
-    anchor_edge = graph.edges[0] if side == "below" else graph.edges[-1]
-    if v not in anchor_edge[:2]:
+    pairs = graph.pairs_by_rank
+    if v not in (pairs[0] if side == "below" else pairs[-1]):
         extreme = "smallest" if side == "below" else "largest"
         raise BadAnchor(f"vertex {v} is not incident to the {extreme} edge")
-    new_rank = 0 if side == "below" else graph.m + 1
-    edges = [(u, w, r) for u, w, r in graph.edges]
-    edges.append((v, graph.n, new_rank))
-    return build_graph(graph.n + 1, edges)
+    pendant = ((v, graph.n),)
+    return EdgeOrderedGraph(graph.n + 1, pendant + pairs if side == "below" else pairs + pendant)
 
 
 def add_two_pendants(
@@ -222,10 +220,9 @@ def add_two_pendants(
         raise BadAnchor(f"vertex {vmin} is not minimal")
     if vmax not in maximal:
         raise BadAnchor(f"vertex {vmax} is not maximal")
-    edges = [(u, w, r) for u, w, r in graph.edges]
-    edges.append((vmin, graph.n, 0))
-    edges.append((vmax, graph.n + 1, graph.m + 2))
-    return build_graph(graph.n + 2, edges)
+    return EdgeOrderedGraph(
+        graph.n + 2, ((vmin, graph.n),) + graph.pairs_by_rank + ((vmax, graph.n + 1),)
+    )
 
 
 def d_graph(n: int) -> EdgeOrderedGraph:
@@ -355,6 +352,6 @@ def turanable_four_coloring(
     used = sorted(set(colors.values()))
     compact = {c: i for i, c in enumerate(used)}
     final = {v: compact[c] for v, c in colors.items()}
-    if any(final[u] == final[v] for u, v, _ in graph.edges):
+    if any(final[u] == final[v] for u, v in graph.pairs_by_rank):
         raise CertificateError("coloring is not proper")
     return final

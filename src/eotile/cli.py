@@ -246,8 +246,6 @@ def _random_edge_count_host(
     rng: np.random.Generator, n: int, edge_count: int
 ) -> EdgeOrderedGraph:
     pairs = list(combinations(range(n), 2))
-    if edge_count > len(pairs):
-        raise BadSpec(f"cannot place {edge_count} edges on {n} vertices")
     picked = rng.choice(len(pairs), size=edge_count, replace=False)
     ranks = rng.permutation(edge_count) + 1
     return build_graph(
@@ -302,7 +300,11 @@ def _experiment_rodl_threshold(spec: ExperimentSpec, budget: SearchBudget) -> di
     n = _host_size(p, 10)
     k = _param(p, "k", 2, low=1)
     trials = _param(p, "trials", 100, low=0)
+    if k > n - 1:
+        raise BadSpec(f"parameter k must be at most n - 1 = {n - 1}, got {k}")
     edges = _param(p, "edges", k * (k + 1) * n // 2, low=0)
+    if edges > math.comb(n, 2):
+        raise BadSpec(f"parameter edges must be at most C(n, 2) = {math.comb(n, 2)}, got {edges}")
     piece = monotone_path_graph(k)
     trial_rows = []
     found = 0
@@ -324,7 +326,7 @@ def _experiment_rodl_threshold(spec: ExperimentSpec, budget: SearchBudget) -> di
 
 
 def _experiment_necessity_scan(spec: ExperimentSpec, budget: SearchBudget) -> dict[str, Any]:
-    f_max = _param(spec.parameters, "f_max", 4)
+    f_max = _param(spec.parameters, "f_max", 4, low=2)
     trial_rows = []
     witnesses = 0
     for kind in ALL_STAR_TYPES:
@@ -344,7 +346,7 @@ def _experiment_catalog_verdicts(spec: ExperimentSpec, budget: SearchBudget) -> 
     embeds into the four ``CANONICAL_COINCIDENT_TYPES`` cliques, which are
     the canonical cliques up to order isomorphism; tileable iff into all
     twenty.  Every search of the experiment runs on ``budget``."""
-    f_max = _param(spec.parameters, "f_max", 4)
+    f_max = _param(spec.parameters, "f_max", 4, low=1)
     coincident = [ALL_STAR_TYPES.index(kind) for kind in CANONICAL_COINCIDENT_TYPES]
     trial_rows = []
     turanable = tileable = 0

@@ -1,9 +1,10 @@
 """Edge-ordered graphs: the data model and its brute-force oracle substrate.
 
 An edge-ordered graph is a graph whose edges carry a total order, stored
-here as dense integer ranks ``1..m``.  Everything downstream (canonical
-orderings, embeddings, tilings) is built on the normalized representation
-produced by :func:`build_graph`.
+here as the tuple of its vertex pairs in that order: rank ``i`` is
+position ``i-1``.  Everything downstream (canonical orderings,
+embeddings, tilings) is built on that one stored form, produced by
+:func:`build_graph`.
 """
 
 from __future__ import annotations
@@ -29,28 +30,30 @@ DEFAULT_MAX_COLOR_VERTICES = 24
 
 @dataclass(frozen=True)
 class EdgeOrderedGraph:
-    """Vertices ``0..n-1`` plus edges ``(u, v, rank)`` with ``u < v``.
+    """Vertices ``0..n-1`` plus distinct pairs ``(u, v)``, ``u < v``, ascending by rank.
 
-    Instances are immutable and always normalized: ranks are exactly
-    ``1..m`` and the ``edges`` tuple is sorted by rank.  Two labelings that
-    induce the same edge order therefore compare equal.
+    The pair at position ``i-1`` has rank ``i``, so ranks are exactly
+    ``1..m``; only the order of the edges is stored.  Instances are
+    immutable, and two labelings that induce the same edge order compare
+    equal.  Build them with :func:`build_graph`, which checks the pairs.
     """
 
     n: int
-    edges: tuple[tuple[int, int, int], ...]
+    pairs_by_rank: tuple[Pair, ...]
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return len(self.pairs_by_rank)
+
+    @property
+    def edges(self) -> tuple[tuple[int, int, int], ...]:
+        """``(u, v, rank)`` triples ascending by rank, as documents list them."""
+        return tuple((u, v, r) for r, (u, v) in enumerate(self.pairs_by_rank, 1))
 
     @cached_property
     def rank(self) -> dict[Pair, int]:
-        # Keyed by the tuples of ``pairs_by_rank``, so both caches share them.
+        # Keyed by the stored pair tuples, so no pair is allocated twice.
         return {pair: i + 1 for i, pair in enumerate(self.pairs_by_rank)}
-
-    @cached_property
-    def pairs_by_rank(self) -> tuple[Pair, ...]:
-        return tuple((u, v) for u, v, _ in self.edges)
 
     @cached_property
     def incidence(self) -> dict[int, list[int]]:
@@ -59,7 +62,7 @@ class EdgeOrderedGraph:
     @cached_property
     def adjacency(self) -> tuple[frozenset[int], ...]:
         nbrs: list[set[int]] = [set() for _ in range(self.n)]
-        for u, v, _ in self.edges:
+        for u, v in self.pairs_by_rank:
             nbrs[u].add(v)
             nbrs[v].add(u)
         return tuple(frozenset(s) for s in nbrs)
@@ -89,15 +92,15 @@ class EdgeOrderedGraph:
         return self.m == self.n * (self.n - 1) // 2
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        body = ",".join(f"{u}-{v}#{r}" for u, v, r in self.edges)
+        body = ",".join(f"{u}-{v}#{r}" for r, (u, v) in enumerate(self.pairs_by_rank, 1))
         return f"EdgeOrderedGraph(n={self.n}, [{body}])"
 
 
 def build_graph(n: int, ranked_edges: Sequence[tuple[int, int, int]]) -> EdgeOrderedGraph:
-    """Validate and normalize ``(u, v, label)`` triples into a graph.
+    """Validate ``(u, v, label)`` triples and store their pairs in label order.
 
     Labels may be arbitrary distinct integers; only their relative order
-    matters and they are compressed to ``1..m``.
+    matters, so they are dropped once the pairs are sorted by them.
     """
     if n < 0:
         raise BadVertex(f"vertex count must be nonnegative, got {n}")
@@ -119,15 +122,12 @@ def build_graph(n: int, ranked_edges: Sequence[tuple[int, int, int]]) -> EdgeOrd
         seen_ranks.add(label)
         triples.append((u, v, label))
     triples.sort(key=lambda t: t[2])
-    normalized = tuple((u, v, i + 1) for i, (u, v, _) in enumerate(triples))
-    return EdgeOrderedGraph(n, normalized)
+    return EdgeOrderedGraph(n, tuple((u, v) for u, v, _ in triples))
 
 
 def reverse(graph: EdgeOrderedGraph) -> EdgeOrderedGraph:
     """Reverse the total order: the rank-``r`` edge gets rank ``m+1-r``."""
-    m = graph.m
-    flipped = sorted(((u, v, m + 1 - r) for u, v, r in graph.edges), key=lambda t: t[2])
-    return EdgeOrderedGraph(graph.n, tuple(flipped))
+    return EdgeOrderedGraph(graph.n, graph.pairs_by_rank[::-1])
 
 
 def _vertex_subset(graph: EdgeOrderedGraph, vertices) -> list[int]:
@@ -175,12 +175,8 @@ def induced_subgraph(graph: EdgeOrderedGraph, vertices) -> EdgeOrderedGraph:
     """Induced subgraph on ``vertices``, relabeled ``0..|S|-1`` in vertex order."""
     subset = _vertex_subset(graph, vertices)
     index = {v: i for i, v in enumerate(subset)}
-    kept = [
-        (index[u], index[v], r)
-        for u, v, r in graph.edges
-        if u in index and v in index
-    ]
-    return build_graph(len(subset), kept)
+    pairs = _pairs_within(graph, subset)
+    return EdgeOrderedGraph(len(subset), tuple((index[u], index[v]) for u, v in pairs))
 
 
 def components(graph: EdgeOrderedGraph) -> list[set[int]]:
@@ -257,13 +253,14 @@ def _encode(n: int, seq: Sequence[Pair]) -> bytes:
     return f"{n}:{body}".encode("ascii")
 
 
-def _from_sequence(n: int, seq: Sequence[Pair]) -> EdgeOrderedGraph:
-    """The graph whose rank-``i`` edge is ``seq[i-1]``.
+def _from_sequence(n: int, seq: tuple[Pair, ...]) -> EdgeOrderedGraph:
+    """The graph whose rank-``i`` edge is ``seq[i-1]``; ``seq`` itself is stored.
 
-    A least edge sequence is already normalized (distinct ``u < v`` pairs
-    relabeled from a valid graph), so :func:`build_graph` is not re-run.
+    A least edge sequence already is a stored form (distinct ``u < v``
+    pairs relabeled from a valid graph), so :func:`build_graph` is not
+    re-run and nothing is copied.
     """
-    return EdgeOrderedGraph(n, tuple((u, v, i + 1) for i, (u, v) in enumerate(seq)))
+    return EdgeOrderedGraph(n, seq)
 
 
 @dataclass(frozen=True)

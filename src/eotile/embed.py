@@ -101,7 +101,7 @@ def verify_embedding(pattern: EdgeOrderedGraph, host: EdgeOrderedGraph, emb: Emb
     if any(not (0 <= h < host.n) for h in vm):
         return False
     image_ranks = []
-    for u, v, _ in pattern.edges:  # pattern edges ascending by rank
+    for u, v in pattern.pairs_by_rank:
         r = host.rank_of(vm[u], vm[v])
         if r is None:
             return False

@@ -197,6 +197,8 @@ def sufficiency_probe(
     A result shows the subset cannot replace the full twenty-type check;
     None only says the subset suffices for graphs up to f_max vertices.
     """
+    if f_max < 2:
+        raise BadSize(f"sufficiency probe needs f_max >= 2, got {f_max}")
     chosen = set(subset)
     unknown = chosen - set(ALL_STAR_TYPES)
     if unknown:

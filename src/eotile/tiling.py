@@ -21,6 +21,7 @@ from itertools import combinations
 from typing import Callable, Iterable, Iterator, Optional, TypeVar
 
 from .canonical import CanonicalType, canonical_labels
+from .characterize import is_tileable
 from .core import EdgeOrderedGraph, build_graph, components, enumerate_orderings
 from .embed import (
     DEFAULT_BUDGET,
@@ -210,17 +211,13 @@ def tiling_number(
     Short-circuits to None when the piece is not tileable, since then no t
     can ever work.
     """
-    from .characterize import is_tileable
-
     if not is_tileable(piece, budget).value:
         return None
     f = piece.n
     for t in range(max(f, 1), t_max + 1):
         if t % f != 0:
             continue
-        clique = build_graph(
-            t, [(u, v, i + 1) for i, (u, v) in enumerate(combinations(range(t), 2))]
-        )
+        clique = EdgeOrderedGraph(t, tuple(combinations(range(t), 2)))
         try:
             classes = enumerate_orderings(clique)
             if all(

@@ -264,6 +264,12 @@ class TestBadInput:
                 "theorem1-grid", "n=8" + "0" * 5000, id="theorem1-grid-n-past-int-digit-limit"
             ),
             ("rodl-threshold", "n=1001"),
+            ("rodl-threshold", "k=300000"),
+            ("rodl-threshold", "edges=46"),
+            ("catalog-verdicts", "f_max=-2"),
+            ("catalog-verdicts", "f_max=0"),
+            ("necessity-scan", "f_max=1"),
+            ("necessity-scan", "f_max=-2"),
         ],
     )
     def test_bad_experiment_parameter_exit_code(self, capsys, name, param):
@@ -340,6 +346,13 @@ class TestBadInput:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "node budget 1 exhausted" in captured.err
+
+    def test_probe_below_two_vertices_exit_code(self, capsys):
+        argv = ["necessity", "probe", "--f-max", "-3", "--types", "larger-dec.min"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: sufficiency probe needs f_max >= 2")
 
     def test_necessity_scan_over_the_cap_exit_code(self, capsys):
         assert main(["necessity", "witness", "--target", "larger-dec.min", "--f-max", "6"]) == 1

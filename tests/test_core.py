@@ -1,5 +1,6 @@
 """Core graph model: normalization, reversal, isomorphism, enumeration."""
 
+import dataclasses
 import inspect
 import math
 import random
@@ -15,6 +16,7 @@ from eotile import (
     BudgetExceeded,
     CertificateError,
     DuplicateEdge,
+    EdgeOrderedGraph,
     RankCollision,
     are_order_isomorphic,
     build_graph,
@@ -91,7 +93,17 @@ class TestBuildGraph:
     @settings(deadline=None, max_examples=60)
     @given(small_graphs())
     def test_normalization_idempotent(self, g):
+        assert g.edges == tuple((u, v, i + 1) for i, (u, v) in enumerate(g.pairs_by_rank))
         assert build_graph(g.n, g.edges) == g
+
+
+class TestStoredForm:
+    def test_only_n_and_the_pairs_are_stored(self):
+        assert [f.name for f in dataclasses.fields(EdgeOrderedGraph)] == ["n", "pairs_by_rank"]
+
+    def test_from_sequence_wraps_the_sequence_itself(self):
+        seq = ((0, 1), (1, 2), (0, 2))
+        assert core._from_sequence(3, seq).pairs_by_rank is seq
 
 
 class TestReverse:
@@ -111,6 +123,7 @@ class TestReverse:
     @settings(deadline=None, max_examples=60)
     @given(small_graphs())
     def test_involution(self, g):
+        assert reverse(g).pairs_by_rank == g.pairs_by_rank[::-1]
         assert reverse(reverse(g)) == g
 
 
@@ -131,6 +144,14 @@ class TestInducedSubgraph:
     def test_outside_vertex(self):
         with pytest.raises(BadVertex):
             induced_subgraph(d_graph(4), {0, 7})
+
+    @settings(deadline=None, max_examples=60)
+    @given(small_graphs(max_n=7), st.randoms(use_true_random=False))
+    def test_matches_relabeled_triples(self, g, rnd):
+        subset = sorted(rnd.sample(range(g.n), rnd.randint(0, g.n)))
+        index = {v: i for i, v in enumerate(subset)}
+        kept = [(index[u], index[v], r) for u, v, r in g.edges if u in index and v in index]
+        assert induced_subgraph(g, subset) == build_graph(len(subset), kept)
 
 
 class TestOrderIsomorphism:

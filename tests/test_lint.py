@@ -67,6 +67,30 @@ def test_induced_subgraph_call_is_detected():
     assert [calls_induced_subgraph(node.value) for node in tree.body] == [True, True, False]
 
 
+def reads_edges(node):
+    return isinstance(node, ast.Attribute) and node.attr == "edges"
+
+
+def test_only_core_and_cli_read_edges():
+    # A graph stores its pairs by rank; ``edges`` derives (u, v, rank)
+    # triples for documents, which no search should pay for.
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SOURCE.rglob("*.py"))
+        if path.name not in ("core.py", "cli.py")
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if reads_edges(node)
+    ]
+    assert found == [], "read pairs_by_rank; only documents need the rank triples"
+
+
+def test_edges_read_is_detected():
+    tree = ast.parse("g.edges\nself.graph.edges[0]\ng.pairs_by_rank\nedges")
+    assert [any(map(reads_edges, ast.walk(node))) for node in tree.body] == [
+        True, True, False, False
+    ]
+
+
 # Each module may import only from lower layers; necessity and tiling share one.
 LAYER = {
     "errors": 0,

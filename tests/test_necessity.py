@@ -332,6 +332,13 @@ class TestSufficiencyProbe:
             host, _ = star_canonical_clique(LD_MIN, counterexample.n)
             assert find_embedding(counterexample, host) is None
 
+    @pytest.mark.parametrize("f_max", [-3, 0, 1])
+    def test_bad_fmax(self, f_max):
+        # Below two vertices no class fails a type, so a None would read as
+        # "this subset suffices".
+        with pytest.raises(BadSize, match="f_max >= 2"):
+            sufficiency_probe({LD_MIN}, f_max)
+
     def test_unknown_type_rejected(self):
         with pytest.raises(BadSize):
             sufficiency_probe({"not-a-type"}, 4)
