@@ -34,7 +34,7 @@ from .embed import (
     monotone_path_graph,
     verify_embedding,
 )
-from .errors import BadAnchor, BadSpec, CertificateError, NotTuranable
+from .errors import BadAnchor, BadSpec, BadVertex, CertificateError, NotTuranable
 
 
 @dataclass(frozen=True)
@@ -208,6 +208,9 @@ def add_two_pendants(
     Vertex ``n`` carries the new globally smallest edge, vertex ``n+1``
     the new globally largest one.
     """
+    for v in (vmin, vmax):
+        if not (0 <= v < graph.n):
+            raise BadVertex(f"vertex {v} not in graph")
     if vmin == vmax:
         raise BadAnchor("minimal and maximal anchors must be distinct")
     if not graph.adjacency[vmin] or not graph.adjacency[vmax]:

@@ -13,11 +13,11 @@ from __future__ import annotations
 import math
 import sys
 import time
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import permutations
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -527,6 +527,73 @@ def _star_types_by_key(f: int) -> Mapping[tuple[int, ...], tuple[StarType, ...]]
     return MappingProxyType({key: tuple(kinds) for key, kinds in index.items()})
 
 
+@lru_cache(maxsize=None)
+def _star_masks_by_key(f: int) -> Mapping[tuple[int, ...], int]:
+    """:func:`_star_types_by_key` with each group as a bitmask over the
+    positions of its types in ``ALL_STAR_TYPES``."""
+    position = {kind: i for i, kind in enumerate(ALL_STAR_TYPES)}
+    return MappingProxyType(
+        {
+            key: sum(1 << position[kind] for kind in kinds)
+            for key, kinds in _star_types_by_key(f).items()
+        }
+    )
+
+
+def _alive_subsets(
+    host: EdgeOrderedGraph, x: int, f: int, meter: _Meter
+) -> Iterator[tuple[list[int], int]]:
+    """The f-subsets through ``x`` that no prefix rules out, ascending, each
+    with the bitmask of the ``ALL_STAR_TYPES`` it may still match.
+
+    Subsets grow depth-first from ``x`` by the other vertices in ascending
+    order, so they come in the order of ``combinations``.  A prefix of size
+    s >= 3 keeps the types whose key at size s (:func:`_star_masks_by_key`)
+    was its :func:`_special_key` at every size so far, and is cut when none
+    is left: every subset through ``x`` of a star-canonical set with special
+    vertex ``x`` is star-canonical of the same type.  The prefix's pairs are
+    kept as ascending ``(rank, through x)`` entries, one ``insort`` per new
+    pair.  Each prefix grown costs one ``meter.tick()``.
+    """
+    others = [v for v in range(host.n) if v != x]
+    rank = host.rank
+    prefix: list[int] = []  # the others chosen so far, ascending
+    # Per depth: the (rank, through x) entries of the pairs within x and
+    # the prefix, and the bitmask of the types still alive.
+    levels: list[tuple[list[tuple[int, bool]], int]] = [([], (1 << len(ALL_STAR_TYPES)) - 1)]
+    # todo[d] iterates the candidates for prefix[d], leaving room for the rest.
+    todo = [iter(range(len(others) - f + 2))]
+    while todo:
+        depth = len(prefix)
+        size = depth + 2
+        ranked, alive = levels[depth]
+        for i in todo[depth]:
+            meter.tick()
+            v = others[i]
+            grown = ranked.copy()
+            insort(grown, (rank[(x, v) if x < v else (v, x)], True))
+            for u in prefix:
+                insort(grown, (rank[(u, v)], False))
+            left = alive
+            if size >= 3:
+                key = tuple(j for j, (_, through_x) in enumerate(grown) if through_x)
+                left &= _star_masks_by_key(size).get(key, 0)
+                if not left:
+                    continue
+            if size == f:
+                yield sorted((x, *prefix, v)), left
+                continue
+            prefix.append(v)
+            levels.append((grown, left))
+            todo.append(iter(range(i + 1, len(others) - f + size + 1)))
+            break
+        else:  # prefix[depth] has no candidate left: drop prefix[depth-1]
+            todo.pop()
+            levels.pop()
+            if prefix:
+                prefix.pop()
+
+
 def find_star_canonical_subclique(
     host: EdgeOrderedGraph,
     x: int,
@@ -536,12 +603,14 @@ def find_star_canonical_subclique(
     """Direct search for an f-subset through ``x`` inducing a star-canonical
     ordering; returns its type and the embedding of the generated clique.
 
-    Subsets are scanned in lexicographic order and types in the fixed
-    check order, so the result is deterministic.  A subset is matched,
-    inside it (``within=``) and on the request's one meter, only against
-    the types its key admits (:func:`_star_types_by_key`).  The special
-    vertex's f-1 >= 2 edges then land on x's pairs, whose one common
-    vertex is x, so every match maps the special vertex to x.
+    Subsets are grown depth-first from ``x`` in lexicographic order and cut
+    as soon as a prefix's special-vertex key rules out every type
+    (:func:`_alive_subsets`), so the result is that of scanning all
+    C(n-1, f-1) subsets in order and types in the fixed check order.  A
+    subset that survives is matched, inside it (``within=``) and on the
+    request's one meter, only against the types still alive.  The special
+    vertex's f-1 >= 2 edges then land on x's pairs, whose one common vertex
+    is x, so every match maps the special vertex to x.
     """
     if not host.is_complete():
         raise NotComplete("subclique search requires a complete host")
@@ -550,12 +619,10 @@ def find_star_canonical_subclique(
     if f < 3 or f > host.n:
         raise BadSize(f"subclique size {f} out of range 3..{host.n}")
     meter = _Meter(budget)
-    types_by_key = _star_types_by_key(f)
-    others = [v for v in range(host.n) if v != x]
-    for rest in combinations(others, f - 1):
-        meter.tick()
-        subset = sorted((x, *rest))
-        for kind in types_by_key.get(_special_key(_pairs_within(host, subset), x), ()):
+    for subset, alive in _alive_subsets(host, x, f, meter):
+        for i, kind in enumerate(ALL_STAR_TYPES):
+            if not alive >> i & 1:
+                continue
             generated, _ = star_canonical_clique(kind, f)
             for full, _ in _embeddings(generated, host, meter, False, subset):
                 emb = Embedding(tuple(full[v] for v in range(f)))

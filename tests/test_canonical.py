@@ -446,6 +446,27 @@ class TestStarSubcliqueMatches:
                 outcomes.add(expected is None)
         assert outcomes == {True, False}
 
+    @pytest.mark.parametrize("kind", ALL_STAR_TYPES[::3], ids=str)
+    def test_search_matches_reference_on_planted_hosts(self, kind):
+        # A relabeled star-canonical K8 has hits through its special vertex
+        # at every f and mostly misses through the others, so both the
+        # prefix cut and the first surviving subset are checked.
+        rng = np.random.default_rng(ALL_STAR_TYPES.index(kind))
+        generated, special = star_canonical_clique(kind, 8)
+        perm = [int(v) for v in rng.permutation(8)]
+        host = build_graph(8, [(perm[u], perm[v], r) for u, v, r in generated.edges])
+        others = [v for v in range(8) if v != perm[special]]
+        outcomes = set()
+        for x in (perm[special], *rng.choice(others, size=3, replace=False)):
+            for f in range(3, 8):
+                expected = reference_subclique(host, int(x), f)
+                got = find_star_canonical_subclique(host, int(x), f)
+                if got is not None:
+                    got = got[0], got[1].vertex_map
+                assert got == expected, (x, f)
+                outcomes.add(expected is None)
+        assert outcomes == {True, False}
+
     def test_non_clique_subset_never_matches(self):
         host = build_graph(4, [(0, 1, 1), (1, 2, 2), (2, 3, 3), (0, 2, 4), (1, 3, 5)])
         with pytest.raises(NotComplete):

@@ -13,6 +13,7 @@ from eotile import characterize
 from eotile import (
     BadAnchor,
     BadSpec,
+    BadVertex,
     CertificateError,
     Inconclusive,
     IsoCertificate,
@@ -295,6 +296,17 @@ class TestPendants:
             add_two_pendants(d_graph(4), 1, 3)  # u_2 is not minimal
         with pytest.raises(BadAnchor):
             add_two_pendants(monotone_cycle(4), 0, 1)  # not Turanable
+
+    @pytest.mark.parametrize("anchors", [(0, 9), (9, 3), (-1, 3), (0, -4), (4, 4)])
+    def test_two_pendants_foreign_anchors(self, anchors, monkeypatch):
+        # Checked before any adjacency read or search: a negative anchor
+        # must not be read as a vertex counted from the end.
+        def no_search(*args):
+            raise AssertionError("searched for extremal vertices")
+
+        monkeypatch.setattr(characterize, "extremal_vertices", no_search)
+        with pytest.raises(BadVertex):
+            add_two_pendants(d_graph(4), *anchors)
 
 
 class TestFamilyGraphs:

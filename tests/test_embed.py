@@ -41,6 +41,7 @@ from eotile.embed import (
     _edge_plan,
     _embeddings,
     _Meter,
+    _special_key,
     _star_types_by_key,
     classify_star_canonical,
 )
@@ -309,13 +310,37 @@ class TestStarSubcliqueSearch:
                 assert list(kinds) == sorted(kinds, key=ALL_STAR_TYPES.index)
 
     def test_matching_counts_against_the_request_budget(self):
-        # The first subset matches.  Its node, the failed matches of the four
-        # smaller-dec types and the 11-node match of smaller-inc.min take 37
-        # nodes in all; a meter per match would never need more than 11.
+        # The first subset matches.  Its four prefix nodes, the failed
+        # matches of the four smaller-dec types and the 11-node match of
+        # smaller-inc.min take 40 nodes in all; a meter per match would
+        # never need more than 11.
         host = canonical_clique(CanonicalType.MIN, 6)
-        assert find_star_canonical_subclique(host, 0, 5, SearchBudget(node_limit=37)) is not None
+        assert find_star_canonical_subclique(host, 0, 5, SearchBudget(node_limit=40)) is not None
         with pytest.raises(Inconclusive):
-            find_star_canonical_subclique(host, 0, 5, SearchBudget(node_limit=36))
+            find_star_canonical_subclique(host, 0, 5, SearchBudget(node_limit=39))
+
+    def test_prefix_cut_refutes_a_random_k20_in_few_nodes(self):
+        # Trying every 7-subset through x costs at least C(19,6) = 27,132
+        # nodes; growing prefixes and cutting them by key takes 1,639 here.
+        # Matching a surviving subset also against the types a smaller
+        # prefix ruled out would take 1,969.
+        host = random_graph(np.random.default_rng(0), 20, 190)
+        assert find_star_canonical_subclique(host, 0, 7, SearchBudget(node_limit=2_000)) is None
+        assert find_star_canonical_subclique(host, 0, 7, SearchBudget(node_limit=1_700)) is None
+
+    @pytest.mark.parametrize("f", range(4, 10))
+    def test_every_subset_through_the_special_vertex_keeps_the_type(self, f):
+        # What the prefix cut rests on: in a star-canonical K_f, each vertex
+        # set Q through the special vertex with |Q| >= 3 has, at size |Q|,
+        # the special-vertex key of the same type.
+        for kind in ALL_STAR_TYPES:
+            generated, special = star_canonical_clique(kind, f)
+            others = [v for v in range(f) if v != special]
+            for size in range(2, f):
+                for rest in combinations(others, size):
+                    subset = sorted((special, *rest))
+                    key = _special_key(_pairs_within(generated, subset), special)
+                    assert kind in _star_types_by_key(len(subset)).get(key, ()), (kind, subset)
 
     def test_adversarial_labels_pinned_by_classifier(self):
         from eotile.canonical import canonical_labels
@@ -624,6 +649,12 @@ class TestCertificateChecks:
             e.verify_embedding = lambda *args: False
             try:
                 e.find_embedding(monotone_path_graph(2), host, within=[1, 2, 3])
+            except CertificateError:
+                pass
+            else:
+                raise SystemExit("embedding check vanished")
+            try:
+                e.find_star_canonical_subclique(host, 0, 5)
             except CertificateError:
                 print("checked")
             """
