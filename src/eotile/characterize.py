@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Any, Iterable, Iterator, Optional
+from typing import Any, Iterable, Iterator, Optional, TypeVar
 
 from .canonical import (
     ALL_STAR_TYPES,
@@ -70,17 +70,31 @@ def _type_checks(
         yield kind, find_embedding(graph, host, meter=meter)
 
 
+_Verdict = TypeVar("_Verdict", TuranVerdict, TileVerdict)
+
+
+def _first_failure(
+    verdict: type[_Verdict],
+    graph: EdgeOrderedGraph,
+    checks: Iterable[tuple[Any, EdgeOrderedGraph]],
+    meter: _Meter,
+) -> _Verdict:
+    """The ``checks`` in order on one ``meter``, to the first failure: a
+    ``verdict`` naming the failing kind, or holding every certificate."""
+    certificates: dict[Any, Embedding] = {}
+    for kind, emb in _type_checks(graph, checks, meter):
+        if emb is None:
+            return verdict(False, failing=kind)
+        certificates[kind] = emb
+    return verdict(True, certificates=certificates)
+
+
 def _turan_verdict(
     graph: EdgeOrderedGraph, kinds: Iterable[CanonicalType], meter: _Meter
 ) -> TuranVerdict:
     """The canonical checks of ``kinds`` in order on one ``meter``, to the first failure."""
     checks = ((kind, canonical_clique(kind, graph.n)) for kind in kinds)
-    certificates: dict[CanonicalType, Embedding] = {}
-    for kind, emb in _type_checks(graph, checks, meter):
-        if emb is None:
-            return TuranVerdict(False, failing=kind)
-        certificates[kind] = emb
-    return TuranVerdict(True, certificates=certificates)
+    return _first_failure(TuranVerdict, graph, checks, meter)
 
 
 def is_turanable(
@@ -110,18 +124,16 @@ def is_tileable(
     if _trivial_pattern(graph):
         return TileVerdict(True)
     f = graph.n
-    certificates: dict[StarType, Embedding] = {}
-    for kind, emb in _type_checks(graph, _tile_checks(f), _Meter(budget)):
-        if emb is None:
-            return TileVerdict(False, failing=kind)
-        certificates[kind] = emb
+    verdict = _first_failure(TileVerdict, graph, _tile_checks(f), _Meter(budget))
+    if not verdict.value:
+        return verdict
     for kind in CANONICAL_COINCIDENT_TYPES:
         canonical = canonical_clique(kind.part, f)
         iso = _isomorphism(star_canonical_clique(kind, f)[0], canonical)
-        mapped = iso and Embedding(tuple(map(iso.apply, certificates[kind].vertex_map)))
+        mapped = iso and Embedding(tuple(map(iso.apply, verdict.certificates[kind].vertex_map)))
         if not mapped or not verify_embedding(graph, canonical, mapped):
             raise CertificateError("tileable graph failed the Turan re-check")
-    return TileVerdict(True, certificates=certificates)
+    return verdict
 
 
 def is_universally_tileable(graph: EdgeOrderedGraph) -> bool:
@@ -167,12 +179,8 @@ def extremal_vertices(
     f = graph.n
     min_host = canonical_clique(CanonicalType.MIN, f)
     max_host = canonical_clique(CanonicalType.MAX, f)
-    minimal = frozenset(
-        v for full, _ in _embeddings(graph, min_host, meter, True) for v in full if full[v] == 0
-    )
-    maximal = frozenset(
-        v for full, _ in _embeddings(graph, max_host, meter, True) for v in full if full[v] == f - 1
-    )
+    minimal = frozenset(vm.index(0) for vm in _embeddings(graph, min_host, meter))
+    maximal = frozenset(vm.index(f - 1) for vm in _embeddings(graph, max_host, meter))
     if not (minimal and maximal):
         raise CertificateError("Turanable graph has no extremal vertex")
     return minimal, maximal

@@ -18,9 +18,7 @@ import os
 import sys
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Any, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Optional
 
 from .canonical import (
     ALL_STAR_TYPES,
@@ -60,6 +58,9 @@ from .tiling import (
     tiling_number,
     verify_tiling,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Draws before theorem1-grid's host sampler gives up on a minimum degree.
 MAX_SAMPLING_DRAWS = 100_000
@@ -217,6 +218,8 @@ def _row(input_digest: str, outcome: str, certificate_digest: str = "") -> dict[
 
 def _trial_rng(seed: int, index: int) -> np.random.Generator:
     # One stream per trial, split deterministically from the master seed.
+    import numpy as np  # here only, so that commands that sample nothing start without it
+
     return np.random.default_rng(np.random.SeedSequence([seed, index]))
 
 

@@ -48,14 +48,8 @@ class Embedding:
         return frozenset(self.vertex_map)
 
 
-@dataclass(frozen=True)
-class IsoCertificate:
-    """A bijection witnessing order-isomorphism; index = source vertex."""
-
-    vertex_map: tuple[int, ...]
-
-    def apply(self, v: int) -> int:
-        return self.vertex_map[v]
+# Between graphs of equal size an embedding is an order-isomorphism.
+IsoCertificate = Embedding
 
 
 @dataclass(frozen=True)
@@ -126,22 +120,6 @@ def _certified(
     return emb
 
 
-def _search_space(
-    host: EdgeOrderedGraph, within: Optional[Sequence[int]]
-) -> tuple[Sequence[Pair], Mapping[int, Sequence[int]]]:
-    """The host pairs a search may use, ascending by rank, and for each
-    vertex the ascending indices of its pairs among them.
-
-    The whole host's are cached on it; for a subset ``within`` both are
-    built over the subset alone, from O(|S|^2) rank lookups when the subset
-    is small (see :func:`_pairs_within`).
-    """
-    if within is None:
-        return host.pairs_by_rank, host.incidence
-    hpairs = _pairs_within(host, within)
-    return hpairs, _incidence(within, hpairs)
-
-
 # How many ends of a pattern edge are mapped when the search reaches it.
 _FRESH, _ANCHORED, _CLOSED = 0, 1, 2
 
@@ -168,20 +146,19 @@ def _embeddings(
     pattern: EdgeOrderedGraph,
     host: EdgeOrderedGraph,
     meter: _Meter,
-    fill_isolated: bool,
     within: Optional[Sequence[int]] = None,
-) -> Iterator[tuple[dict[int, int], set[int]]]:
-    """All edge-part embeddings; optionally extended over isolated vertices.
+) -> Iterator[tuple[int, ...]]:
+    """All order-preserving embeddings, as total vertex maps.
 
-    Yields (vertex map, used host vertices).  With ``fill_isolated`` the
-    map is total, isolated pattern vertices taking the smallest unused
-    host vertices; otherwise it covers only non-isolated vertices.
+    Each map is a tuple indexed by pattern vertex.  Isolated pattern
+    vertices take the least host vertices the edges left unused, so each
+    embedding of the pattern's edges is yielded once.
 
     ``within`` (ascending, as from ``_vertex_subset``) confines the search
     to that vertex subset: only host pairs inside it are candidates, and
     their positions in that filtered list stand in for ranks.  Results are
     in host coordinates, in the order a search of the induced subgraph
-    would find them.
+    would find them; a subset's pairs are built over it alone.
 
     One iterative depth-first search: depth i places pattern edge i on a
     host pair after the one edge i-1 took, leaving room for the edges
@@ -189,7 +166,8 @@ def _embeddings(
     ``meter.tick()``.
     """
     vertices: Sequence[int] = range(host.n) if within is None else within
-    hpairs, incidence = _search_space(host, within)
+    hpairs: Sequence[Pair] = host.pairs_by_rank if within is None else _pairs_within(host, within)
+    incidence = host.incidence if within is None else _incidence(within, hpairs)
     if pattern.n > len(vertices) or pattern.m > len(hpairs):
         return
     plan = _edge_plan(pattern)
@@ -201,16 +179,9 @@ def _embeddings(
     fmap = [-1] * pattern.n  # host vertex per pattern vertex; isolated ones stay -1
     used = [False] * host.n
 
-    def complete() -> tuple[dict[int, int], set[int]]:
-        full = {v: x for v, x in enumerate(fmap) if x >= 0}
-        taken = set(full.values())
-        if fill_isolated and len(full) < pattern.n:
-            spare = (v for v in vertices if not used[v])
-            for v in range(pattern.n):
-                if v not in full:
-                    full[v] = nxt = next(spare)
-                    taken.add(nxt)
-        return full, taken
+    def complete() -> tuple[int, ...]:
+        spare = (v for v in vertices if not used[v])
+        return tuple(x if x >= 0 else next(spare) for x in fmap)
 
     tick = meter.tick
     tick()
@@ -297,9 +268,8 @@ def find_embedding(
     subset = None if within is None else _vertex_subset(host, within)
     if meter is None:
         meter = _Meter(budget)
-    for full, _ in _embeddings(pattern, host, meter, True, subset):
-        emb = Embedding(tuple(full[v] for v in range(pattern.n)))
-        return _certified(pattern, host, emb, subset)
+    for vm in _embeddings(pattern, host, meter, subset):
+        return _certified(pattern, host, Embedding(vm), subset)
     return None
 
 
@@ -308,10 +278,9 @@ def iter_embeddings(
     host: EdgeOrderedGraph,
     budget: SearchBudget = DEFAULT_BUDGET,
 ) -> Iterator[Embedding]:
-    """All embeddings (isolated vertices filled canonically, one way each)."""
-    meter = _Meter(budget)
-    for full, _ in _embeddings(pattern, host, meter, fill_isolated=True):
-        yield Embedding(tuple(full[v] for v in range(pattern.n)))
+    """All embeddings in search order, one per embedding of the pattern's
+    edges: isolated pattern vertices take the least unused host vertices."""
+    yield from (Embedding(vm) for vm in _embeddings(pattern, host, _Meter(budget)))
 
 
 def count_injections(
@@ -320,12 +289,12 @@ def count_injections(
     budget: SearchBudget = DEFAULT_BUDGET,
 ) -> int:
     """Number of injective order-preserving maps V(pattern) -> V(host)."""
-    meter = _Meter(budget)
+    maps = sum(1 for _ in _embeddings(pattern, host, _Meter(budget)))
+    if not maps:  # also when the pattern outgrows the host
+        return 0
+    # Each map's isolated vertices may go to its unused host vertices in any order.
     isolated = len(pattern.isolated_vertices())
-    total = 0
-    for _, used in _embeddings(pattern, host, meter, fill_isolated=False):
-        total += math.perm(host.n - len(used), isolated)
-    return total
+    return maps * math.perm(host.n - pattern.n + isolated, isolated)
 
 
 def count_order_automorphisms(pattern: EdgeOrderedGraph) -> int:
@@ -368,17 +337,17 @@ def order_isomorphisms(
     if first.n != second.n or first.m != second.m:
         return
     isolated = first.isolated_vertices()
-    for fmap, used in _embeddings(first, second, _Meter(_UNLIMITED), fill_isolated=False):
-        spare = [v for v in range(second.n) if v not in used]
-        for assignment in permutations(spare):
-            fmap.update(zip(isolated, assignment))
-            yield tuple(fmap[v] for v in range(first.n))
+    for vm in _embeddings(first, second, _Meter(_UNLIMITED)):
+        for assignment in permutations(vm[v] for v in isolated):
+            moved = dict(zip(isolated, assignment))
+            yield tuple(moved.get(v, x) for v, x in enumerate(vm))
 
 
 def are_order_isomorphic(
     first: EdgeOrderedGraph, second: EdgeOrderedGraph
 ) -> Optional[IsoCertificate]:
-    """Lexicographically least order-isomorphism certificate, or None.
+    """Lexicographically least order-isomorphism, as the :class:`Embedding`
+    of ``first`` into ``second`` that certifies it, or None.
 
     Between graphs of equal size an embedding is an isomorphism, and the
     first one found is the least: isomorphisms differ only by flipping
@@ -388,8 +357,7 @@ def are_order_isomorphic(
     """
     if first.n != second.n or first.m != second.m:
         return None
-    emb = find_embedding(first, second, _UNLIMITED)
-    return IsoCertificate(emb.vertex_map) if emb is not None else None
+    return find_embedding(first, second, _UNLIMITED)
 
 
 def monotone_path_graph(k: int) -> EdgeOrderedGraph:
@@ -490,18 +458,20 @@ def classify_star_canonical(
     Empty when the complete graph is star-canonical under no type.  Types
     coincide for small sizes, so a set is returned rather than one answer.
     A vertex is matched only against the types its key admits
-    (:func:`_star_types_by_key`); no two vertices of K_f share a key.
+    (:func:`_star_masks_by_key`); no two vertices of K_f share a key.
     """
     if not graph.is_complete():
         raise NotComplete("star classification requires a complete graph")
     results: set[tuple[StarType, int, tuple[int, ...]]] = set()
     if graph.n < 3:
         return results
+    masks = _star_masks_by_key(graph.n)
     for x in range(graph.n):
-        for kind in _star_types_by_key(graph.n).get(_special_key(graph.pairs_by_rank, x), ()):
+        mask = masks.get(_special_key(graph.pairs_by_rank, x), 0)
+        for kind in (k for i, k in enumerate(ALL_STAR_TYPES) if mask >> i & 1):
             generated, special = star_canonical_clique(kind, graph.n)
             for cert in order_isomorphisms(generated, graph):
-                results.add((kind, cert[special], tuple(cert[v] for v in range(graph.n - 1))))
+                results.add((kind, cert[special], cert[: graph.n - 1]))
     return results
 
 
@@ -511,33 +481,22 @@ def _special_key(pairs: Sequence[Pair], x: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _star_types_by_key(f: int) -> Mapping[tuple[int, ...], tuple[StarType, ...]]:
+def _star_masks_by_key(f: int) -> Mapping[tuple[int, ...], int]:
     """The star types of ``K_f``, grouped by the :func:`_special_key` of the
-    special vertex in their generated clique, each group in check order.
-    Memoized per f, so the mapping is read-only.
+    special vertex in their generated clique, each group as a bitmask over
+    the positions of its types in ``ALL_STAR_TYPES``.  Memoized per f, so
+    the mapping is read-only.
 
     An order-isomorphism maps rank i to rank i, so an f-subset can be
     star-canonical with special vertex x only under the types whose key is
     x's key among the subset's pairs.  There are six keys for f >= 4.
     """
-    index: dict[tuple[int, ...], list[StarType]] = {}
-    for kind in ALL_STAR_TYPES:
+    index: dict[tuple[int, ...], int] = {}
+    for i, kind in enumerate(ALL_STAR_TYPES):
         generated, special = star_canonical_clique(kind, f)
-        index.setdefault(_special_key(generated.pairs_by_rank, special), []).append(kind)
-    return MappingProxyType({key: tuple(kinds) for key, kinds in index.items()})
-
-
-@lru_cache(maxsize=None)
-def _star_masks_by_key(f: int) -> Mapping[tuple[int, ...], int]:
-    """:func:`_star_types_by_key` with each group as a bitmask over the
-    positions of its types in ``ALL_STAR_TYPES``."""
-    position = {kind: i for i, kind in enumerate(ALL_STAR_TYPES)}
-    return MappingProxyType(
-        {
-            key: sum(1 << position[kind] for kind in kinds)
-            for key, kinds in _star_types_by_key(f).items()
-        }
-    )
+        key = _special_key(generated.pairs_by_rank, special)
+        index[key] = index.get(key, 0) | 1 << i
+    return MappingProxyType(index)
 
 
 def _alive_subsets(
@@ -551,23 +510,19 @@ def _alive_subsets(
     s >= 3 keeps the types whose key at size s (:func:`_star_masks_by_key`)
     was its :func:`_special_key` at every size so far, and is cut when none
     is left: every subset through ``x`` of a star-canonical set with special
-    vertex ``x`` is star-canonical of the same type.  The prefix's pairs are
+    vertex ``x`` is star-canonical of the same type.  A prefix's pairs are
     kept as ascending ``(rank, through x)`` entries, one ``insort`` per new
     pair.  Each prefix grown costs one ``meter.tick()``.
     """
     others = [v for v in range(host.n) if v != x]
     rank = host.rank
-    prefix: list[int] = []  # the others chosen so far, ascending
-    # Per depth: the (rank, through x) entries of the pairs within x and
-    # the prefix, and the bitmask of the types still alive.
-    levels: list[tuple[list[tuple[int, bool]], int]] = [([], (1 << len(ALL_STAR_TYPES)) - 1)]
-    # todo[d] iterates the candidates for prefix[d], leaving room for the rest.
-    todo = [iter(range(len(others) - f + 2))]
-    while todo:
-        depth = len(prefix)
-        size = depth + 2
-        ranked, alive = levels[depth]
-        for i in todo[depth]:
+
+    def grow(
+        prefix: list[int], ranked: list[tuple[int, bool]], alive: int, start: int
+    ) -> Iterator[tuple[list[int], int]]:
+        # Candidates for the next of ``prefix``, leaving room for the rest.
+        size = len(prefix) + 2
+        for i in range(start, len(others) - f + size):
             meter.tick()
             v = others[i]
             grown = ranked.copy()
@@ -582,16 +537,10 @@ def _alive_subsets(
                     continue
             if size == f:
                 yield sorted((x, *prefix, v)), left
-                continue
-            prefix.append(v)
-            levels.append((grown, left))
-            todo.append(iter(range(i + 1, len(others) - f + size + 1)))
-            break
-        else:  # prefix[depth] has no candidate left: drop prefix[depth-1]
-            todo.pop()
-            levels.pop()
-            if prefix:
-                prefix.pop()
+            else:
+                yield from grow([*prefix, v], grown, left, i + 1)
+
+    return grow([], [], (1 << len(ALL_STAR_TYPES)) - 1, 0)
 
 
 def find_star_canonical_subclique(
@@ -620,11 +569,8 @@ def find_star_canonical_subclique(
         raise BadSize(f"subclique size {f} out of range 3..{host.n}")
     meter = _Meter(budget)
     for subset, alive in _alive_subsets(host, x, f, meter):
-        for i, kind in enumerate(ALL_STAR_TYPES):
-            if not alive >> i & 1:
-                continue
+        for kind in (k for i, k in enumerate(ALL_STAR_TYPES) if alive >> i & 1):
             generated, _ = star_canonical_clique(kind, f)
-            for full, _ in _embeddings(generated, host, meter, False, subset):
-                emb = Embedding(tuple(full[v] for v in range(f)))
-                return kind, _certified(generated, host, emb, subset)
+            for vm in _embeddings(generated, host, meter, subset):
+                return kind, _certified(generated, host, Embedding(vm), subset)
     return None

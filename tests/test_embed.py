@@ -33,7 +33,7 @@ from eotile import (
     verify_embedding,
 )
 from eotile.canonical import ALL_STAR_TYPES, CanonicalType, StarFamily, StarType
-from eotile.characterize import d_graph, monotone_cycle
+from eotile.characterize import d_graph, is_tileable, is_turanable, monotone_cycle
 from eotile.core import _pairs_within, _vertex_subset
 from eotile.embed import (
     _CLOSED,
@@ -42,7 +42,7 @@ from eotile.embed import (
     _embeddings,
     _Meter,
     _special_key,
-    _star_types_by_key,
+    _star_masks_by_key,
     classify_star_canonical,
 )
 from eotile.errors import Inconclusive
@@ -151,6 +151,49 @@ class TestCountCopies:
             assert verify_embedding(pattern, host, emb)
             seen.add(emb.vertex_map)
         assert len(seen) == len(brute_injections(pattern, host))
+
+    def test_pattern_larger_than_host_has_no_copy(self):
+        edge_and_isolated = build_graph(5, [(0, 1, 1)])
+        assert count_copies(edge_and_isolated, build_graph(1, [])) == 0
+        assert count_copies(edge_and_isolated, canonical_clique(CanonicalType.MIN, 4)) == 0
+        assert count_copies(build_graph(3, []), build_graph(2, [])) == 0
+
+    def test_counts_with_isolated_vertices_match_brute_force_seeded(self):
+        # Isolated pattern vertices multiply each edge embedding by the
+        # ordered ways to place them; a pattern larger than its host has none.
+        rng = np.random.default_rng(1207)
+        seen = {"larger": 0, "isolated": 0, "positive": 0}
+        for _ in range(120):
+            nf = int(rng.integers(1, 6))
+            mf = int(rng.integers(0, min(nf * (nf - 1) // 2, 3) + 1))
+            nh = int(rng.integers(0, 6))
+            pattern = random_graph(rng, nf, mf)
+            host = random_graph(rng, nh, int(rng.integers(0, nh * (nh - 1) // 2 + 1)))
+            auts = count_order_automorphisms(pattern)
+            assert auts == len(brute_injections(pattern, pattern))
+            copies = count_copies(pattern, host)
+            assert copies * auts == len(brute_injections(pattern, host)), (pattern, host)
+            seen["larger"] += nf > nh
+            seen["isolated"] += bool(pattern.isolated_vertices())
+            seen["positive"] += copies > 0
+        assert all(count >= 20 for count in seen.values()), seen
+
+
+class TestPatternsStayBare:
+    """Searches read a pattern's pairs only: scans keep many class graphs
+    alive, so none may gain cached tables by being searched for."""
+
+    @pytest.mark.parametrize("isolated", [False, True])
+    def test_searches_cache_nothing_on_the_pattern(self, isolated):
+        pattern = build_graph(5 if isolated else 3, [(0, 1, 1), (1, 2, 2)])
+        host = canonical_clique(CanonicalType.MIN, 6)
+        assert set(vars(pattern)) == {"n", "pairs_by_rank"}
+        assert find_embedding(pattern, host) is not None
+        assert find_embedding(pattern, host, within=[0, 2, 3, 4, 5]) is not None
+        assert len(list(iter_embeddings(pattern, host))) > 1
+        assert is_turanable(pattern).value
+        assert is_tileable(pattern).value
+        assert set(vars(pattern)) == {"n", "pairs_by_rank"}
 
 
 class TestFindMonotonePath:
@@ -301,13 +344,15 @@ class TestStarSubcliqueSearch:
 
     def test_type_index_keeps_every_type_in_check_order(self):
         for f in range(3, 9):
-            index = _star_types_by_key(f)
+            index = _star_masks_by_key(f)
             # middle-inc's four parts each have their own key; larger and smaller one each
             assert len(index) == (3 if f == 3 else 6)
-            grouped = [kind for kinds in index.values() for kind in kinds]
-            assert sorted(grouped, key=ALL_STAR_TYPES.index) == list(ALL_STAR_TYPES)
-            for kinds in index.values():
-                assert list(kinds) == sorted(kinds, key=ALL_STAR_TYPES.index)
+            # Bit i is ALL_STAR_TYPES[i], and every type is in exactly one group.
+            for i, kind in enumerate(ALL_STAR_TYPES):
+                generated, special = star_canonical_clique(kind, f)
+                key = _special_key(generated.pairs_by_rank, special)
+                assert [k for k, mask in index.items() if mask >> i & 1] == [key]
+            assert sum(index.values()) == (1 << len(ALL_STAR_TYPES)) - 1
 
     def test_matching_counts_against_the_request_budget(self):
         # The first subset matches.  Its four prefix nodes, the failed
@@ -340,7 +385,8 @@ class TestStarSubcliqueSearch:
                 for rest in combinations(others, size):
                     subset = sorted((special, *rest))
                     key = _special_key(_pairs_within(generated, subset), special)
-                    assert kind in _star_types_by_key(len(subset)).get(key, ()), (kind, subset)
+                    mask = _star_masks_by_key(len(subset)).get(key, 0)
+                    assert mask >> ALL_STAR_TYPES.index(kind) & 1, (kind, subset)
 
     def test_adversarial_labels_pinned_by_classifier(self):
         from eotile.canonical import canonical_labels
@@ -434,11 +480,11 @@ class TestSearchWithin:
             find_monotone_path(host, 1, within=[-1, 0, 1])
 
 
-def recursive_oracle(pattern, host, meter, fill_isolated, within=None):
+def recursive_oracle(pattern, host, meter, within=None):
     """The recursive rank-chain search that ``_embeddings`` replaced: one
     generator per search node, one per candidate list, and the subset's
     pairs and incidence rebuilt by an O(m) scan on every call.  Kept as the
-    reference for yield order, maps, used sets and node counts."""
+    reference for yield order, total maps and node counts."""
     if within is None:
         hpairs = host.pairs_by_rank
         rank = host.rank
@@ -459,16 +505,8 @@ def recursive_oracle(pattern, host, meter, fill_isolated, within=None):
     fmap, used = {}, set()
 
     def complete():
-        if not fill_isolated:
-            return dict(fmap), set(used)
-        full, taken = dict(fmap), set(used)
-        spare = iter(v for v in vertices if v not in taken)
-        for v in range(pattern.n):
-            if v not in full:
-                nxt = next(spare)
-                full[v] = nxt
-                taken.add(nxt)
-        return full, taken
+        spare = iter(v for v in vertices if v not in used)
+        return tuple(fmap[v] if v in fmap else next(spare) for v in range(pattern.n))
 
     def candidates(i, floor):
         a, b = fpairs[i]
@@ -513,13 +551,13 @@ def recursive_oracle(pattern, host, meter, fill_isolated, within=None):
     yield from place(0, 0)
 
 
-def kernel_trace(kernel, pattern, host, fill_isolated, within, node_limit):
+def kernel_trace(kernel, pattern, host, within, node_limit):
     """Everything a kernel yields, in order, then how it stopped and its node count."""
     meter = _Meter(SearchBudget(node_limit=node_limit))
     out = []
     try:
-        for fmap, used in kernel(pattern, host, meter, fill_isolated, within):
-            out.append((fmap, used))
+        for vertex_map in kernel(pattern, host, meter, within):
+            out.append(vertex_map)
         out.append("exhausted")
     except Inconclusive:
         out.append("inconclusive")
@@ -527,9 +565,8 @@ def kernel_trace(kernel, pattern, host, fill_isolated, within, node_limit):
 
 
 class TestIterativeKernel:
-    @pytest.mark.parametrize("fill_isolated", [True, False])
-    def test_matches_recursive_oracle_seeded(self, fill_isolated):
-        rng = np.random.default_rng(4411 + fill_isolated)
+    def test_matches_recursive_oracle_seeded(self):
+        rng = np.random.default_rng(4412)
         seen = dict.fromkeys(
             ("isolated", "no_edges", "whole", "empty", "proper", "closed_in_subset", "yields",
              "inconclusive"),
@@ -545,8 +582,8 @@ class TestIterativeKernel:
                 None if draw == 0 else [] if draw == 1 else sorted(random_subset(rng, host_n))
             )
             node_limit = int(rng.choice([1, 3, 8, 30, 10**6]))
-            expected = kernel_trace(recursive_oracle, pattern, host, fill_isolated, within, node_limit)
-            got = kernel_trace(_embeddings, pattern, host, fill_isolated, within, node_limit)
+            expected = kernel_trace(recursive_oracle, pattern, host, within, node_limit)
+            got = kernel_trace(_embeddings, pattern, host, within, node_limit)
             assert got == expected, (pattern, host, within, node_limit)
             seen["isolated"] += bool(pattern.isolated_vertices()) and pattern.m > 0
             seen["no_edges"] += pattern.m == 0
@@ -566,8 +603,8 @@ class TestIterativeKernel:
             host = random_graph(rng, 8, 28)
             pattern = random_graph(rng, 5, int(rng.integers(3, 7)))
             within = None if rng.integers(0, 2) else sorted(random_subset(rng, 8))
-            expected = kernel_trace(recursive_oracle, pattern, host, True, within, 10**6)
-            assert kernel_trace(_embeddings, pattern, host, True, within, 10**6) == expected
+            expected = kernel_trace(recursive_oracle, pattern, host, within, 10**6)
+            assert kernel_trace(_embeddings, pattern, host, within, 10**6) == expected
 
     def test_pairs_within_lookup_and_scan_agree(self):
         rng = np.random.default_rng(808)
@@ -622,8 +659,8 @@ class TestCertificateChecks:
 
         real = embed._embeddings
 
-        def escaping(pattern, host, meter, fill_isolated, within=None):
-            yield from real(pattern, host, meter, fill_isolated, None)
+        def escaping(pattern, host, meter, within=None):
+            yield from real(pattern, host, meter, None)
 
         monkeypatch.setattr(embed, "_embeddings", escaping)
         host = canonical_clique(CanonicalType.MIN, 5)

@@ -145,3 +145,60 @@ def test_upward_import_is_detected():
         "canonical imports canonical",
         "canonical imports unknown",
     ]
+
+
+def eager_numpy_imports(tree):
+    """Lines of numpy imports that run on import of the module: those outside
+    every function and every ``if TYPE_CHECKING:`` block."""
+    found = []
+
+    def visit(node):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            return
+        if isinstance(node, ast.If) and getattr(node.test, "id", None) == "TYPE_CHECKING":
+            nodes = node.orelse
+        else:
+            nodes = list(ast.iter_child_nodes(node))
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module or ""]
+            else:
+                names = []
+            if any(name.split(".")[0] == "numpy" for name in names):
+                found.append(node.lineno)
+        for child in nodes:
+            visit(child)
+
+    visit(tree)
+    return found
+
+
+def test_numpy_is_imported_only_inside_functions():
+    # Only the CLI's random samplers use numpy; importing the package or
+    # the CLI, and every command that samples nothing, skips its import time.
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(SOURCE.rglob("*.py"))
+        for line in eager_numpy_imports(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert found == [], "import numpy inside the function that uses it"
+
+
+def test_eager_numpy_import_is_detected():
+    tree = ast.parse(
+        "import numpy as np\n"
+        "from numpy.random import default_rng\n"
+        "import numpyish, math\n"
+        "if TYPE_CHECKING:\n"
+        "    import numpy\n"
+        "def sample():\n"
+        "    import numpy\n"
+        "class Sampler:\n"
+        "    import numpy.random\n"
+        "try:\n"
+        "    import math, numpy\n"
+        "except ImportError:\n"
+        "    from numpy import random\n"
+    )
+    assert eager_numpy_imports(tree) == [1, 2, 9, 11, 13]
