@@ -169,9 +169,16 @@ def is_universally_tileable(graph: EdgeOrderedGraph) -> bool:
 def extremal_vertices(
     graph: EdgeOrderedGraph, budget: SearchBudget = DEFAULT_BUDGET
 ) -> tuple[frozenset[int], frozenset[int]]:
-    """Vertices able to play v_1 in a min / v_f in a max embedding, on one budget."""
-    if graph.n == 1:
-        return frozenset({0}), frozenset({0})
+    """Vertices able to play v_1 in a min / v_f in a max embedding, on one budget.
+
+    Every isolated vertex of a Turanable graph plays both: embed the rest
+    into the MIN (MAX) clique on the other vertices and put it first
+    (last).  The kernel fills isolated vertices from the least unused host
+    vertices, so its maps name at most one of them.
+    """
+    isolated = frozenset(graph.isolated_vertices())
+    if graph.m == 0:
+        return isolated, isolated
     meter = _Meter(budget)
     verdict = _turan_verdict(graph, CANONICAL_ORDER, meter)
     if not verdict.value:
@@ -179,8 +186,8 @@ def extremal_vertices(
     f = graph.n
     min_host = canonical_clique(CanonicalType.MIN, f)
     max_host = canonical_clique(CanonicalType.MAX, f)
-    minimal = frozenset(vm.index(0) for vm in _embeddings(graph, min_host, meter))
-    maximal = frozenset(vm.index(f - 1) for vm in _embeddings(graph, max_host, meter))
+    minimal = isolated.union(vm.index(0) for vm in _embeddings(graph, min_host, meter))
+    maximal = isolated.union(vm.index(f - 1) for vm in _embeddings(graph, max_host, meter))
     if not (minimal and maximal):
         raise CertificateError("Turanable graph has no extremal vertex")
     return minimal, maximal

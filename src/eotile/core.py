@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, permutations
+from itertools import combinations
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import BadVertex, BudgetExceeded, CertificateError, DuplicateEdge, RankCollision
@@ -199,57 +199,84 @@ def components(graph: EdgeOrderedGraph) -> list[set[int]]:
     return comps
 
 
-def _min_edge_sequence(n: int, pairs: Sequence[Pair]) -> tuple[Pair, ...]:
-    """Lexicographically least relabeled edge sequence over all vertex bijections.
+def _least_step(
+    candidates: list[list[int]], k: int, a: int, b: int
+) -> tuple[Pair, list[list[int]], int]:
+    """One edge of a least relabeled edge sequence: ``(pair, candidates, k)``.
 
-    ``pairs`` are the graph's vertex pairs in ascending rank order.
-    Candidates are partial relabelings (``-1`` for a vertex not yet seen);
-    at each rank only the relabelings achieving the minimal next pair
-    survive, which is exactly lexicographic minimization with pruning.
+    ``candidates`` are the partial relabelings (``-1`` for a vertex not yet
+    seen) that map the edges so far onto the least sequence of them, and
+    ``k`` is the number of labels given.  Returns the least relabeled pair
+    of edge ``(a, b)``, the candidates that achieve it and the new label
+    count.  The given candidates are never mutated, so one state serves
+    every extension of its prefix.
 
     A least sequence gives labels out in order of first appearance, so
-    after ``k`` labels every candidate has mapped the same vertices to
-    ``0..k-1`` and the next fresh label is ``k``.  Only an edge with two
-    fresh ends branches, into its two orientations; an edge with one or no
-    fresh end keeps the candidates with the least pair and labels in place.
+    every candidate has mapped the same vertices to ``0..k-1`` and the next
+    fresh label is ``k``.  Only an edge with two fresh ends branches, into
+    its two orientations; an edge with one or no fresh end keeps the
+    candidates with the least pair.
+    """
+    if not candidates:
+        raise CertificateError(f"no relabeling survives at edge ({a},{b})")
+    first = candidates[0]
+    x, y = first[a], first[b]
+    if x < 0 and y < 0:
+        after = []
+        for vmap in candidates:
+            ab, ba = vmap.copy(), vmap.copy()
+            ab[a] = ba[b] = k
+            ab[b] = ba[a] = k + 1
+            after += ab, ba
+        return (k, k + 1), after, k + 2
+    if x < 0 or y < 0:
+        mapped, fresh = (b, a) if x < 0 else (a, b)
+        u = min([vmap[mapped] for vmap in candidates])
+        after = []
+        for vmap in candidates:
+            if vmap[mapped] == u:
+                vmap = vmap.copy()
+                vmap[fresh] = k
+                after.append(vmap)
+        return (u, k), after, k + 1
+    if len(candidates) == 1:  # the common case once the prefix is rigid
+        return ((x, y) if x < y else (y, x)), candidates, k
+    ends = [(v[a], v[b]) if v[a] < v[b] else (v[b], v[a]) for v in candidates]
+    pair = min(ends)
+    return pair, [vmap for vmap, end in zip(candidates, ends) if end == pair], k
+
+
+def _least_state(
+    n: int, pairs: Sequence[Pair]
+) -> tuple[tuple[Pair, ...], list[list[int]], int]:
+    """Fold :func:`_least_step` over ``pairs`` from the one empty relabeling.
+
+    Returns the least sequence and the step state ``(candidates, k)`` it
+    leaves, from which any further edge costs one step.
     """
     seq: list[Pair] = []
     candidates: list[list[int]] = [[-1] * n]
     k = 0
     for a, b in pairs:
-        if not candidates:
-            raise CertificateError(f"no relabeling survives at edge ({a},{b})")
-        first = candidates[0]
-        if first[a] < 0 and first[b] < 0:
-            flipped = []
-            for vmap in candidates:
-                other = vmap.copy()
-                vmap[a], vmap[b] = k, k + 1
-                other[a], other[b] = k + 1, k
-                flipped.append(other)
-            candidates += flipped
-            pair = (k, k + 1)
-            k += 2
-        elif first[a] < 0 or first[b] < 0:
-            mapped, fresh = (b, a) if first[a] < 0 else (a, b)
-            labels = [vmap[mapped] for vmap in candidates]
-            u = min(labels)
-            candidates = [vmap for vmap, label in zip(candidates, labels) if label == u]
-            for vmap in candidates:
-                vmap[fresh] = k
-            pair = (u, k)
-            k += 1
-        else:
-            ends = [(min(vmap[a], vmap[b]), max(vmap[a], vmap[b])) for vmap in candidates]
-            pair = min(ends)
-            candidates = [vmap for vmap, end in zip(candidates, ends) if end == pair]
+        pair, candidates, k = _least_step(candidates, k, a, b)
         seq.append(pair)
-    return tuple(seq)
+    return tuple(seq), candidates, k
+
+
+def _min_edge_sequence(n: int, pairs: Sequence[Pair]) -> tuple[Pair, ...]:
+    """Lexicographically least relabeled edge sequence over all vertex bijections.
+
+    ``pairs`` are the graph's vertex pairs in ascending rank order.  At
+    each rank only the relabelings achieving the least next pair survive
+    (:func:`_least_state`), which is exactly lexicographic minimization
+    with pruning.
+    """
+    return _least_state(n, pairs)[0]
 
 
 def _encode(n: int, seq: Sequence[Pair]) -> bytes:
     """The bytes of a canonical code, from a least edge sequence."""
-    body = ";".join(f"{u},{v}" for u, v in seq)
+    body = ";".join([f"{u},{v}" for u, v in seq])
     return f"{n}:{body}".encode("ascii")
 
 
@@ -326,36 +353,6 @@ def _edge_automorphisms(shape: EdgeOrderedGraph, limit: int) -> tuple[tuple[int,
     return tuple(sorted(found))
 
 
-def _orbit_representatives(
-    m: int, group: Sequence[tuple[int, ...]]
-) -> Iterator[tuple[int, ...]]:
-    """The lexicographically least edge sequence of each orbit of ``group``.
-
-    A sequence lists edge indices from rank 1 up.  Its ``k``-th edge is
-    admissible iff no element fixing the first ``k-1`` edges one by one maps
-    it to a smaller index; that holds at every position exactly for the
-    least sequence of each orbit.  Once only the identity fixes the prefix,
-    every order of the remaining edges is least in its orbit.
-    """
-
-    def extend(
-        prefix: tuple[int, ...], remaining: tuple[int, ...], stabilizer: Sequence[tuple[int, ...]]
-    ) -> Iterator[tuple[int, ...]]:
-        if len(stabilizer) == 1:
-            for tail in permutations(remaining):
-                yield prefix + tail
-            return
-        for e in remaining:
-            if all(g[e] >= e for g in stabilizer):
-                yield from extend(
-                    prefix + (e,),
-                    tuple(x for x in remaining if x != e),
-                    [g for g in stabilizer if g[e] == e],
-                )
-
-    yield from extend((), tuple(range(m)), group)
-
-
 def enumerate_orderings(
     shape: EdgeOrderedGraph, max_labelings: int = DEFAULT_MAX_LABELINGS
 ) -> Iterator[EdgeOrderedGraph]:
@@ -365,8 +362,16 @@ def enumerate_orderings(
     order-isomorphic exactly when an automorphism of the shape maps one to
     the other, so the classes are the orbits of Aut(shape), acting on the
     edges, on the ``m!`` rank assignments; every orbit has ``|Aut|``
-    members.  One least sequence per orbit is generated and coded once.
-    Yields canonical forms in ascending code order.
+    members.  Yields canonical forms in ascending code order.
+
+    One depth-first walk lists the lexicographically least edge order of
+    each orbit: the ``k``-th edge is admissible iff no automorphism fixing
+    the first ``k-1`` edges one by one maps it to a smaller index, which
+    holds at every position exactly for the least order of each orbit.
+    The walk carries the :func:`_least_step` state down with it: a least
+    sequence's prefix is the least sequence of that prefix, so each tree
+    node costs one step, about ``e`` steps per class once the stabilizer
+    is trivial, instead of relabeling every class's ``m`` edges.
 
     The cap counts what is visited: more than ``max_labelings`` classes
     (``m!/|Aut|``), or automorphisms, raise :class:`BudgetExceeded` before
@@ -385,9 +390,30 @@ def enumerate_orderings(
         )
     pairs = sorted(shape.pairs_by_rank)
     classes: dict[bytes, tuple[Pair, ...]] = {}
-    for order in _orbit_representatives(m, group):
-        seq = _min_edge_sequence(n, [pairs[e] for e in order])
-        classes[_encode(n, seq)] = seq
+
+    def extend(
+        seq: tuple[Pair, ...],
+        candidates: list[list[int]],
+        k: int,
+        remaining: tuple[int, ...],
+        stabilizer: Sequence[tuple[int, ...]],
+    ) -> None:
+        if not remaining:
+            classes[_encode(n, seq)] = seq
+            return
+        trivial = len(stabilizer) == 1
+        for i, e in enumerate(remaining):
+            if trivial or all(g[e] >= e for g in stabilizer):
+                pair, after, labels = _least_step(candidates, k, *pairs[e])
+                extend(
+                    seq + (pair,),
+                    after,
+                    labels,
+                    remaining[:i] + remaining[i + 1 :],
+                    stabilizer if trivial else [g for g in stabilizer if g[e] == e],
+                )
+
+    extend(*_least_state(n, ()), tuple(range(m)), group)
     if len(classes) * len(group) != total:
         raise CertificateError(
             f"{len(classes)} classes x {len(group)} automorphisms != {m}! labelings"

@@ -19,8 +19,8 @@ from typing import Iterator, Optional
 from .canonical import ALL_STAR_TYPES, StarType
 from .characterize import _tile_checks, _type_checks
 from .core import (
-    DEFAULT_MAX_LABELINGS, EdgeOrderedGraph, Pair, _encode, _from_sequence, _min_edge_sequence,
-    canonical_code,
+    DEFAULT_MAX_LABELINGS, EdgeOrderedGraph, Pair, _encode, _from_sequence, _least_state,
+    _least_step, canonical_code,
 )
 from .embed import DEFAULT_BUDGET, Embedding, SearchBudget, _Meter, verify_embedding
 from .errors import BadSize, BudgetExceeded, CertificateError
@@ -87,6 +87,9 @@ def _class_profiles(
     m appends each non-edge of each level m-1 class as its new top edge
     and keeps each child once, by code.  Deleting a class's top edge leaves
     one parent class, so every class turns up (McKay, J. Algorithms 1998).
+    A parent's least sequence is the least prefix of each child's, so the
+    parent is folded into its :func:`_least_step` state once and each
+    child's code costs one step from that state.
 
     A parent is a subgraph of its child, so a type one parent fails the
     child fails too: the child starts from the types all of its parents
@@ -113,9 +116,10 @@ def _class_profiles(
         for _ in range(math.comb(f, 2)):
             inherited: dict[bytes, tuple[tuple[Pair, ...], int]] = {}
             for seq, passed in levels[-1].values():
+                _, candidates, k = _least_state(f, seq)
                 for pair in combinations(range(f), 2):
                     if pair not in seq:
-                        child = _min_edge_sequence(f, seq + (pair,))
+                        child = seq + (_least_step(candidates, k, *pair)[0],)
                         code = _encode(f, child)
                         _, shared = inherited.setdefault(code, (child, passed))
                         inherited[code] = (child, shared & passed)

@@ -1,9 +1,11 @@
 """Decision procedures and constructions against the known propositions."""
 
 import os
+import random
 import subprocess
 import sys
 import textwrap
+from itertools import combinations, permutations
 
 import pytest
 
@@ -246,6 +248,51 @@ class TestExtremalVertices:
     def test_not_turanable(self):
         with pytest.raises(NotTuranable):
             extremal_vertices(monotone_cycle(4))
+
+    def test_edgeless_graphs(self):
+        assert extremal_vertices(build_graph(0, [])) == (frozenset(), frozenset())
+        assert extremal_vertices(build_graph(1, [])) == (frozenset({0}), frozenset({0}))
+        assert extremal_vertices(build_graph(3, [])) == (frozenset(range(3)),) * 2
+
+    def test_isolated_vertices_match_brute_force_seeded(self):
+        # Oracle: every bijection onto the MIN and MAX cliques, order checked
+        # by hand; v_1 (v_f) is the vertex sent to host vertex 0 (f - 1).
+        def brute(graph):
+            found = []
+            for kind, top in ((CanonicalType.MIN, 0), (CanonicalType.MAX, graph.n - 1)):
+                host = canonical_clique(kind, graph.n)
+                found.append(
+                    frozenset(
+                        perm.index(top)
+                        for perm in permutations(range(graph.n))
+                        if all(
+                            host.rank_of(perm[a], perm[b]) < host.rank_of(perm[c], perm[d])
+                            for (a, b), (c, d) in zip(graph.pairs_by_rank, graph.pairs_by_rank[1:])
+                        )
+                    )
+                )
+            return tuple(found)
+
+        rng = random.Random(1608)
+        cases = [build_graph(4, [(0, 1, 1)])]
+        while len(cases) < 40:
+            n = rng.randint(2, 6)
+            covered = rng.sample(range(n), rng.randint(2, n - 1) if n > 2 else 0)
+            pairs = list(combinations(sorted(covered), 2))
+            chosen = rng.sample(pairs, rng.randint(1, min(4, len(pairs)))) if pairs else []
+            labels = rng.sample(range(100), len(chosen))
+            cases.append(build_graph(n, [(u, v, r) for (u, v), r in zip(chosen, labels)]))
+        turanable = 0
+        for graph in cases:
+            assert graph.isolated_vertices()
+            if not is_turanable(graph).value:
+                with pytest.raises(NotTuranable):
+                    extremal_vertices(graph)
+                continue
+            turanable += 1
+            assert extremal_vertices(graph) == brute(graph), graph
+        assert extremal_vertices(cases[0]) == (frozenset(range(4)),) * 2
+        assert turanable >= 20
 
 
 class TestPendants:

@@ -222,6 +222,24 @@ class TestCanonicalCode:
             )
             assert core._min_edge_sequence(n, chosen) == want, chosen
 
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_one_state_steps_every_extension(self, n):
+        # A least sequence's prefix is the least sequence of that prefix, and
+        # the relabelings that reach it serve every extension: each non-edge
+        # is stepped from one shared state, so a step that mutated the
+        # candidates it was given would corrupt the later ones.
+        rng = random.Random(700 + n)
+        pairs = list(combinations(range(n), 2))
+        for _ in range(12):
+            chosen = rng.sample(pairs, rng.randint(0, len(pairs) - 1))
+            seq = core._min_edge_sequence(n, chosen)
+            least, candidates, k = core._least_state(n, seq)
+            assert least == seq
+            for pair in pairs:
+                if pair not in seq:
+                    step, _, _ = core._least_step(candidates, k, *pair)
+                    assert seq + (step,) == core._min_edge_sequence(n, seq + (pair,)), chosen
+
     @settings(deadline=None, max_examples=50)
     @given(small_graphs(max_n=4), small_graphs(max_n=4))
     def test_code_equality_iff_isomorphic(self, a, b):
@@ -376,9 +394,20 @@ class TestOrbitEnumeration:
         group = core._edge_automorphisms(g, core.DEFAULT_MAX_LABELINGS)
         assert len(group) == order
         assert group[0] == tuple(range(g.m))
-        # One sequence per orbit, never two from the same class.
-        reps = list(core._orbit_representatives(g.m, group))
-        assert len(reps) == math.factorial(g.m) // order == len(labeling_oracle(g))
+        # One class per orbit, never two from the same class.
+        classes = list(enumerate_orderings(g))
+        assert len(classes) == math.factorial(g.m) // order == len(labeling_oracle(g))
+
+    def test_each_class_costs_at_most_three_steps(self, monkeypatch):
+        # The walk carries one least-sequence state down the orbit tree, so
+        # each tree node costs one step: about e per class once the
+        # stabilizer is trivial, where relabeling each class costs m = 8.
+        steps = []
+        step = core._least_step
+        monkeypatch.setattr(core, "_least_step", lambda *args: steps.append(1) or step(*args))
+        classes = list(enumerate_orderings(shape(5, "01 02 03 04 12 13 14 23")))
+        assert len(classes) == 10_080
+        assert len(steps) <= 3 * len(classes)
 
     def test_classes_not_labelings_are_capped(self):
         # The 3-edge path has 3! = 6 labelings but 6/2 = 3 classes.

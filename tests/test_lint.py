@@ -41,12 +41,11 @@ def test_raise_assertion_error_is_detected():
     assert [raises_assertion_error(node) for node in tree.body] == [True, True, False]
 
 
-def calls_induced_subgraph(node):
+def calls(node, name):
     if not isinstance(node, ast.Call):
         return False
     func = node.func
-    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-    return name == "induced_subgraph"
+    return (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == name
 
 
 def test_only_core_calls_induced_subgraph():
@@ -57,14 +56,37 @@ def test_only_core_calls_induced_subgraph():
         for path in sorted(SOURCE.rglob("*.py"))
         if path.name != "core.py"
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-        if calls_induced_subgraph(node)
+        if calls(node, "induced_subgraph")
     ]
     assert found == [], "search inside a vertex subset with within=, not induced_subgraph"
 
 
 def test_induced_subgraph_call_is_detected():
     tree = ast.parse("induced_subgraph(g, s)\ncore.induced_subgraph(g, s)\ninduced_subgraph")
-    assert [calls_induced_subgraph(node.value) for node in tree.body] == [True, True, False]
+    assert [calls(node.value, "induced_subgraph") for node in tree.body] == [True, True, False]
+
+
+def test_only_core_calls_min_edge_sequence():
+    # Scans grow classes by one edge and take one _least_step per child from
+    # a shared state; relabeling every class from scratch belongs to core.
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SOURCE.rglob("*.py"))
+        if path.name != "core.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if calls(node, "_min_edge_sequence")
+    ]
+    assert found == [], "step a least-sequence state with _least_step, not _min_edge_sequence"
+
+
+def test_min_edge_sequence_call_is_detected():
+    tree = ast.parse(
+        "_min_edge_sequence(n, seq)\ncore._min_edge_sequence(n, seq)\n_min_edge_sequence\n"
+        "_least_step(candidates, k, a, b)"
+    )
+    assert [calls(node.value, "_min_edge_sequence") for node in tree.body] == [
+        True, True, False, False
+    ]
 
 
 def reads_edges(node):

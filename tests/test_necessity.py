@@ -159,7 +159,7 @@ class TestScanClasses:
         def no_work(*args):
             raise AssertionError("the scan coded a class before checking its cap")
 
-        monkeypatch.setattr(necessity, "_min_edge_sequence", no_work)
+        monkeypatch.setattr(necessity, "_least_step", no_work)
         classes = scan_classes(6)
         with pytest.raises(BudgetExceeded, match="K_6 has 1816214400 ordering classes"):
             next(classes)
