@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Any, Iterable, Iterator, Optional, TypeVar
+from typing import Any, Iterable, Iterator, Optional, Sequence, TypeVar
 
 from .canonical import (
     ALL_STAR_TYPES,
@@ -22,7 +22,7 @@ from .canonical import (
     canonical_clique,
     star_canonical_clique,
 )
-from .core import EdgeOrderedGraph, build_graph, components
+from .core import EdgeOrderedGraph, Pair, build_graph, components
 from .embed import (
     DEFAULT_BUDGET,
     Embedding,
@@ -61,12 +61,66 @@ def _tile_checks(f: int) -> tuple[tuple[StarType, EdgeOrderedGraph], ...]:
     return tuple((kind, star_canonical_clique(kind, f)[0]) for kind in ALL_STAR_TYPES)
 
 
+def _peels(n: int, pairs: Sequence[Pair]) -> bool:
+    """True iff ``pairs`` split into consecutive blocks, each holding every
+    remaining edge at one vertex.
+
+    A block starts at an endpoint of its first edge, and a vertex's
+    remaining edges come next iff its last edge lies as many places on as
+    it has edges left.  Taking any endpoint that qualifies is safe: if both
+    do, the one with a single edge left leaves the other's block next.
+    """
+    left = [0] * n
+    last = [0] * n
+    for q, (u, v) in enumerate(pairs):
+        left[u] += 1
+        left[v] += 1
+        last[u] = last[v] = q
+    p = 0
+    while p < len(pairs):
+        a, b = pairs[p]
+        c = a if last[a] - p + 1 == left[a] else b
+        if last[c] - p + 1 != left[c]:
+            return False
+        for u, v in pairs[p : last[c] + 1]:
+            left[u] -= 1
+            left[v] -= 1
+        p = last[c] + 1
+    return True
+
+
+def _peel_ends(graph: EdgeOrderedGraph) -> tuple[bool, bool]:
+    """Whether the rank order of ``graph`` peels from the front and from the back."""
+    pairs = graph.pairs_by_rank
+    return _peels(graph.n, pairs), _peels(graph.n, pairs[::-1])
+
+
+# The hosts are the memoized cliques, so each one's ends are found once.
+_host_ends = lru_cache(maxsize=None)(_peel_ends)
+
+
 def _type_checks(
     graph: EdgeOrderedGraph, checks: Iterable[tuple[Any, EdgeOrderedGraph]], meter: _Meter
 ) -> Iterator[tuple[Any, Optional[Embedding]]]:
     """Each kind in check order with the first embedding of ``graph`` into
-    its host, or None; every search counts against the one ``meter``."""
+    its host, or None; every search counts against the one ``meter``.
+
+    A host whose order peels from an end refutes, with no search and no
+    node, a graph whose order does not peel from that end: an embedding
+    sends the host block of vertex c exactly the remaining pattern edges at
+    the vertex mapped to c, so it would peel the pattern the same way.  The
+    MIN and INV_MIN cliques peel from the front, MAX and INV_MAX from the
+    back, and twelve of the twenty star cliques from one end (all twenty at
+    f = 4).  Every other check is searched.
+    """
+    ends: Optional[tuple[bool, bool]] = None
     for kind, host in checks:
+        host_ends = _host_ends(host)
+        if any(host_ends):
+            ends = ends or _peel_ends(graph)
+            if (host_ends[0] and not ends[0]) or (host_ends[1] and not ends[1]):
+                yield kind, None
+                continue
         yield kind, find_embedding(graph, host, meter=meter)
 
 
@@ -103,8 +157,10 @@ def is_turanable(
     """Check the four canonical orderings of K_f in fixed order.
 
     Returns certificates for all four on success, or the first failing
-    type.  One budget bounds all four searches; its exhaustion raises
-    Inconclusive rather than answering.
+    type.  A failure is an exhausted search or, for a graph whose order
+    does not peel from the front (MIN, INV_MIN) or back (MAX, INV_MAX), the
+    type loop's peel cut.  One budget bounds all four searches; its
+    exhaustion raises Inconclusive rather than answering.
     """
     if _trivial_pattern(graph):
         return TuranVerdict(True)
@@ -118,8 +174,10 @@ def is_tileable(
     graph: EdgeOrderedGraph, budget: SearchBudget = DEFAULT_BUDGET
 ) -> TileVerdict:
     """Check the twenty star-canonical orderings of K_f in fixed order, on
-    one budget.  Four types are order-isomorphic to the canonical orderings,
-    so their certificates, mapped onto those, re-check Turanability.
+    one budget.  A failing type may be refuted by the type loop's peel cut
+    instead of a search.  Four types are order-isomorphic to the canonical
+    orderings, so their certificates, mapped onto those, re-check
+    Turanability.
     """
     if _trivial_pattern(graph):
         return TileVerdict(True)

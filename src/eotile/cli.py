@@ -65,9 +65,10 @@ if TYPE_CHECKING:
 # Draws before theorem1-grid's host sampler gives up on a minimum degree.
 MAX_SAMPLING_DRAWS = 100_000
 
-# Largest n of a random host.  Each draw lists all C(n,2) pairs, about
-# 5*10^5 at this cap; a far larger n would spend its time and memory there
-# before any search, and one past float range cannot be sampled at all.
+# Largest n of a random host or a generated graph.  Each draw or clique
+# lists all C(n,2) pairs, about 5*10^5 at this cap; a far larger n would
+# spend its time and memory there before any search, and one past float
+# range cannot be sampled at all.
 MAX_HOST_VERTICES = 1_000
 
 
@@ -199,11 +200,14 @@ def _param(
     return kind(value)
 
 
-def _host_size(params: dict[str, Any], default: int) -> int:
-    n = _param(params, "n", default, low=1)
+def _at_most_host_size(n: int) -> int:
     if n > MAX_HOST_VERTICES:
         raise BadSpec(f"parameter n must be at most {MAX_HOST_VERTICES}, got {n}")
     return n
+
+
+def _host_size(params: dict[str, Any], default: int) -> int:
+    return _at_most_host_size(_param(params, "n", default, low=1))
 
 
 def _row(input_digest: str, outcome: str, certificate_digest: str = "") -> dict[str, Any]:
@@ -430,6 +434,8 @@ def _emit_graph(graph: EdgeOrderedGraph, as_dot: bool) -> None:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
+    if args.what != "family":  # every other generator takes -n
+        _at_most_host_size(args.n)
     if args.what == "canonical":
         graph = canonical_clique(CanonicalType(args.type), args.n)
     elif args.what == "star":

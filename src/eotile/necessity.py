@@ -94,7 +94,8 @@ def _class_profiles(
     A parent is a subgraph of its child, so a type one parent fails the
     child fails too: the child starts from the types all of its parents
     passed and is searched only for those, every search on one ``budget``.
-    Types whose cliques are order-isomorphic at size f share one search.
+    Types whose cliques are order-isomorphic at size f share one search,
+    and a type may fail by :func:`_type_checks`' peel cut with no search.
     The empty graph and the classes on at most two vertices pass all twenty
     with no search.  Without a budget nothing is searched and every class
     reads as passing all twenty.
@@ -153,10 +154,10 @@ def _certify_witness(
 ) -> dict[StarType, Embedding]:
     """The nineteen certificates of ``graph`` as a witness for ``target``.
 
-    All twenty searches run on one budget.  Each certificate is re-verified
-    by the independent embedding checker, and the search against the
-    target's ordering must come back empty; otherwise
-    :class:`CertificateError` is raised.
+    All twenty checks run on one budget.  Each certificate is re-verified
+    by the independent embedding checker, and the check against the
+    target's ordering must come back empty, by an exhausted search or by
+    the type loop's peel cut; otherwise :class:`CertificateError` is raised.
     """
     checks = _tile_checks(graph.n)
     found = dict(_type_checks(graph, checks, _Meter(budget)))

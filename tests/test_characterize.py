@@ -22,8 +22,10 @@ from eotile import (
     NotTuranable,
     SearchBudget,
     are_order_isomorphic,
+    EdgeOrderedGraph,
     build_graph,
     canonical_clique,
+    canonical_form,
     chromatic_number,
     enumerate_orderings,
     induced_subgraph,
@@ -600,3 +602,203 @@ class TestTypeLoopMatchesPerSearchOracle:
     def test_profile_table(self):
         rows = _profile_table(4, SearchBudget())
         assert rows == tuple((g, reference_profile(g)) for g in scan_classes(4))
+
+
+# Every 8-edge shape on 5 vertices with a vertex of degree 4: K5 minus the
+# edges 24 and 34, with 10,080 ordering classes.
+PEEL_SHAPE = ((0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 3))
+
+
+@pytest.fixture(scope="module")
+def peel_shape_classes():
+    shape = build_graph(5, [(u, v, r) for r, (u, v) in enumerate(PEEL_SHAPE, 1)])
+    return list(enumerate_orderings(shape))
+
+
+def all_cliques(f):
+    """The four canonical and twenty star-canonical cliques on ``f`` vertices."""
+    return [canonical_clique(kind, f) for kind in CANONICAL_ORDER] + [
+        star_canonical_clique(kind, f)[0] for kind in ALL_STAR_TYPES
+    ]
+
+
+def cut_refutes(graph, host, ends=None):
+    """Whether the type loop's peel cut refutes ``graph`` (whose peel ends
+    are ``ends`` when given) against ``host``."""
+    ends = ends or characterize._peel_ends(graph)
+    return any(h and not g for h, g in zip(characterize._host_ends(host), ends))
+
+
+def spanning_classes(host, shape):
+    """Classes of ``shape`` (pairs on the host's vertices) that embed into
+    ``host``: a spanning embedding is a bijection, and the class it finds is
+    the shape ordered by the host ranks of its image pairs."""
+    found = set()
+    for sigma in permutations(range(host.n)):
+        pairs = sorted(shape, key=lambda p: host.rank_of(sigma[p[0]], sigma[p[1]]))
+        found.add(canonical_form(EdgeOrderedGraph(host.n, tuple(pairs))))
+    return found
+
+
+def peeled_host(rng, n, reverse_order):
+    """A random graph on ``n`` vertices ordered block by block: a random
+    vertex order, each vertex's remaining edges next in a random order; with
+    ``reverse_order`` the blocks run from the top rank down."""
+    pairs = {p for p in combinations(range(n), 2) if rng.random() < 0.75}
+    ranked = []
+    for c in rng.sample(range(n), n):
+        block = sorted(p for p in pairs if c in p)
+        rng.shuffle(block)
+        ranked += block
+        pairs -= set(block)
+    if reverse_order:
+        ranked.reverse()
+    return EdgeOrderedGraph(n, tuple(ranked))
+
+
+def random_pattern(rng, host):
+    """A random ordering of a random graph on at most ``host.n`` vertices;
+    every other one is a relabeled sub-ordering of ``host``, so it embeds."""
+    k = rng.randint(2, host.n)
+    if rng.random() < 0.5:
+        pairs = [p for p in combinations(range(k), 2) if rng.random() < 0.5]
+        rng.shuffle(pairs)
+    else:
+        label = dict(zip(rng.sample(range(host.n), host.n), range(host.n)))
+        kept = [p for p in host.pairs_by_rank if rng.random() < 0.6]
+        pairs = [tuple(sorted((label[u], label[v]))) for u, v in kept]
+        k = host.n
+    return EdgeOrderedGraph(k, tuple(pairs))
+
+
+class TestPeelCut:
+    """The type loop refutes a graph against a clique that peels from an
+    end when the graph does not peel from that end; no search runs."""
+
+    @pytest.mark.parametrize("f", [4, 5, 6, 7])
+    def test_which_cliques_peel(self, f):
+        front = {CanonicalType.MIN, CanonicalType.INV_MIN}
+        back = {CanonicalType.MAX, CanonicalType.INV_MAX}
+        assert [characterize._peel_ends(canonical_clique(kind, f)) for kind in CANONICAL_ORDER] == [
+            (kind in front, kind in back) for kind in CANONICAL_ORDER
+        ]
+        small = {StarFamily.SMALLER_DEC, StarFamily.SMALLER_INC, StarFamily.MIDDLE_INC}
+        large = {StarFamily.LARGER_DEC, StarFamily.LARGER_INC, StarFamily.MIDDLE_INC}
+        expected = [
+            (f == 4 or kind.family in small) and kind.part in front
+            or (f == 4 or kind.family in large) and kind.part in back
+            for kind in ALL_STAR_TYPES
+        ]
+        ends = [characterize._peel_ends(star_canonical_clique(kind, f)[0]) for kind in ALL_STAR_TYPES]
+        assert [any(e) for e in ends] == expected
+        assert not any(all(e) for e in ends)
+
+    def test_greedy_matches_block_brute_force(self):
+        # Every ordering of every graph on at most four vertices, against a
+        # search over all vertex sequences for a block split.
+        def brute(n, pairs):
+            for order in permutations(range(n)):
+                rest = list(pairs)
+                for c in order:
+                    block = [p for p in rest if c in p]
+                    if rest[: len(block)] != block:
+                        break
+                    rest = rest[len(block) :]
+                if not rest:
+                    return True
+            return False
+
+        seen = {True: 0, False: 0}
+        for n in range(5):
+            every = list(combinations(range(n), 2))
+            for m in range(len(every) + 1):
+                for chosen in combinations(every, m):
+                    for pairs in permutations(chosen):
+                        peels = characterize._peels(n, pairs)
+                        assert peels == brute(n, pairs), pairs
+                        seen[peels] += 1
+        assert min(seen.values()) > 100
+
+    def test_never_refutes_what_the_kernel_embeds(self, oracle_graphs):
+        refuted = 0
+        for graph in oracle_graphs:
+            if graph.n < 3:
+                continue
+            for host in all_cliques(graph.n):
+                if cut_refutes(graph, host):
+                    refuted += 1
+                    assert find_embedding(graph, host) is None
+        assert refuted > 1000
+
+    def test_never_refutes_a_spanning_class_of_the_shape(self, peel_shape_classes):
+        # 10,080 classes against all 24 K5 cliques; each class a clique
+        # contains is confirmed by the kernel.
+        ends = {graph: characterize._peel_ends(graph) for graph in peel_shape_classes}
+        refuted = contained = 0
+        for host in all_cliques(5):
+            inside = spanning_classes(host, PEEL_SHAPE)
+            assert inside <= ends.keys()
+            for graph in inside:
+                assert not cut_refutes(graph, host, ends[graph])
+                assert find_embedding(graph, host) is not None
+            contained += len(inside)
+            refuted += sum(cut_refutes(graph, host, e) for graph, e in ends.items())
+        assert contained > 500 and refuted > 100_000
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_embedded_patterns_peel_like_their_host_seeded(self, seed):
+        rng = random.Random(seed)
+        embedded = not_peeling = 0
+        for trial in range(150):
+            back = trial % 2 == 1
+            host = peeled_host(rng, rng.randint(3, 7), back)
+            assert characterize._peel_ends(host)[back]
+            for _ in range(4):
+                pattern = random_pattern(rng, host)
+                peels = characterize._peel_ends(pattern)[back]
+                not_peeling += not peels
+                if find_embedding(pattern, host) is not None:
+                    embedded += 1
+                    assert peels, (host, pattern)
+        assert embedded > 200 and not_peeling > 20
+
+    def test_refutations_take_no_node(self, monkeypatch):
+        # 1423 peels from the front only: MIN is searched, MAX refuted unsearched.
+        searches = []
+        monkeypatch.setattr(
+            characterize, "find_embedding",
+            lambda *args, **kwargs: searches.append(args) or find_embedding(*args, **kwargs),
+        )
+        graph = path_with_ranks("1423")
+        assert characterize._peel_ends(graph) == (True, False)
+        assert is_turanable(graph).failing is CanonicalType.MAX
+        assert len(searches) == 1
+        flipped = reverse(graph)
+        verdict = is_turanable(flipped, SearchBudget(node_limit=1))
+        assert verdict.failing is CanonicalType.MIN
+        assert len(searches) == 1
+
+    def test_far_fewer_searches_and_the_same_verdicts(self, peel_shape_classes, monkeypatch):
+        searches = []
+        monkeypatch.setattr(
+            characterize, "find_embedding",
+            lambda *args, **kwargs: searches.append(args) or find_embedding(*args, **kwargs),
+        )
+        cut = [is_turanable(g) for g in peel_shape_classes]
+        with_cut = len(searches)
+        monkeypatch.setattr(characterize, "_host_ends", lambda host: (False, False))
+        assert [is_turanable(g) for g in peel_shape_classes] == cut
+        assert 10 * with_cut < len(searches) - with_cut
+
+    def test_cut_survives_optimized_mode(self):
+        script = textwrap.dedent(
+            """
+            from eotile import SearchBudget, reverse
+            from eotile.characterize import is_turanable, path_with_ranks
+
+            assert False  # stripped under -O
+            verdict = is_turanable(reverse(path_with_ranks("1423")), SearchBudget(node_limit=1))
+            print(verdict.failing.value)
+            """
+        )
+        assert run_optimized(script) == "min"

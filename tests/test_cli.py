@@ -2,9 +2,13 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import eotile
 from eotile import DuplicateEdge, ParseError, build_graph, canonical_clique
 from eotile.canonical import CanonicalType
 from eotile.characterize import d_graph, path_with_ranks
@@ -223,6 +227,21 @@ class TestExperiments:
         assert report["summary"]["found"] == 3
 
 
+class TestModuleEntryPoint:
+    def test_python_dash_m_prints_what_main_prints(self, capsys):
+        argv = ["gen", "family", "D(4)"]
+        assert main(argv) == 0
+        expected = capsys.readouterr().out
+        src = os.path.dirname(os.path.dirname(os.path.abspath(eotile.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "eotile", *argv],
+            capture_output=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == expected.encode()
+
+
 class TestBadInput:
     """Bad input ends in exit code 1 and a message, never a traceback."""
 
@@ -282,6 +301,26 @@ class TestBadInput:
     @pytest.mark.parametrize(
         "argv",
         [
+            ["canonical", "--type", "min"],
+            ["star", "--type", "larger-dec.min"],
+            ["extremal", "--kind", "TwoCliques", "-k", "2"],
+        ],
+        ids=["canonical", "star", "extremal"],
+    )
+    def test_gen_refuses_huge_n_before_building(self, capsys, monkeypatch, argv):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("builder reached")
+
+        for builder in ("canonical_clique", "star_canonical_clique", "extremal_construction"):
+            monkeypatch.setattr(cli, builder, unreachable)
+        assert main(["gen", *argv, "-n", "1001"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: parameter n must be at most 1000, got 1001\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
             ["check", "bogus", "x"],
             ["tile", "dense", "--host", "x", "-k", "notanint"],
             ["experiment", "nosuch", "--seed", "0"],
@@ -321,16 +360,16 @@ class TestBadInput:
         assert "node budget 1 exhausted" in captured.err
 
     def test_catalog_verdicts_runs_on_one_budget(self, capsys, monkeypatch):
-        # All searches of the f_max=4 catalog take 4,582 nodes on one meter.
+        # All searches of the f_max=4 catalog take 2,826 nodes on one meter.
         argv = ["experiment", "catalog-verdicts", "--seed", "0", "--param", "f_max=4"]
-        monkeypatch.setenv("EOTILE_NODE_BUDGET", "4582")
+        monkeypatch.setenv("EOTILE_NODE_BUDGET", "2826")
         assert main(argv) == 0
         capsys.readouterr()
-        monkeypatch.setenv("EOTILE_NODE_BUDGET", "4581")
+        monkeypatch.setenv("EOTILE_NODE_BUDGET", "2825")
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "node budget 4581 exhausted" in captured.err
+        assert "node budget 2825 exhausted" in captured.err
 
     @pytest.mark.parametrize(
         "argv",

@@ -89,6 +89,51 @@ def test_min_edge_sequence_call_is_detected():
     ]
 
 
+def calls_outside(tree, name, allowed):
+    """Lines of calls to ``name`` that no function named ``allowed`` encloses."""
+    found = []
+
+    def visit(node, inside):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inside = inside or node.name == allowed
+        if not inside and calls(node, name):
+            found.append(node.lineno)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(tree, False)
+    return found
+
+
+def test_only_the_type_loop_calls_find_embedding():
+    # Type checks go through _type_checks, whose peel cut refutes a graph
+    # against a clique that peels from an end the graph does not.
+    found = [
+        f"{name}:{line}"
+        for name in ("characterize.py", "necessity.py")
+        for line in calls_outside(
+            ast.parse((SOURCE / name).read_text(), filename=name), "find_embedding", "_type_checks"
+        )
+    ]
+    assert found == [], "run type checks through _type_checks, not find_embedding"
+
+
+def test_find_embedding_outside_the_type_loop_is_detected():
+    tree = ast.parse(
+        "def _type_checks(graph, checks, meter):\n"
+        "    def search(host):\n"
+        "        return find_embedding(graph, host)\n"
+        "    return embed.find_embedding(graph, checks)\n"
+        "def is_turanable(graph):\n"
+        "    return find_embedding(graph, host)\n"
+        "class Checks:\n"
+        "    def run(self):\n"
+        "        return embed.find_embedding(graph, host)\n"
+        "found = find_embedding(graph, host) or find_embedding\n"
+    )
+    assert calls_outside(tree, "find_embedding", "_type_checks") == [6, 9, 10]
+
+
 def reads_edges(node):
     return isinstance(node, ast.Attribute) and node.attr == "edges"
 
@@ -123,6 +168,7 @@ LAYER = {
     "necessity": 5,
     "tiling": 5,
     "cli": 6,
+    "__main__": 7,
 }
 
 

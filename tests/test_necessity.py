@@ -285,12 +285,12 @@ class TestOneBudget:
             _profile_table(3, SearchBudget(9, math.inf))
 
     def test_children_search_only_the_types_their_parents_passed(self):
-        # The 91 classes on at most four vertices take 4,582 nodes; searching
+        # The 91 classes on at most four vertices take 2,826 nodes; searching
         # each for every clique instead of those its parents embed into
-        # takes 6,434.
-        assert len(_profile_table(4, SearchBudget(4_582, math.inf))) == 91
-        with pytest.raises(Inconclusive, match="node budget 4581 exhausted"):
-            _profile_table(4, SearchBudget(4_581, math.inf))
+        # takes 3,038.
+        assert len(_profile_table(4, SearchBudget(2_826, math.inf))) == 91
+        with pytest.raises(Inconclusive, match="node budget 2825 exhausted"):
+            _profile_table(4, SearchBudget(2_825, math.inf))
 
     def test_witness_certification_runs_on_one_budget(self, monkeypatch):
         # One edge on three vertices embeds into each of the twenty types
