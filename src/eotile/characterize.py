@@ -57,7 +57,15 @@ def _trivial_pattern(graph: EdgeOrderedGraph) -> bool:
     return graph.n <= 2
 
 
+@lru_cache(maxsize=None)
+def _canonical_checks(f: int) -> tuple[tuple[CanonicalType, EdgeOrderedGraph], ...]:
+    """The four canonical checks on ``f`` vertices in ``CANONICAL_ORDER``, built once."""
+    return tuple((kind, canonical_clique(kind, f)) for kind in CANONICAL_ORDER)
+
+
+@lru_cache(maxsize=None)
 def _tile_checks(f: int) -> tuple[tuple[StarType, EdgeOrderedGraph], ...]:
+    """The twenty star checks on ``f`` vertices in ``ALL_STAR_TYPES`` order, built once."""
     return tuple((kind, star_canonical_clique(kind, f)[0]) for kind in ALL_STAR_TYPES)
 
 
@@ -65,27 +73,29 @@ def _peels(n: int, pairs: Sequence[Pair]) -> bool:
     """True iff ``pairs`` split into consecutive blocks, each holding every
     remaining edge at one vertex.
 
-    A block starts at an endpoint of its first edge, and a vertex's
-    remaining edges come next iff its last edge lies as many places on as
-    it has edges left.  Taking any endpoint that qualifies is safe: if both
-    do, the one with a single edge left leaves the other's block next.
+    A block starts at an endpoint of its first edge and runs to that
+    vertex's last edge.  An endpoint whose last edge is the first edge owns
+    a one-edge block, and taking it is safe: if the other endpoint owns a
+    block too, it still starts on the next edge.  Otherwise only the
+    endpoint on the next edge can own a longer block, and it does iff every
+    edge up to its last one meets it.  One pass finds each vertex's last
+    edge; a second stops at the first block that breaks.
     """
-    left = [0] * n
     last = [0] * n
     for q, (u, v) in enumerate(pairs):
-        left[u] += 1
-        left[v] += 1
         last[u] = last[v] = q
-    p = 0
-    while p < len(pairs):
+    p, m = 0, len(pairs)
+    while p < m:
         a, b = pairs[p]
-        c = a if last[a] - p + 1 == left[a] else b
-        if last[c] - p + 1 != left[c]:
-            return False
-        for u, v in pairs[p : last[c] + 1]:
-            left[u] -= 1
-            left[v] -= 1
-        p = last[c] + 1
+        if last[a] == p or last[b] == p:
+            p += 1
+            continue
+        c = a if a in pairs[p + 1] else b
+        end = last[c]
+        for q in range(p + 1, end + 1):
+            if c not in pairs[q]:
+                return False
+        p = end + 1
     return True
 
 
@@ -111,14 +121,24 @@ def _type_checks(
     the vertex mapped to c, so it would peel the pattern the same way.  The
     MIN and INV_MIN cliques peel from the front, MAX and INV_MAX from the
     back, and twelve of the twenty star cliques from one end (all twenty at
-    f = 4).  Every other check is searched.
+    f = 4).  Every other check is searched.  The graph's flag for an end is
+    computed when the first host that peels from that end comes up, so a
+    graph refuted at its first check costs one pass.
     """
-    ends: Optional[tuple[bool, bool]] = None
+    front: Optional[bool] = None
+    back: Optional[bool] = None
     for kind, host in checks:
-        host_ends = _host_ends(host)
-        if any(host_ends):
-            ends = ends or _peel_ends(graph)
-            if (host_ends[0] and not ends[0]) or (host_ends[1] and not ends[1]):
+        host_front, host_back = _host_ends(host)
+        if host_front:
+            if front is None:
+                front = _peels(graph.n, graph.pairs_by_rank)
+            if not front:
+                yield kind, None
+                continue
+        if host_back:
+            if back is None:
+                back = _peels(graph.n, graph.pairs_by_rank[::-1])
+            if not back:
                 yield kind, None
                 continue
         yield kind, find_embedding(graph, host, meter=meter)
@@ -144,10 +164,11 @@ def _first_failure(
 
 
 def _turan_verdict(
-    graph: EdgeOrderedGraph, kinds: Iterable[CanonicalType], meter: _Meter
+    graph: EdgeOrderedGraph, kinds: Sequence[CanonicalType], meter: _Meter
 ) -> TuranVerdict:
-    """The canonical checks of ``kinds`` in order on one ``meter``, to the first failure."""
-    checks = ((kind, canonical_clique(kind, graph.n)) for kind in kinds)
+    """The canonical checks of ``kinds`` (in ``CANONICAL_ORDER`` order) on
+    one ``meter``, to the first failure."""
+    checks = (check for check in _canonical_checks(graph.n) if check[0] in kinds)
     return _first_failure(TuranVerdict, graph, checks, meter)
 
 

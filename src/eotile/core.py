@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -274,9 +274,22 @@ def _min_edge_sequence(n: int, pairs: Sequence[Pair]) -> tuple[Pair, ...]:
     return _least_state(n, pairs)[0]
 
 
+@lru_cache(maxsize=None)
+def _labels(n: int) -> tuple[str, ...]:
+    """The vertex labels of a code on ``n`` vertices, zero-padded to the width of ``n-1``."""
+    width = len(str(max(n - 1, 0)))
+    return tuple(str(i).zfill(width) for i in range(n))
+
+
 def _encode(n: int, seq: Sequence[Pair]) -> bytes:
-    """The bytes of a canonical code, from a least edge sequence."""
-    body = ";".join([f"{u},{v}" for u, v in seq])
+    """The bytes of a canonical code, from a least edge sequence.
+
+    Labels all have one width, so for one ``n`` the byte order of codes is
+    the order of their sequences as tuples; for ``n <= 10`` no label is
+    padded.
+    """
+    labels = _labels(n)
+    body = ";".join([f"{labels[u]},{labels[v]}" for u, v in seq])
     return f"{n}:{body}".encode("ascii")
 
 
@@ -362,7 +375,9 @@ def enumerate_orderings(
     order-isomorphic exactly when an automorphism of the shape maps one to
     the other, so the classes are the orbits of Aut(shape), acting on the
     edges, on the ``m!`` rank assignments; every orbit has ``|Aut|``
-    members.  Yields canonical forms in ascending code order.
+    members.  Yields canonical forms in ascending code order: classes are
+    kept and sorted as least-sequence tuples, whose order is the code
+    order since :func:`_encode` pads its labels.
 
     One depth-first walk lists the lexicographically least edge order of
     each orbit: the ``k``-th edge is admissible iff no automorphism fixing
@@ -371,7 +386,10 @@ def enumerate_orderings(
     The walk carries the :func:`_least_step` state down with it: a least
     sequence's prefix is the least sequence of that prefix, so each tree
     node costs one step, about ``e`` steps per class once the stabilizer
-    is trivial, instead of relabeling every class's ``m`` edges.
+    is trivial, instead of relabeling every class's ``m`` edges.  The
+    prefix and the unused edges are one stack each, pushed and popped in
+    place, and equal pairs are one object, so the sort compares two
+    classes by identity up to their first difference.
 
     The cap counts what is visited: more than ``max_labelings`` classes
     (``m!/|Aut|``), or automorphisms, raise :class:`BudgetExceeded` before
@@ -389,37 +407,36 @@ def enumerate_orderings(
             f"{m}!/{len(group)} = {total // len(group)} classes exceed budget {max_labelings}"
         )
     pairs = sorted(shape.pairs_by_rank)
-    classes: dict[bytes, tuple[Pair, ...]] = {}
+    classes: set[tuple[Pair, ...]] = set()
+    interned: dict[Pair, Pair] = {}
+    seq: list[Pair] = []
+    remaining = list(range(m))
 
     def extend(
-        seq: tuple[Pair, ...],
-        candidates: list[list[int]],
-        k: int,
-        remaining: tuple[int, ...],
-        stabilizer: Sequence[tuple[int, ...]],
+        candidates: list[list[int]], k: int, stabilizer: Sequence[tuple[int, ...]]
     ) -> None:
         if not remaining:
-            classes[_encode(n, seq)] = seq
+            classes.add(tuple(seq))
             return
         trivial = len(stabilizer) == 1
-        for i, e in enumerate(remaining):
+        for i in range(len(remaining)):
+            e = remaining[i]
             if trivial or all(g[e] >= e for g in stabilizer):
                 pair, after, labels = _least_step(candidates, k, *pairs[e])
-                extend(
-                    seq + (pair,),
-                    after,
-                    labels,
-                    remaining[:i] + remaining[i + 1 :],
-                    stabilizer if trivial else [g for g in stabilizer if g[e] == e],
-                )
+                seq.append(interned.setdefault(pair, pair))
+                del remaining[i]
+                fixing = stabilizer if trivial else [g for g in stabilizer if g[e] == e]
+                extend(after, labels, fixing)
+                remaining.insert(i, e)
+                seq.pop()
 
-    extend(*_least_state(n, ()), tuple(range(m)), group)
+    extend(*_least_state(n, ())[1:], group)
     if len(classes) * len(group) != total:
         raise CertificateError(
             f"{len(classes)} classes x {len(group)} automorphisms != {m}! labelings"
         )
-    for code in sorted(classes):
-        yield _from_sequence(n, classes[code])
+    for least in sorted(classes):
+        yield _from_sequence(n, least)
 
 
 def chromatic_number(graph: EdgeOrderedGraph) -> int:

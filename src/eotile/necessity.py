@@ -19,8 +19,7 @@ from typing import Iterator, Optional
 from .canonical import ALL_STAR_TYPES, StarType
 from .characterize import _tile_checks, _type_checks
 from .core import (
-    DEFAULT_MAX_LABELINGS, EdgeOrderedGraph, Pair, _encode, _from_sequence, _least_state,
-    _least_step, canonical_code,
+    DEFAULT_MAX_LABELINGS, EdgeOrderedGraph, Pair, _from_sequence, _least_step, canonical_code,
 )
 from .embed import DEFAULT_BUDGET, Embedding, SearchBudget, _Meter, verify_embedding
 from .errors import BadSize, BudgetExceeded, CertificateError
@@ -85,11 +84,12 @@ def _class_profiles(
 
     Classes on f vertices grow level by level from the empty graph: level
     m appends each non-edge of each level m-1 class as its new top edge
-    and keeps each child once, by code.  Deleting a class's top edge leaves
-    one parent class, so every class turns up (McKay, J. Algorithms 1998).
-    A parent's least sequence is the least prefix of each child's, so the
-    parent is folded into its :func:`_least_step` state once and each
-    child's code costs one step from that state.
+    and keeps each child once, keyed by its least sequence, which sorts
+    in code order.  Deleting a class's top edge leaves one parent class,
+    so every class turns up (McKay, J. Algorithms 1998).  A parent's least
+    sequence is the least prefix of each child's, so a child's sequence
+    costs one :func:`_least_step` from its parent's state, and a kept
+    child keeps the state that step left for its own children.
 
     A parent is a subgraph of its child, so a type one parent fails the
     child fails too: the child starts from the types all of its parents
@@ -111,32 +111,43 @@ def _class_profiles(
         if meter and f > 2:
             for bit, (_, host) in zip(_TYPE_BITS, _tile_checks(f)):
                 checks.setdefault(canonical_code(host).data, [0, host])[0] |= bit
-        levels: list[dict[bytes, tuple[tuple[Pair, ...], int]]] = [
-            {_encode(f, ()): ((), _ALL_TYPES)}
-        ]
-        for _ in range(math.comb(f, 2)):
-            inherited: dict[bytes, tuple[tuple[Pair, ...], int]] = {}
-            for seq, passed in levels[-1].values():
-                _, candidates, k = _least_state(f, seq)
-                for pair in combinations(range(f), 2):
-                    if pair not in seq:
-                        child = seq + (_least_step(candidates, k, *pair)[0],)
-                        code = _encode(f, child)
-                        _, shared = inherited.setdefault(code, (child, passed))
-                        inherited[code] = (child, shared & passed)
+        # Each level maps a class's least sequence to its profile; equal
+        # pairs are one object, so comparing sequences stops at identity.
+        # A kept class keeps its step state in the coordinates it was
+        # generated in, its parent's plus the new pair, with those edges as
+        # a bit mask over ``pairs``, so each child costs one step.
+        pairs = list(combinations(range(f), 2))
+        levels: list[dict[tuple[Pair, ...], int]] = [{(): _ALL_TYPES}]
+        states = {(): (0, [[-1] * f], 0)}
+        interned: dict[Pair, Pair] = {}
+        for _ in range(len(pairs)):
+            inherited: dict[tuple[Pair, ...], int] = {}
+            born: dict[tuple[Pair, ...], tuple[int, list[list[int]], int]] = {}
+            for seq, passed in levels[-1].items():
+                edges, candidates, k = states[seq]
+                for i, (a, b) in enumerate(pairs):
+                    if not edges >> i & 1:
+                        step, after, labels = _least_step(candidates, k, a, b)
+                        child = seq + (interned.setdefault(step, step),)
+                        shared = inherited.get(child)
+                        if shared is None:
+                            inherited[child] = passed
+                            born[child] = (edges | 1 << i, after, labels)
+                        else:
+                            inherited[child] = shared & passed
             if checks:
-                for code, (child, passed) in inherited.items():
+                for child, passed in inherited.items():
                     pending = [(kinds, host) for kinds, host in checks.values() if passed & kinds]
                     for kinds, emb in _type_checks(_from_sequence(f, child), pending, meter):
                         if emb is None:
                             passed &= ~kinds
-                    inherited[code] = (child, passed)
+                    inherited[child] = passed
             levels.append(inherited)
+            states = born
         while levels:  # densest first, each level freed once yielded
             level = levels.pop()
-            for code in sorted(level):
-                seq, passed = level[code]
-                yield _from_sequence(f, seq), tuple(passed & bit > 0 for bit in _TYPE_BITS)
+            for seq in sorted(level):
+                yield _from_sequence(f, seq), tuple(level[seq] & bit > 0 for bit in _TYPE_BITS)
 
 
 @lru_cache(maxsize=1)

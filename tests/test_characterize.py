@@ -615,6 +615,18 @@ def peel_shape_classes():
     return list(enumerate_orderings(shape))
 
 
+def block_split_exists(pairs):
+    """Whether ``pairs`` split into blocks, each every remaining edge at one
+    vertex, by trying every vertex for every block."""
+    if not pairs:
+        return True
+    for c in {x for pair in pairs for x in pair}:
+        block = [p for p in pairs if c in p]
+        if list(pairs[: len(block)]) == block and block_split_exists(pairs[len(block) :]):
+            return True
+    return False
+
+
 def all_cliques(f):
     """The four canonical and twenty star-canonical cliques on ``f`` vertices."""
     return [canonical_clique(kind, f) for kind in CANONICAL_ORDER] + [
@@ -694,20 +706,7 @@ class TestPeelCut:
         assert not any(all(e) for e in ends)
 
     def test_greedy_matches_block_brute_force(self):
-        # Every ordering of every graph on at most four vertices, against a
-        # search over all vertex sequences for a block split.
-        def brute(n, pairs):
-            for order in permutations(range(n)):
-                rest = list(pairs)
-                for c in order:
-                    block = [p for p in rest if c in p]
-                    if rest[: len(block)] != block:
-                        break
-                    rest = rest[len(block) :]
-                if not rest:
-                    return True
-            return False
-
+        # Every ordering of every graph on at most four vertices.
         seen = {True: 0, False: 0}
         for n in range(5):
             every = list(combinations(range(n), 2))
@@ -715,9 +714,54 @@ class TestPeelCut:
                 for chosen in combinations(every, m):
                     for pairs in permutations(chosen):
                         peels = characterize._peels(n, pairs)
-                        assert peels == brute(n, pairs), pairs
+                        assert peels == block_split_exists(pairs), pairs
                         seen[peels] += 1
         assert min(seen.values()) > 100
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_greedy_matches_block_brute_force_seeded(self, seed):
+        # Orders on five to seven vertices: block-peeled ones, the same with
+        # two neighbouring edges swapped, and shuffled ones.
+        rng = random.Random(seed)
+        seen = {True: 0, False: 0}
+        for trial in range(300):
+            n = rng.randint(5, 7)
+            pairs = list(peeled_host(rng, n, trial % 2 == 1).pairs_by_rank)
+            if trial % 3 == 1 and len(pairs) > 1:
+                i = rng.randrange(len(pairs) - 1)
+                pairs[i], pairs[i + 1] = pairs[i + 1], pairs[i]
+            elif trial % 3 == 2:
+                rng.shuffle(pairs)
+            for order in (pairs, pairs[::-1]):
+                peels = characterize._peels(n, order)
+                assert peels == block_split_exists(order), order
+                seen[peels] += 1
+        assert min(seen.values()) > 100
+
+    def test_each_end_is_peeled_once_when_first_needed(self, monkeypatch):
+        # reverse(1423) fails the front peel at MIN: one pass.  1423 peels
+        # from the front, so MIN is searched and MAX takes the back pass.
+        graph = path_with_ranks("1423")
+        is_turanable(graph)  # the MIN and MAX cliques' own ends, memoized first
+        passes = []
+        peels = characterize._peels
+        monkeypatch.setattr(
+            characterize, "_peels", lambda n, pairs: passes.append(pairs) or peels(n, pairs)
+        )
+        assert is_turanable(reverse(graph)).failing is CanonicalType.MIN
+        assert len(passes) == 1
+        assert is_turanable(graph).failing is CanonicalType.MAX
+        assert passes[1:] == [graph.pairs_by_rank, graph.pairs_by_rank[::-1]]
+
+    def test_check_tuples_are_built_once_per_size(self):
+        assert characterize._tile_checks(6) is characterize._tile_checks(6)
+        assert characterize._canonical_checks(6) is characterize._canonical_checks(6)
+        assert characterize._canonical_checks(6) == tuple(
+            (kind, canonical_clique(kind, 6)) for kind in CANONICAL_ORDER
+        )
+        assert characterize._tile_checks(6) == tuple(
+            (kind, star_canonical_clique(kind, 6)[0]) for kind in ALL_STAR_TYPES
+        )
 
     def test_never_refutes_what_the_kernel_embeds(self, oracle_graphs):
         refuted = 0

@@ -409,6 +409,36 @@ class TestOrbitEnumeration:
         assert len(classes) == 10_080
         assert len(steps) <= 3 * len(classes)
 
+    def test_codes_ascend_with_two_digit_labels(self):
+        # Labels 10-12 take two digits: the classes come out sorted as
+        # least-sequence tuples, which is code order only because codes pad
+        # every label to one width.
+        pairs = [(6, 10), (5, 6), (1, 9), (2, 9), (10, 11), (7, 11), (4, 12), (0, 2)]
+        g = build_graph(13, [(u, v, i + 1) for i, (u, v) in enumerate(pairs)])
+        classes = list(enumerate_orderings(g))
+        assert len(classes) == 10_080
+        codes = [canonical_code(c).data for c in classes]
+        assert codes == sorted(codes) and len(set(codes)) == len(codes)
+        assert classes == sorted(classes, key=lambda c: canonical_code(c).data)
+        assert [c.pairs_by_rank for c in classes] == sorted(c.pairs_by_rank for c in classes)
+        assert codes[0] == b"13:00,01;00,02;01,03;02,04;05,06;05,07;06,08;09,10"
+
+    @pytest.mark.parametrize(
+        "g, code",
+        [
+            (path_with_ranks("1423"), b"5:0,1;2,3;2,4;0,3"),
+            (d_graph(5), b"5:0,1;0,2;0,3;0,4;1,4;2,4;3,4"),
+            (path_with_ranks("918273645"), b"10:0,1;2,3;4,5;6,7;6,8;4,7;2,5;0,3;1,9"),
+            (
+                build_graph(10, [(i, (i + 1) % 10, i + 1) for i in range(10)]),
+                b"10:0,1;0,2;2,3;3,4;4,5;5,6;6,7;7,8;8,9;1,9",
+            ),
+        ],
+        ids=["1423", "D5", "path10", "C10"],
+    )
+    def test_codes_up_to_ten_vertices_are_unpadded(self, g, code):
+        assert canonical_code(g).data == code
+
     def test_classes_not_labelings_are_capped(self):
         # The 3-edge path has 3! = 6 labelings but 6/2 = 3 classes.
         p3 = shape(4, "01 12 23")

@@ -89,6 +89,24 @@ def test_min_edge_sequence_call_is_detected():
     ]
 
 
+def test_only_core_calls_encode():
+    # Class loops key and sort classes by least-sequence tuples, whose
+    # order is the code order; byte codes are made only by core.
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SOURCE.rglob("*.py"))
+        if path.name != "core.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if calls(node, "_encode")
+    ]
+    assert found == [], "key classes by their least sequence, not by _encode bytes"
+
+
+def test_encode_call_is_detected():
+    tree = ast.parse("_encode(n, seq)\ncore._encode(n, seq)\n_encode\ncanonical_code(g)")
+    assert [calls(node.value, "_encode") for node in tree.body] == [True, True, False, False]
+
+
 def calls_outside(tree, name, allowed):
     """Lines of calls to ``name`` that no function named ``allowed`` encloses."""
     found = []
