@@ -57,18 +57,6 @@ def _trivial_pattern(graph: EdgeOrderedGraph) -> bool:
     return graph.n <= 2
 
 
-@lru_cache(maxsize=None)
-def _canonical_checks(f: int) -> tuple[tuple[CanonicalType, EdgeOrderedGraph], ...]:
-    """The four canonical checks on ``f`` vertices in ``CANONICAL_ORDER``, built once."""
-    return tuple((kind, canonical_clique(kind, f)) for kind in CANONICAL_ORDER)
-
-
-@lru_cache(maxsize=None)
-def _tile_checks(f: int) -> tuple[tuple[StarType, EdgeOrderedGraph], ...]:
-    """The twenty star checks on ``f`` vertices in ``ALL_STAR_TYPES`` order, built once."""
-    return tuple((kind, star_canonical_clique(kind, f)[0]) for kind in ALL_STAR_TYPES)
-
-
 def _peels(n: int, pairs: Sequence[Pair]) -> bool:
     """True iff ``pairs`` split into consecutive blocks, each holding every
     remaining edge at one vertex.
@@ -105,30 +93,49 @@ def _peel_ends(graph: EdgeOrderedGraph) -> tuple[bool, bool]:
     return _peels(graph.n, pairs), _peels(graph.n, pairs[::-1])
 
 
-# The hosts are the memoized cliques, so each one's ends are found once.
-_host_ends = lru_cache(maxsize=None)(_peel_ends)
+# A type check: the kind, its clique, and whether the clique's rank order
+# peels from the front and from the back.
+_CheckRecord = tuple[Any, EdgeOrderedGraph, bool, bool]
+
+
+def _check(kind: Any, host: EdgeOrderedGraph) -> _CheckRecord:
+    return (kind, host, *_peel_ends(host))
+
+
+@lru_cache(maxsize=None)
+def _canonical_checks(f: int) -> tuple[_CheckRecord, ...]:
+    """The four canonical checks on ``f`` vertices in ``CANONICAL_ORDER``, built once."""
+    return tuple(_check(kind, canonical_clique(kind, f)) for kind in CANONICAL_ORDER)
+
+
+@lru_cache(maxsize=None)
+def _tile_checks(f: int) -> tuple[_CheckRecord, ...]:
+    """The twenty star checks on ``f`` vertices in ``ALL_STAR_TYPES`` order, built once."""
+    return tuple(_check(kind, star_canonical_clique(kind, f)[0]) for kind in ALL_STAR_TYPES)
 
 
 def _type_checks(
-    graph: EdgeOrderedGraph, checks: Iterable[tuple[Any, EdgeOrderedGraph]], meter: _Meter
+    graph: EdgeOrderedGraph, checks: Iterable[_CheckRecord], meter: _Meter
 ) -> Iterator[tuple[Any, Optional[Embedding]]]:
     """Each kind in check order with the first embedding of ``graph`` into
     its host, or None; every search counts against the one ``meter``.
 
-    A host whose order peels from an end refutes, with no search and no
-    node, a graph whose order does not peel from that end: an embedding
-    sends the host block of vertex c exactly the remaining pattern edges at
-    the vertex mapped to c, so it would peel the pattern the same way.  The
-    MIN and INV_MIN cliques peel from the front, MAX and INV_MAX from the
-    back, and twelve of the twenty star cliques from one end (all twenty at
-    f = 4).  Every other check is searched.  The graph's flag for an end is
-    computed when the first host that peels from that end comes up, so a
-    graph refuted at its first check costs one pass.
+    Each check is a ``(kind, host, front, back)`` record whose flags say
+    whether the host's order peels from the front and from the back; the
+    records are built once per size, so no host is looked at again.  A host
+    that peels from an end refutes, with no search and no node, a graph
+    whose order does not peel from that end: an embedding sends the host
+    block of vertex c exactly the remaining pattern edges at the vertex
+    mapped to c, so it would peel the pattern the same way.  The MIN and
+    INV_MIN cliques peel from the front, MAX and INV_MAX from the back, and
+    twelve of the twenty star cliques from one end (all twenty at f = 4).
+    Every other check is searched.  The graph's flag for an end is computed
+    when the first host that peels from that end comes up, so a graph
+    refuted at its first check costs one pass.
     """
     front: Optional[bool] = None
     back: Optional[bool] = None
-    for kind, host in checks:
-        host_front, host_back = _host_ends(host)
+    for kind, host, host_front, host_back in checks:
         if host_front:
             if front is None:
                 front = _peels(graph.n, graph.pairs_by_rank)
@@ -150,7 +157,7 @@ _Verdict = TypeVar("_Verdict", TuranVerdict, TileVerdict)
 def _first_failure(
     verdict: type[_Verdict],
     graph: EdgeOrderedGraph,
-    checks: Iterable[tuple[Any, EdgeOrderedGraph]],
+    checks: Iterable[_CheckRecord],
     meter: _Meter,
 ) -> _Verdict:
     """The ``checks`` in order on one ``meter``, to the first failure: a
@@ -161,15 +168,6 @@ def _first_failure(
             return verdict(False, failing=kind)
         certificates[kind] = emb
     return verdict(True, certificates=certificates)
-
-
-def _turan_verdict(
-    graph: EdgeOrderedGraph, kinds: Sequence[CanonicalType], meter: _Meter
-) -> TuranVerdict:
-    """The canonical checks of ``kinds`` (in ``CANONICAL_ORDER`` order) on
-    one ``meter``, to the first failure."""
-    checks = (check for check in _canonical_checks(graph.n) if check[0] in kinds)
-    return _first_failure(TuranVerdict, graph, checks, meter)
 
 
 def is_turanable(
@@ -185,7 +183,7 @@ def is_turanable(
     """
     if _trivial_pattern(graph):
         return TuranVerdict(True)
-    return _turan_verdict(graph, CANONICAL_ORDER, _Meter(budget))
+    return _first_failure(TuranVerdict, graph, _canonical_checks(graph.n), _Meter(budget))
 
 
 _isomorphism = lru_cache(maxsize=None)(are_order_isomorphic)
@@ -259,7 +257,7 @@ def extremal_vertices(
     if graph.m == 0:
         return isolated, isolated
     meter = _Meter(budget)
-    verdict = _turan_verdict(graph, CANONICAL_ORDER, meter)
+    verdict = _first_failure(TuranVerdict, graph, _canonical_checks(graph.n), meter)
     if not verdict.value:
         raise NotTuranable(f"no canonical embedding of type {verdict.failing}")
     f = graph.n
@@ -408,7 +406,9 @@ def turanable_four_coloring(
         return {}
     if graph.m == 0:
         return {v: 0 for v in range(graph.n)}
-    verdict = _turan_verdict(graph, (CanonicalType.MIN, CanonicalType.INV_MIN), _Meter(budget))
+    wanted = (CanonicalType.MIN, CanonicalType.INV_MIN)
+    checks = [check for check in _canonical_checks(graph.n) if check[0] in wanted]
+    verdict = _first_failure(TuranVerdict, graph, checks, _Meter(budget))
     if not verdict.value:
         raise NotTuranable(f"no embedding into the {verdict.failing.value} ordering")
     pos_min, pos_inv = (emb.vertex_map for emb in verdict.certificates.values())

@@ -47,13 +47,11 @@ from .errors import (
     SamplingFailed,
     UnknownExperiment,
 )
-from .necessity import _class_profiles, necessity_witness, sufficiency_probe
+from .necessity import _ALL_TYPES, _class_profiles, necessity_witness, sufficiency_probe
 from .tiling import (
     Tiling,
-    TilerConfig,
     extremal_construction,
     perfect_tiling_exact,
-    tile_dense_paths,
     tile_via_cliques,
     tiling_number,
     verify_tiling,
@@ -275,13 +273,12 @@ def _experiment_theorem1_grid(spec: ExperimentSpec, budget: SearchBudget) -> dic
         raise BadSpec(f"parameter edge_prob must lie in (0, 1], got {edge_prob}")
     min_degree = -(-int((0.5 + eta) * 2 * n) // 2)  # ceil((1/2+eta)n)
     piece = monotone_path_graph(k)
-    config = TilerConfig(absorb_budget=budget)
     trial_rows = []
     successes = 0
     for index in range(trials):
         rng = _trial_rng(spec.seed, index)
         host = _random_min_degree_host(rng, n, min_degree, edge_prob)
-        tiling = tile_dense_paths(host, k, config)
+        tiling = perfect_tiling_exact(host, piece, budget)
         if tiling is not None:
             if not verify_tiling(host, piece, tiling):
                 raise CertificateError(f"trial {index}: tiling failed re-verification")
@@ -354,17 +351,17 @@ def _experiment_catalog_verdicts(spec: ExperimentSpec, budget: SearchBudget) -> 
     the canonical cliques up to order isomorphism; tileable iff into all
     twenty.  Every search of the experiment runs on ``budget``."""
     f_max = _param(spec.parameters, "f_max", 4, low=1)
-    coincident = [ALL_STAR_TYPES.index(kind) for kind in CANONICAL_COINCIDENT_TYPES]
+    coincident = sum(1 << ALL_STAR_TYPES.index(kind) for kind in CANONICAL_COINCIDENT_TYPES)
     trial_rows = []
     turanable = tileable = 0
     max_chromatic = 0
     for graph, profile in _class_profiles(f_max, budget):
         verdict = "not-turanable"
-        if all(profile[i] for i in coincident):
+        if profile & coincident == coincident:
             turanable += 1
             max_chromatic = max(max_chromatic, chromatic_number(graph))
             verdict = "turanable-only"
-            if all(profile):
+            if profile == _ALL_TYPES:
                 tileable += 1
                 verdict = "tileable"
         trial_rows.append(_row(_digest(serialize_graph(graph)), verdict))
@@ -477,14 +474,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
 def _cmd_tile(args: argparse.Namespace) -> int:
     host = _read_graph_arg(args.host)
     budget = default_budget()
-    if args.mode == "exact":
-        piece = _read_graph_arg(args.piece)
+    piece = monotone_path_graph(args.k) if args.mode == "dense" else _read_graph_arg(args.piece)
+    if args.mode != "clique":
         tiling = perfect_tiling_exact(host, piece, budget)
-    elif args.mode == "dense":
-        piece = monotone_path_graph(args.k)
-        tiling = tile_dense_paths(host, args.k, TilerConfig(absorb_budget=budget))
     else:
-        piece = _read_graph_arg(args.piece)
         t_value = args.T
         if t_value is None:
             t_value = tiling_number(piece, args.t_max, budget)

@@ -41,10 +41,9 @@ WITNESSES: dict[StarType, str] = {
 # corroborate but never refute membership in this list.
 ESTABLISHED_NECESSARY = tuple(kind for kind in ALL_STAR_TYPES if kind in WITNESSES)
 
-# A class's profile inside the augmentation loop: bit i set iff it embeds
-# into the clique of ALL_STAR_TYPES[i].
-_TYPE_BITS = tuple(1 << i for i in range(len(ALL_STAR_TYPES)))
-_ALL_TYPES = sum(_TYPE_BITS)
+# A class's profile is a mask: bit i set iff it embeds into the clique of
+# ALL_STAR_TYPES[i].
+_ALL_TYPES = (1 << len(ALL_STAR_TYPES)) - 1
 
 
 @dataclass(frozen=True)
@@ -78,9 +77,9 @@ def scan_classes(f_max: int) -> Iterator[EdgeOrderedGraph]:
 
 def _class_profiles(
     f_max: int, budget: Optional[SearchBudget] = None
-) -> Iterator[tuple[EdgeOrderedGraph, tuple[bool, ...]]]:
-    """Each class of ``scan_classes(f_max)``, in its order, with the star
-    types (in ``ALL_STAR_TYPES`` order) it embeds into.
+) -> Iterator[tuple[EdgeOrderedGraph, int]]:
+    """Each class of ``scan_classes(f_max)``, in its order, with its profile,
+    the mask of the star types it embeds into (bit i: ``ALL_STAR_TYPES[i]``).
 
     Classes on f vertices grow level by level from the empty graph: level
     m appends each non-edge of each level m-1 class as its new top edge
@@ -94,8 +93,9 @@ def _class_profiles(
     A parent is a subgraph of its child, so a type one parent fails the
     child fails too: the child starts from the types all of its parents
     passed and is searched only for those, every search on one ``budget``.
-    Types whose cliques are order-isomorphic at size f share one search,
-    and a type may fail by :func:`_type_checks`' peel cut with no search.
+    Types whose cliques are order-isomorphic at size f share one search and
+    one check record, whose peel flags hold for every clique of the group;
+    a type may fail by :func:`_type_checks`' peel cut with no search.
     The empty graph and the classes on at most two vertices pass all twenty
     with no search.  Without a budget nothing is searched and every class
     reads as passing all twenty.
@@ -105,12 +105,12 @@ def _class_profiles(
         raise BudgetExceeded(f"K_{f_max} has {top} ordering classes, over {DEFAULT_MAX_LABELINGS}")
     meter = _Meter(budget) if budget else None
     for f in range(1, f_max + 1):
-        # [types, clique] per ordering class of the twenty cliques: one at
-        # f = 3, twelve at f = 4, twenty from f = 5 on.
+        # [types, clique, front, back] per ordering class of the twenty
+        # cliques: one at f = 3, twelve at f = 4, twenty from f = 5 on.
         checks: dict[bytes, list] = {}
         if meter and f > 2:
-            for bit, (_, host) in zip(_TYPE_BITS, _tile_checks(f)):
-                checks.setdefault(canonical_code(host).data, [0, host])[0] |= bit
+            for i, (_, host, front, back) in enumerate(_tile_checks(f)):
+                checks.setdefault(canonical_code(host).data, [0, host, front, back])[0] |= 1 << i
         # Each level maps a class's least sequence to its profile; equal
         # pairs are one object, so comparing sequences stops at identity.
         # A kept class keeps its step state in the coordinates it was
@@ -137,7 +137,7 @@ def _class_profiles(
                             inherited[child] = shared & passed
             if checks:
                 for child, passed in inherited.items():
-                    pending = [(kinds, host) for kinds, host in checks.values() if passed & kinds]
+                    pending = [check for check in checks.values() if passed & check[0]]
                     for kinds, emb in _type_checks(_from_sequence(f, child), pending, meter):
                         if emb is None:
                             passed &= ~kinds
@@ -147,16 +147,17 @@ def _class_profiles(
         while levels:  # densest first, each level freed once yielded
             level = levels.pop()
             for seq in sorted(level):
-                yield _from_sequence(f, seq), tuple(level[seq] & bit > 0 for bit in _TYPE_BITS)
+                yield _from_sequence(f, seq), level[seq]
 
 
 @lru_cache(maxsize=1)
 def _profile_table(
     f_max: int, budget: SearchBudget
-) -> tuple[tuple[EdgeOrderedGraph, tuple[bool, ...]], ...]:
-    """The rows of :func:`_class_profiles` on one budget, kept for the
-    witness scans and probes that read them again.  Every request reads one
-    table, and an f_max = 5 table holds 82,299 rows, so only the last is kept."""
+) -> tuple[tuple[EdgeOrderedGraph, int], ...]:
+    """The rows of :func:`_class_profiles` on one budget, each a class and
+    its profile mask, kept for the witness scans and probes that read them
+    again.  Every request reads one table, and an f_max = 5 table holds
+    82,299 rows, so only the last is kept."""
     return tuple(_class_profiles(f_max, budget))
 
 
@@ -172,7 +173,7 @@ def _certify_witness(
     """
     checks = _tile_checks(graph.n)
     found = dict(_type_checks(graph, checks, _Meter(budget)))
-    for kind, host in checks:
+    for kind, host, _, _ in checks:
         emb = found[kind]
         if kind != target and (emb is None or not verify_embedding(graph, host, emb)):
             raise CertificateError(f"witness certificate for {kind} failed re-verification")
@@ -193,7 +194,7 @@ def necessity_witness(
     if f_max < 2:
         raise BadSize(f"witness scan needs f_max >= 2, got {f_max}")
     table = _profile_table(f_max, budget)
-    separating = tuple(kind != target for kind in ALL_STAR_TYPES)
+    separating = _ALL_TYPES ^ 1 << ALL_STAR_TYPES.index(target)
     for scanned, (graph, profile) in enumerate(table, 1):
         if profile == separating:
             certificates = _certify_witness(graph, target, budget)
@@ -219,8 +220,8 @@ def sufficiency_probe(
     unknown = chosen - set(ALL_STAR_TYPES)
     if unknown:
         raise BadSize(f"unknown star types in subset: {unknown}")
+    wanted = sum(1 << ALL_STAR_TYPES.index(kind) for kind in chosen)
     for graph, profile in _profile_table(f_max, budget):
-        passed = {kind for kind, flag in zip(ALL_STAR_TYPES, profile) if flag}
-        if chosen <= passed and len(passed) < len(ALL_STAR_TYPES):
+        if profile & wanted == wanted and profile != _ALL_TYPES:
             return graph
     return None

@@ -408,6 +408,23 @@ class TestFourColoring:
         with pytest.raises(NotTuranable):
             turanable_four_coloring(monotone_cycle(4))
 
+    def test_needs_only_the_min_and_inv_min_embeddings(self):
+        # Four classes on 4 vertices embed into the MIN and INV_MIN cliques
+        # but not into MAX or INV_MAX; each still gets a proper coloring.
+        sink_kinds = (CanonicalType.MIN, CanonicalType.INV_MIN)
+        sink_hosts = [canonical_clique(kind, 4) for kind in sink_kinds]
+        found = 0
+        for graph in scan_classes(4):
+            if graph.n < 4 or is_turanable(graph).value:
+                continue
+            if any(find_embedding(graph, host) is None for host in sink_hosts):
+                continue
+            found += 1
+            coloring = turanable_four_coloring(graph)
+            assert len(set(coloring.values())) <= 4
+            assert all(coloring[u] != coloring[v] for u, v, _ in graph.edges)
+        assert found == 4
+
     def test_catalog_proper_and_small(self):
         for graph in scan_classes(4):
             if not is_turanable(graph).value:
@@ -463,9 +480,9 @@ class TestCertificateChecks:
         # vertices, a triangle, are left over.
         monkeypatch.setattr(
             characterize,
-            "_turan_verdict",
-            lambda g, kinds, meter: TuranVerdict(
-                True, {kind: Embedding(tuple(range(g.n))) for kind in kinds}
+            "_first_failure",
+            lambda verdict, g, checks, meter: verdict(
+                True, {kind: Embedding(tuple(range(g.n))) for kind, *_ in checks}
             ),
         )
         with pytest.raises(CertificateError, match="not a forest"):
@@ -601,7 +618,11 @@ class TestTypeLoopMatchesPerSearchOracle:
 
     def test_profile_table(self):
         rows = _profile_table(4, SearchBudget())
-        assert rows == tuple((g, reference_profile(g)) for g in scan_classes(4))
+        masks = [
+            sum(passed << i for i, passed in enumerate(reference_profile(g)))
+            for g in scan_classes(4)
+        ]
+        assert rows == tuple(zip(scan_classes(4), masks))
 
 
 # Every 8-edge shape on 5 vertices with a vertex of degree 4: K5 minus the
@@ -638,7 +659,7 @@ def cut_refutes(graph, host, ends=None):
     """Whether the type loop's peel cut refutes ``graph`` (whose peel ends
     are ``ends`` when given) against ``host``."""
     ends = ends or characterize._peel_ends(graph)
-    return any(h and not g for h, g in zip(characterize._host_ends(host), ends))
+    return any(h and not g for h, g in zip(characterize._peel_ends(host), ends))
 
 
 def spanning_classes(host, shape):
@@ -742,7 +763,7 @@ class TestPeelCut:
         # reverse(1423) fails the front peel at MIN: one pass.  1423 peels
         # from the front, so MIN is searched and MAX takes the back pass.
         graph = path_with_ranks("1423")
-        is_turanable(graph)  # the MIN and MAX cliques' own ends, memoized first
+        is_turanable(graph)  # builds the check records, the cliques' flags with them
         passes = []
         peels = characterize._peels
         monkeypatch.setattr(
@@ -756,11 +777,15 @@ class TestPeelCut:
     def test_check_tuples_are_built_once_per_size(self):
         assert characterize._tile_checks(6) is characterize._tile_checks(6)
         assert characterize._canonical_checks(6) is characterize._canonical_checks(6)
+        cliques = [canonical_clique(kind, 6) for kind in CANONICAL_ORDER]
         assert characterize._canonical_checks(6) == tuple(
-            (kind, canonical_clique(kind, 6)) for kind in CANONICAL_ORDER
+            (kind, host, *characterize._peel_ends(host))
+            for kind, host in zip(CANONICAL_ORDER, cliques)
         )
+        stars = [star_canonical_clique(kind, 6)[0] for kind in ALL_STAR_TYPES]
         assert characterize._tile_checks(6) == tuple(
-            (kind, star_canonical_clique(kind, 6)[0]) for kind in ALL_STAR_TYPES
+            (kind, host, *characterize._peel_ends(host))
+            for kind, host in zip(ALL_STAR_TYPES, stars)
         )
 
     def test_never_refutes_what_the_kernel_embeds(self, oracle_graphs):
@@ -830,7 +855,8 @@ class TestPeelCut:
         )
         cut = [is_turanable(g) for g in peel_shape_classes]
         with_cut = len(searches)
-        monkeypatch.setattr(characterize, "_host_ends", lambda host: (False, False))
+        # The cached check records keep their flags; every graph now peels.
+        monkeypatch.setattr(characterize, "_peels", lambda n, pairs: True)
         assert [is_turanable(g) for g in peel_shape_classes] == cut
         assert 10 * with_cut < len(searches) - with_cut
 

@@ -207,15 +207,18 @@ class TestExperiments:
             )
 
     @pytest.mark.parametrize(
-        "name, digest",
+        "name, f_max, digest",
         [
-            ("catalog-verdicts", "744ea661c740265c7856cd6ac406a69bdbd494ff88d875c7d9325a884a5b4175"),
-            ("necessity-scan", "f387dcd05ad2d6688ea80a448061211f554a04597e91693f55bae329d991cdff"),
+            ("catalog-verdicts", 4, "744ea661c740265c7856cd6ac406a69bdbd494ff88d875c7d9325a884a5b4175"),
+            ("necessity-scan", 4, "f387dcd05ad2d6688ea80a448061211f554a04597e91693f55bae329d991cdff"),
+            ("catalog-verdicts", 5, "c94933c0c2a39c17ef47da03e9d617e468131b4c91fe122984710a211232f35f"),
+            ("necessity-scan", 5, "c94cb552c5432115fc501becab64972e99c92d407eaa54f4ae010f42caa40613"),
         ],
     )
-    def test_f_max_four_report_bytes_are_pinned(self, name, digest):
-        # The same SHA-256 values the benchmark's catalog workload checks.
-        report = emit_report(run_experiment(ExperimentSpec(name, {"f_max": 4, "seed": 0})))
+    def test_f_max_four_and_five_report_bytes_are_pinned(self, name, f_max, digest):
+        # At f_max = 4, the same SHA-256 values the benchmark's catalog
+        # workload checks; at 5, the frontier reports.
+        report = emit_report(run_experiment(ExperimentSpec(name, {"f_max": f_max, "seed": 0})))
         assert hashlib.sha256(report).hexdigest() == digest
 
     def test_experiment_command(self, capsys):

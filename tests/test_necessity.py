@@ -198,7 +198,7 @@ class TestNecessityWitness:
     @pytest.mark.parametrize("claim", ["certificate", "refutation"])
     def test_failed_claim_raises(self, monkeypatch, claim):
         # A fake profile claims one edge on three vertices avoids LD_MIN.
-        profile = tuple(kind != LD_MIN for kind in ALL_STAR_TYPES)
+        profile = sum(1 << i for i, kind in enumerate(ALL_STAR_TYPES) if kind != LD_MIN)
         edge = build_graph(3, [(0, 1, 1)])
         monkeypatch.setattr(necessity, "_profile_table", lambda *args: ((edge, profile),))
         if claim == "certificate":
@@ -295,7 +295,7 @@ class TestOneBudget:
     def test_witness_certification_runs_on_one_budget(self, monkeypatch):
         # One edge on three vertices embeds into each of the twenty types
         # after 2 nodes, so its full run takes 40.
-        profile = tuple(kind != LD_MIN for kind in ALL_STAR_TYPES)
+        profile = sum(1 << i for i, kind in enumerate(ALL_STAR_TYPES) if kind != LD_MIN)
         edge = build_graph(3, [(0, 1, 1)])
         monkeypatch.setattr(necessity, "_profile_table", lambda *args: ((edge, profile),))
         with pytest.raises(CertificateError, match="refutation"):
