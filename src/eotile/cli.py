@@ -4,8 +4,9 @@ Graphs travel as JSON documents ``{"n": int, "edges": [[u, v, rank], ...]}``
 with edges serialized in ascending rank order.  Experiment reports are
 canonical JSON whose bytes depend only on the spec and seed.
 
-Exit codes: 0 decided, 2 inconclusive (budget ran out), 1 error, usage
-errors included.
+Command handlers return their answer; :func:`main` alone writes stdout
+and stderr.  Exit codes: 0 decided, 2 inconclusive (budget ran out), 1
+error, usage errors included.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import TYPE_CHECKING, Any, Optional
@@ -39,6 +41,7 @@ from .embed import (
     verify_embedding,
 )
 from .errors import (
+    BadDivisibility,
     BadSpec,
     CertificateError,
     EotileError,
@@ -425,12 +428,7 @@ def _read_graph_arg(path: str) -> EdgeOrderedGraph:
     return parse_graph(data)
 
 
-def _emit_graph(graph: EdgeOrderedGraph, as_dot: bool) -> None:
-    data = export_dot(graph) if as_dot else serialize_graph(graph)
-    sys.stdout.write(data.decode("utf-8"))
-
-
-def _cmd_gen(args: argparse.Namespace) -> int:
+def _cmd_gen(args: argparse.Namespace) -> bytes:
     if args.what != "family":  # every other generator takes -n
         _at_most_host_size(args.n)
     if args.what == "canonical":
@@ -440,19 +438,15 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         if not args.dot:
             doc = graph_to_doc(graph)
             doc["special"] = special
-            sys.stdout.write(canonical_json(doc).decode("utf-8"))
-            return 0
+            return canonical_json(doc)
     elif args.what == "family":
         graph = family_graph(args.descriptor)
-    elif args.what == "extremal":
+    else:  # argparse allows no other generator
         graph = extremal_construction(args.kind, args.n, args.k, args.gamma)
-    else:  # pragma: no cover - argparse restricts choices
-        raise BadSpec(args.what)
-    _emit_graph(graph, args.dot)
-    return 0
+    return export_dot(graph) if args.dot else serialize_graph(graph)
 
 
-def _cmd_check(args: argparse.Namespace) -> int:
+def _cmd_check(args: argparse.Namespace) -> bytes:
     graph = _read_graph_arg(args.graph)
     budget = default_budget()
     if args.what == "turanable":
@@ -467,23 +461,21 @@ def _cmd_check(args: argparse.Namespace) -> int:
             out["failing"] = verdict.failing.label
     else:
         out = {"universally_tileable": is_universally_tileable(graph)}
-    sys.stdout.write(canonical_json(out).decode("utf-8"))
-    return 0
+    return canonical_json(out)
 
 
-def _cmd_tile(args: argparse.Namespace) -> int:
+def _cmd_tile(args: argparse.Namespace) -> bytes:
     host = _read_graph_arg(args.host)
     budget = default_budget()
+    if args.mode == "dense" and args.k > 0 and host.n % (args.k + 1) != 0:  # before the path
+        raise BadDivisibility(f"|piece|={args.k + 1} does not divide |host|={host.n}")
     piece = monotone_path_graph(args.k) if args.mode == "dense" else _read_graph_arg(args.piece)
     if args.mode != "clique":
         tiling = perfect_tiling_exact(host, piece, budget)
     else:
-        t_value = args.T
+        t_value = tiling_number(piece, args.t_max, budget) if args.T is None else args.T
         if t_value is None:
-            t_value = tiling_number(piece, args.t_max, budget)
-            if t_value is None:
-                sys.stdout.write(canonical_json({"tiled": False, "reason": "no-T"}).decode())
-                return 0
+            return canonical_json({"tiled": False, "reason": "no-T"})
         tiling = tile_via_cliques(host, piece, t_value, budget)
     if tiling is None:
         out: dict[str, Any] = {"tiled": False}
@@ -496,11 +488,10 @@ def _cmd_tile(args: argparse.Namespace) -> int:
             "tiled": True,
             "pieces": sorted(list(p.vertex_map) for p in tiling.pieces),
         }
-    sys.stdout.write(canonical_json(out).decode("utf-8"))
-    return 0
+    return canonical_json(out)
 
 
-def _cmd_necessity(args: argparse.Namespace) -> int:
+def _cmd_necessity(args: argparse.Namespace) -> bytes:
     if args.mode == "witness":
         report = necessity_witness(StarType.parse(args.target), args.f_max, default_budget())
         out = {
@@ -518,8 +509,7 @@ def _cmd_necessity(args: argparse.Namespace) -> int:
             "counterexample": graph_to_doc(counterexample) if counterexample else None,
             "f_max": args.f_max,
         }
-    sys.stdout.write(canonical_json(out).decode("utf-8"))
-    return 0
+    return canonical_json(out)
 
 
 def _parse_params(pairs: list[str]) -> dict[str, Any]:
@@ -535,13 +525,10 @@ def _parse_params(pairs: list[str]) -> dict[str, Any]:
     return out
 
 
-def _cmd_experiment(args: argparse.Namespace) -> int:
+def _cmd_experiment(args: argparse.Namespace) -> bytes:
     params = _parse_params(args.param)
     params["seed"] = args.seed
-    spec = ExperimentSpec(args.name, params)
-    report = run_experiment(spec)
-    sys.stdout.write(emit_report(report).decode("utf-8"))
-    return 0
+    return emit_report(run_experiment(ExperimentSpec(args.name, params)))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -626,16 +613,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command: its warnings as ``warning:`` lines on stderr, then
+    its answer on stdout, or an ``inconclusive:`` or ``error:`` line."""
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", UserWarning)
+            try:
+                output = args.func(args)
+            finally:
+                for warning in caught:
+                    print(f"warning: {warning.message}", file=sys.stderr)
     except Inconclusive as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return 2
     except EotileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    sys.stdout.write(output.decode("utf-8"))
+    return 0
 
 
 if __name__ == "__main__":  # pragma: no cover

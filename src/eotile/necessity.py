@@ -68,8 +68,9 @@ def scan_classes(f_max: int) -> Iterator[EdgeOrderedGraph]:
 
     The classes come from the augmentation levels of
     :func:`_class_profiles`, which searches nothing here.  Past
-    ``DEFAULT_MAX_LABELINGS`` classes on the K_f level the first ``next()``
-    raises :class:`BudgetExceeded`: f_max = 5 (30,240) runs, 6 does not.
+    ``DEFAULT_MAX_LABELINGS`` classes on a K_f level the first ``next()``
+    raises :class:`BudgetExceeded` naming the least such f: f_max = 5
+    (30,240) runs, and every f_max from 6 on stops at K_6.
     """
     for graph, _ in _class_profiles(f_max):
         yield graph
@@ -100,9 +101,10 @@ def _class_profiles(
     with no search.  Without a budget nothing is searched and every class
     reads as passing all twenty.
     """
-    top = math.factorial(math.comb(max(f_max, 0), 2)) // math.factorial(max(f_max, 0))
-    if top > DEFAULT_MAX_LABELINGS:
-        raise BudgetExceeded(f"K_{f_max} has {top} ordering classes, over {DEFAULT_MAX_LABELINGS}")
+    for f in range(f_max + 1):  # ascending: no factorial past the first K_f over the cap
+        top = math.factorial(math.comb(f, 2)) // math.factorial(f)
+        if top > DEFAULT_MAX_LABELINGS:
+            raise BudgetExceeded(f"K_{f} has {top} ordering classes, over {DEFAULT_MAX_LABELINGS}")
     meter = _Meter(budget) if budget else None
     for f in range(1, f_max + 1):
         # [types, clique, front, back] per ordering class of the twenty

@@ -371,6 +371,8 @@ def extremal_construction(
     builds K_{gamma n, (1-gamma) n} with a min-style ordering.
     """
     if kind == "TwoCliques":
+        if k < 1:
+            raise BadSplit(f"TwoCliques needs k >= 1, got {k}")
         f = k + 1
         if n % f != 0:
             raise BadSplit(f"{f} must divide n={n}")

@@ -126,9 +126,11 @@ class TestCommands:
         piece = tmp_path / "piece.json"
         piece.write_bytes(serialize_graph(path_with_ranks("132")))
         files = ["--host", str(host), "--piece", str(piece)]
-        with pytest.warns(tiling_module.DegreeBoundWarning):
+        for _ in range(2):  # the degree warning is one plain line, on every run
             assert main(["tile", "clique", *files, "-T", "4"]) == 0
-        assert capsys.readouterr().out == '{"reason":"no-clique-tiling","tiled":false}\n'
+            captured = capsys.readouterr()
+            assert captured.out == '{"reason":"no-clique-tiling","tiled":false}\n'
+            assert captured.err == "warning: minimum degree 2 below (1-1/4)n\n"
         assert main(["tile", "exact", *files]) == 0
         assert json.loads(capsys.readouterr().out)["tiled"] is True
 
@@ -243,6 +245,31 @@ class TestModuleEntryPoint:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == expected.encode()
+
+    def test_warnings_precede_the_error_line_under_default_filters(self, tmp_path):
+        # A command that warns and then fails: its UserWarning becomes a
+        # warning: line ahead of the error: line, while a DeprecationWarning
+        # stays hidden, as Python's default filters hide it outside __main__.
+        script = tmp_path / "warn_then_fail.py"
+        script.write_text(
+            "import sys, warnings\n"
+            "from eotile import cli\n"
+            "from eotile.errors import BadSpec\n"
+            "def handler(args):\n"
+            "    warnings.warn('old', DeprecationWarning, stacklevel=2)\n"
+            "    warnings.warn('first', UserWarning, stacklevel=2)\n"
+            "    raise BadSpec('failed')\n"
+            "cli._cmd_check = handler\n"
+            "sys.exit(cli.main(['check', 'universal', '-']))\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(eotile.__file__)))
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+        proc = subprocess.run(
+            [sys.executable, str(script)], capture_output=True, env={**env, "PYTHONPATH": src}
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == b""
+        assert proc.stderr == b"warning: first\nerror: failed\n"
 
 
 class TestBadInput:
@@ -401,6 +428,47 @@ class TestBadInput:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: K_6 has") and "Traceback" not in captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["necessity", "witness", "--target", "larger-dec.min", "--f-max", "60"],
+            ["necessity", "probe", "--types", "larger-dec.min", "--f-max", "60"],
+            ["experiment", "necessity-scan", "--seed", "0", "--param", "f_max=60"],
+            ["experiment", "catalog-verdicts", "--seed", "0", "--param", "f_max=1000000"],
+        ],
+        ids=["witness-60", "probe-60", "necessity-scan-60", "catalog-10**6"],
+    )
+    def test_f_max_far_past_the_cap_exit_code(self, capsys, argv):
+        # The cap message names K_6 however large f_max is, and builds no
+        # integer too long to format.
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: K_6 has 1816214400 ordering classes, over 50000\n"
+
+    @pytest.mark.parametrize("k", ["-1", "0"])
+    def test_two_cliques_nonpositive_k_exit_code(self, capsys, k):
+        assert main(["gen", "extremal", "--kind", "TwoCliques", "-n", "10", "-k", k]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: TwoCliques needs k >= 1, got {k}\n"
+
+    @pytest.mark.parametrize(
+        "k, message",
+        [
+            ("1000000000", "|piece|=1000000001 does not divide |host|=4"),
+            ("0", "monotone path needs k >= 1, got 0"),
+            ("-1", "monotone path needs k >= 1, got -1"),
+        ],
+    )
+    def test_tile_dense_checks_k_before_building_the_path(self, capsys, tmp_path, k, message):
+        host = tmp_path / "host.json"
+        host.write_bytes(serialize_graph(canonical_clique(CanonicalType.MIN, 4)))
+        assert main(["tile", "dense", "--host", str(host), "-k", k]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
     @pytest.mark.parametrize("name", ["missing.json", "."], ids=["missing", "directory"])
     def test_unreadable_graph_file_exit_code(self, capsys, tmp_path, name):

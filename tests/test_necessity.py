@@ -164,6 +164,11 @@ class TestScanClasses:
         with pytest.raises(BudgetExceeded, match="K_6 has 1816214400 ordering classes"):
             next(classes)
 
+    def test_a_huge_f_max_stops_at_the_first_level_over_the_cap(self):
+        # (C(f,2))!/f! is never built past K_6, so no integer grows with f_max.
+        with pytest.raises(BudgetExceeded, match="^K_6 has 1816214400 ordering classes, over "):
+            next(scan_classes(10**6))
+
 
 class TestNecessityWitness:
     def test_fmax_two_no_witness(self):

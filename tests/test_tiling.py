@@ -331,6 +331,11 @@ class TestExtremalConstruction:
         with pytest.raises(BadSplit):
             extremal_construction("TwoCliques", 9, 1)  # 2 does not divide 9
 
+    @pytest.mark.parametrize("k", [-1, 0])
+    def test_two_cliques_needs_a_positive_k(self, k):
+        with pytest.raises(BadSplit, match=f"needs k >= 1, got {k}"):
+            extremal_construction("TwoCliques", 10, k)  # k = -1 would divide by zero
+
     def test_bipartite(self):
         g = extremal_construction("Bipartite", 12, 2, gamma=0.25)
         degrees = sorted(set(g.degree(v) for v in range(12)))
