@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Any, Iterable, Iterator, Optional, Sequence, TypeVar
+from typing import Any, Iterable, Iterator, Optional, Sequence
 
 from .canonical import (
     ALL_STAR_TYPES,
@@ -38,17 +38,12 @@ from .errors import BadAnchor, BadSpec, BadVertex, CertificateError, NotTuranabl
 
 
 @dataclass(frozen=True)
-class TuranVerdict:
-    value: bool
-    certificates: dict[CanonicalType, Embedding] = field(default_factory=dict)
-    failing: Optional[CanonicalType] = None
+class Verdict:
+    """A decision over type checks: every kind's certificate, or the first failing kind."""
 
-
-@dataclass(frozen=True)
-class TileVerdict:
     value: bool
-    certificates: dict[StarType, Embedding] = field(default_factory=dict)
-    failing: Optional[StarType] = None
+    certificates: dict[CanonicalType | StarType, Embedding] = field(default_factory=dict)
+    failing: Optional[CanonicalType | StarType] = None
 
 
 def _trivial_pattern(graph: EdgeOrderedGraph) -> bool:
@@ -151,28 +146,20 @@ def _type_checks(
         yield kind, find_embedding(graph, host, meter=meter)
 
 
-_Verdict = TypeVar("_Verdict", TuranVerdict, TileVerdict)
-
-
 def _first_failure(
-    verdict: type[_Verdict],
-    graph: EdgeOrderedGraph,
-    checks: Iterable[_CheckRecord],
-    meter: _Meter,
-) -> _Verdict:
+    graph: EdgeOrderedGraph, checks: Iterable[_CheckRecord], meter: _Meter
+) -> Verdict:
     """The ``checks`` in order on one ``meter``, to the first failure: a
-    ``verdict`` naming the failing kind, or holding every certificate."""
+    verdict naming the failing kind, or holding every certificate."""
     certificates: dict[Any, Embedding] = {}
     for kind, emb in _type_checks(graph, checks, meter):
         if emb is None:
-            return verdict(False, failing=kind)
+            return Verdict(False, failing=kind)
         certificates[kind] = emb
-    return verdict(True, certificates=certificates)
+    return Verdict(True, certificates=certificates)
 
 
-def is_turanable(
-    graph: EdgeOrderedGraph, budget: SearchBudget = DEFAULT_BUDGET
-) -> TuranVerdict:
+def is_turanable(graph: EdgeOrderedGraph, budget: SearchBudget = DEFAULT_BUDGET) -> Verdict:
     """Check the four canonical orderings of K_f in fixed order.
 
     Returns certificates for all four on success, or the first failing
@@ -182,16 +169,14 @@ def is_turanable(
     exhaustion raises Inconclusive rather than answering.
     """
     if _trivial_pattern(graph):
-        return TuranVerdict(True)
-    return _first_failure(TuranVerdict, graph, _canonical_checks(graph.n), _Meter(budget))
+        return Verdict(True)
+    return _first_failure(graph, _canonical_checks(graph.n), _Meter(budget))
 
 
 _isomorphism = lru_cache(maxsize=None)(are_order_isomorphic)
 
 
-def is_tileable(
-    graph: EdgeOrderedGraph, budget: SearchBudget = DEFAULT_BUDGET
-) -> TileVerdict:
+def is_tileable(graph: EdgeOrderedGraph, budget: SearchBudget = DEFAULT_BUDGET) -> Verdict:
     """Check the twenty star-canonical orderings of K_f in fixed order, on
     one budget.  A failing type may be refuted by the type loop's peel cut
     instead of a search.  Four types are order-isomorphic to the canonical
@@ -199,9 +184,9 @@ def is_tileable(
     Turanability.
     """
     if _trivial_pattern(graph):
-        return TileVerdict(True)
+        return Verdict(True)
     f = graph.n
-    verdict = _first_failure(TileVerdict, graph, _tile_checks(f), _Meter(budget))
+    verdict = _first_failure(graph, _tile_checks(f), _Meter(budget))
     if not verdict.value:
         return verdict
     for kind in CANONICAL_COINCIDENT_TYPES:
@@ -257,7 +242,7 @@ def extremal_vertices(
     if graph.m == 0:
         return isolated, isolated
     meter = _Meter(budget)
-    verdict = _first_failure(TuranVerdict, graph, _canonical_checks(graph.n), meter)
+    verdict = _first_failure(graph, _canonical_checks(graph.n), meter)
     if not verdict.value:
         raise NotTuranable(f"no canonical embedding of type {verdict.failing}")
     f = graph.n
@@ -408,7 +393,7 @@ def turanable_four_coloring(
         return {v: 0 for v in range(graph.n)}
     wanted = (CanonicalType.MIN, CanonicalType.INV_MIN)
     checks = [check for check in _canonical_checks(graph.n) if check[0] in wanted]
-    verdict = _first_failure(TuranVerdict, graph, checks, _Meter(budget))
+    verdict = _first_failure(graph, checks, _Meter(budget))
     if not verdict.value:
         raise NotTuranable(f"no embedding into the {verdict.failing.value} ordering")
     pos_min, pos_inv = (emb.vertex_map for emb in verdict.certificates.values())

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -263,63 +263,15 @@ def _least_state(
     return tuple(seq), candidates, k
 
 
-def _min_edge_sequence(n: int, pairs: Sequence[Pair]) -> tuple[Pair, ...]:
-    """Lexicographically least relabeled edge sequence over all vertex bijections.
-
-    ``pairs`` are the graph's vertex pairs in ascending rank order.  At
-    each rank only the relabelings achieving the least next pair survive
-    (:func:`_least_state`), which is exactly lexicographic minimization
-    with pruning.
-    """
-    return _least_state(n, pairs)[0]
-
-
-@lru_cache(maxsize=None)
-def _labels(n: int) -> tuple[str, ...]:
-    """The vertex labels of a code on ``n`` vertices, zero-padded to the width of ``n-1``."""
-    width = len(str(max(n - 1, 0)))
-    return tuple(str(i).zfill(width) for i in range(n))
-
-
-def _encode(n: int, seq: Sequence[Pair]) -> bytes:
-    """The bytes of a canonical code, from a least edge sequence.
-
-    Labels all have one width, so for one ``n`` the byte order of codes is
-    the order of their sequences as tuples; for ``n <= 10`` no label is
-    padded.
-    """
-    labels = _labels(n)
-    body = ";".join([f"{labels[u]},{labels[v]}" for u, v in seq])
-    return f"{n}:{body}".encode("ascii")
-
-
-def _from_sequence(n: int, seq: tuple[Pair, ...]) -> EdgeOrderedGraph:
-    """The graph whose rank-``i`` edge is ``seq[i-1]``; ``seq`` itself is stored.
-
-    A least edge sequence already is a stored form (distinct ``u < v``
-    pairs relabeled from a valid graph), so :func:`build_graph` is not
-    re-run and nothing is copied.
-    """
-    return EdgeOrderedGraph(n, seq)
-
-
-@dataclass(frozen=True)
-class CanonicalCode:
-    """Opaque code: equal codes iff the graphs are order-isomorphic."""
-
-    data: bytes
-
-    def __lt__(self, other: "CanonicalCode") -> bool:
-        return self.data < other.data
-
-
-def canonical_code(graph: EdgeOrderedGraph) -> CanonicalCode:
-    return CanonicalCode(_encode(graph.n, _min_edge_sequence(graph.n, graph.pairs_by_rank)))
-
-
 def canonical_form(graph: EdgeOrderedGraph) -> EdgeOrderedGraph:
-    """The canonical representative of the order-isomorphism class."""
-    return _from_sequence(graph.n, _min_edge_sequence(graph.n, graph.pairs_by_rank))
+    """The canonical representative of the order-isomorphism class.
+
+    Its rank order is the lexicographically least relabeled edge sequence
+    over all vertex bijections (:func:`_least_state`), so two graphs are
+    order-isomorphic iff their canonical forms are equal, and forms on one
+    ``n`` sort by their ``pairs_by_rank`` tuples.
+    """
+    return EdgeOrderedGraph(graph.n, _least_state(graph.n, graph.pairs_by_rank)[0])
 
 
 def _edge_automorphisms(shape: EdgeOrderedGraph, limit: int) -> tuple[tuple[int, ...], ...]:
@@ -375,9 +327,8 @@ def enumerate_orderings(
     order-isomorphic exactly when an automorphism of the shape maps one to
     the other, so the classes are the orbits of Aut(shape), acting on the
     edges, on the ``m!`` rank assignments; every orbit has ``|Aut|``
-    members.  Yields canonical forms in ascending code order: classes are
-    kept and sorted as least-sequence tuples, whose order is the code
-    order since :func:`_encode` pads its labels.
+    members.  Yields canonical forms, ascending by their least sequences
+    as tuples.
 
     One depth-first walk lists the lexicographically least edge order of
     each orbit: the ``k``-th edge is admissible iff no automorphism fixing
@@ -393,14 +344,20 @@ def enumerate_orderings(
 
     The cap counts what is visited: more than ``max_labelings`` classes
     (``m!/|Aut|``), or automorphisms, raise :class:`BudgetExceeded` before
-    any class is coded.  ``|Aut|`` is at most ``k!`` for ``k`` non-isolated
+    any class is listed.  ``|Aut|`` is at most ``k!`` for ``k`` non-isolated
     vertices, so a shape with ``m!/k!`` over the cap (K_6 and up) raises
-    before the automorphisms are searched.
+    before the automorphisms are searched.  Classes times automorphisms
+    make ``m!``, so both caps hold only if ``m! <= max_labelings**2``; the
+    search recurses once per vertex, and ``k`` vertices need ``k/2`` edges,
+    so a shape too wide for that bound (a long path) raises before it too.
     """
     m, n = shape.m, shape.n
+    used = n - len(shape.isolated_vertices())
     total = math.factorial(m)
-    if total > max_labelings * math.factorial(n - len(shape.isolated_vertices())):
+    if total > max_labelings * math.factorial(used):
         raise BudgetExceeded(f"{m}! labelings make over {max_labelings} classes")
+    if math.factorial((used + 1) // 2) > max_labelings**2:
+        raise BudgetExceeded(f"{used} vertices make over {max_labelings} classes or automorphisms")
     group = _edge_automorphisms(shape, max_labelings)
     if total // len(group) > max_labelings:
         raise BudgetExceeded(
@@ -436,7 +393,7 @@ def enumerate_orderings(
             f"{len(classes)} classes x {len(group)} automorphisms != {m}! labelings"
         )
     for least in sorted(classes):
-        yield _from_sequence(n, least)
+        yield EdgeOrderedGraph(n, least)
 
 
 def chromatic_number(graph: EdgeOrderedGraph) -> int:

@@ -18,9 +18,7 @@ from typing import Iterator, Optional
 
 from .canonical import ALL_STAR_TYPES, StarType
 from .characterize import _tile_checks, _type_checks
-from .core import (
-    DEFAULT_MAX_LABELINGS, EdgeOrderedGraph, Pair, _from_sequence, _least_step, canonical_code,
-)
+from .core import DEFAULT_MAX_LABELINGS, EdgeOrderedGraph, Pair, _least_step, canonical_form
 from .embed import DEFAULT_BUDGET, Embedding, SearchBudget, _Meter, verify_embedding
 from .errors import BadSize, BudgetExceeded, CertificateError
 
@@ -61,8 +59,8 @@ class NecessityReport:
 def scan_classes(f_max: int) -> Iterator[EdgeOrderedGraph]:
     """Iso-classes of edge-ordered graphs on 1..f_max vertices.
 
-    Order: vertex count ascending, then edge count descending, then
-    canonical code ascending.  Denser classes come first so that scans
+    Order: vertex count ascending, then edge count descending, then least
+    edge sequence ascending.  Denser classes come first so that scans
     surface the clique-like members of a class family before the sparse
     ones; the order is fixed for reproducibility.
 
@@ -84,22 +82,23 @@ def _class_profiles(
 
     Classes on f vertices grow level by level from the empty graph: level
     m appends each non-edge of each level m-1 class as its new top edge
-    and keeps each child once, keyed by its least sequence, which sorts
-    in code order.  Deleting a class's top edge leaves one parent class,
-    so every class turns up (McKay, J. Algorithms 1998).  A parent's least
-    sequence is the least prefix of each child's, so a child's sequence
-    costs one :func:`_least_step` from its parent's state, and a kept
-    child keeps the state that step left for its own children.
+    and keeps each child once, keyed by its least sequence, the rank
+    order of its canonical form.  Deleting a class's top edge leaves one
+    parent class, so every class turns up (McKay, J. Algorithms 1998).  A
+    parent's least sequence is the least prefix of each child's, so a
+    child's sequence costs one :func:`_least_step` from its parent's
+    state, and a kept child below K_f keeps the state that step left for
+    its own children.
 
     A parent is a subgraph of its child, so a type one parent fails the
     child fails too: the child starts from the types all of its parents
     passed and is searched only for those, every search on one ``budget``.
-    Types whose cliques are order-isomorphic at size f share one search and
-    one check record, whose peel flags hold for every clique of the group;
-    a type may fail by :func:`_type_checks`' peel cut with no search.
-    The empty graph and the classes on at most two vertices pass all twenty
-    with no search.  Without a budget nothing is searched and every class
-    reads as passing all twenty.
+    Types whose cliques have one canonical form at size f share one
+    search and one check record, whose peel flags hold for every clique of
+    the group; a type may fail by :func:`_type_checks`' peel cut with no
+    search.  The empty graph and the classes on at most two vertices pass
+    all twenty with no search.  Without a budget nothing is searched and
+    every class reads as passing all twenty.
     """
     for f in range(f_max + 1):  # ascending: no factorial past the first K_f over the cap
         top = math.factorial(math.comb(f, 2)) // math.factorial(f)
@@ -109,20 +108,20 @@ def _class_profiles(
     for f in range(1, f_max + 1):
         # [types, clique, front, back] per ordering class of the twenty
         # cliques: one at f = 3, twelve at f = 4, twenty from f = 5 on.
-        checks: dict[bytes, list] = {}
+        checks: dict[EdgeOrderedGraph, list] = {}
         if meter and f > 2:
             for i, (_, host, front, back) in enumerate(_tile_checks(f)):
-                checks.setdefault(canonical_code(host).data, [0, host, front, back])[0] |= 1 << i
+                checks.setdefault(canonical_form(host), [0, host, front, back])[0] |= 1 << i
         # Each level maps a class's least sequence to its profile; equal
         # pairs are one object, so comparing sequences stops at identity.
-        # A kept class keeps its step state in the coordinates it was
-        # generated in, its parent's plus the new pair, with those edges as
-        # a bit mask over ``pairs``, so each child costs one step.
+        # A kept class below K_f keeps its step state in the coordinates it
+        # was generated in, its parent's plus the new pair, with those edges
+        # as a bit mask over ``pairs``, so each child costs one step.
         pairs = list(combinations(range(f), 2))
         levels: list[dict[tuple[Pair, ...], int]] = [{(): _ALL_TYPES}]
         states = {(): (0, [[-1] * f], 0)}
         interned: dict[Pair, Pair] = {}
-        for _ in range(len(pairs)):
+        for m in range(1, len(pairs) + 1):  # the children's edge count
             inherited: dict[tuple[Pair, ...], int] = {}
             born: dict[tuple[Pair, ...], tuple[int, list[list[int]], int]] = {}
             for seq, passed in levels[-1].items():
@@ -134,13 +133,14 @@ def _class_profiles(
                         shared = inherited.get(child)
                         if shared is None:
                             inherited[child] = passed
-                            born[child] = (edges | 1 << i, after, labels)
+                            if m < len(pairs):  # K_f has no children
+                                born[child] = (edges | 1 << i, after, labels)
                         else:
                             inherited[child] = shared & passed
             if checks:
                 for child, passed in inherited.items():
                     pending = [check for check in checks.values() if passed & check[0]]
-                    for kinds, emb in _type_checks(_from_sequence(f, child), pending, meter):
+                    for kinds, emb in _type_checks(EdgeOrderedGraph(f, child), pending, meter):
                         if emb is None:
                             passed &= ~kinds
                     inherited[child] = passed
@@ -149,7 +149,7 @@ def _class_profiles(
         while levels:  # densest first, each level freed once yielded
             level = levels.pop()
             for seq in sorted(level):
-                yield _from_sequence(f, seq), level[seq]
+                yield EdgeOrderedGraph(f, seq), level[seq]
 
 
 @lru_cache(maxsize=1)

@@ -42,8 +42,7 @@ from eotile.canonical import (
     StarType,
 )
 from eotile.characterize import (
-    TileVerdict,
-    TuranVerdict,
+    Verdict,
     add_pendant,
     add_two_pendants,
     c4_1243,
@@ -481,7 +480,7 @@ class TestCertificateChecks:
         monkeypatch.setattr(
             characterize,
             "_first_failure",
-            lambda verdict, g, checks, meter: verdict(
+            lambda g, checks, meter: Verdict(
                 True, {kind: Embedding(tuple(range(g.n))) for kind, *_ in checks}
             ),
         )
@@ -550,14 +549,14 @@ class TestOneBudgetPerCall:
 def reference_turanable(graph):
     """The four canonical checks, each search on a fresh budget."""
     if graph.n <= 2:
-        return TuranVerdict(True)
+        return Verdict(True)
     certificates = {}
     for kind in CANONICAL_ORDER:
         emb = find_embedding(graph, canonical_clique(kind, graph.n), SearchBudget())
         if emb is None:
-            return TuranVerdict(False, failing=kind)
+            return Verdict(False, failing=kind)
         certificates[kind] = emb
-    return TuranVerdict(True, certificates=certificates)
+    return Verdict(True, certificates=certificates)
 
 
 def reference_profile(graph):
@@ -573,15 +572,15 @@ def reference_profile(graph):
 def reference_tileable(graph):
     """The twenty star checks, each on a fresh budget, then a full Turan search."""
     if graph.n <= 2:
-        return TileVerdict(True)
+        return Verdict(True)
     certificates = {}
     for kind in ALL_STAR_TYPES:
         emb = find_embedding(graph, star_canonical_clique(kind, graph.n)[0], SearchBudget())
         if emb is None:
-            return TileVerdict(False, failing=kind)
+            return Verdict(False, failing=kind)
         certificates[kind] = emb
     assert reference_turanable(graph).value
-    return TileVerdict(True, certificates=certificates)
+    return Verdict(True, certificates=certificates)
 
 
 @pytest.fixture(scope="module")

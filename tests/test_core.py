@@ -20,7 +20,6 @@ from eotile import (
     RankCollision,
     are_order_isomorphic,
     build_graph,
-    canonical_code,
     canonical_form,
     chromatic_number,
     enumerate_orderings,
@@ -100,10 +99,6 @@ class TestBuildGraph:
 class TestStoredForm:
     def test_only_n_and_the_pairs_are_stored(self):
         assert [f.name for f in dataclasses.fields(EdgeOrderedGraph)] == ["n", "pairs_by_rank"]
-
-    def test_from_sequence_wraps_the_sequence_itself(self):
-        seq = ((0, 1), (1, 2), (0, 2))
-        assert core._from_sequence(3, seq).pairs_by_rank is seq
 
 
 class TestReverse:
@@ -193,10 +188,10 @@ class TestOrderIsomorphism:
 class TestCanonicalCode:
     def test_deterministic(self):
         g = d_graph(4)
-        assert canonical_code(g) == canonical_code(g)
+        assert canonical_form(g) == canonical_form(g)
 
     def test_distinguishes_path_classes(self):
-        assert canonical_code(path_with_ranks("132")) != canonical_code(
+        assert canonical_form(path_with_ranks("132")) != canonical_form(
             path_with_ranks("213")
         )
 
@@ -205,7 +200,7 @@ class TestCanonicalCode:
         raw = build_graph(
             4, [(u, v, r) for (u, v), r in canonical_labels(CanonicalType.MIN, 4).items()]
         )
-        assert canonical_code(k4) == canonical_code(raw)
+        assert canonical_form(k4) == canonical_form(raw)
 
     @pytest.mark.parametrize("n", range(7))
     def test_least_sequence_is_the_brute_force_minimum(self, n):
@@ -220,7 +215,7 @@ class TestCanonicalCode:
                 tuple(tuple(sorted((perm[u], perm[v]))) for u, v in chosen)
                 for perm in permutations(range(n))
             )
-            assert core._min_edge_sequence(n, chosen) == want, chosen
+            assert core._least_state(n, chosen)[0] == want, chosen
 
     @pytest.mark.parametrize("n", range(2, 8))
     def test_one_state_steps_every_extension(self, n):
@@ -232,25 +227,24 @@ class TestCanonicalCode:
         pairs = list(combinations(range(n), 2))
         for _ in range(12):
             chosen = rng.sample(pairs, rng.randint(0, len(pairs) - 1))
-            seq = core._min_edge_sequence(n, chosen)
+            seq = core._least_state(n, chosen)[0]
             least, candidates, k = core._least_state(n, seq)
             assert least == seq
             for pair in pairs:
                 if pair not in seq:
                     step, _, _ = core._least_step(candidates, k, *pair)
-                    assert seq + (step,) == core._min_edge_sequence(n, seq + (pair,)), chosen
+                    assert seq + (step,) == core._least_state(n, seq + (pair,))[0], chosen
 
     @settings(deadline=None, max_examples=50)
     @given(small_graphs(max_n=4), small_graphs(max_n=4))
     def test_code_equality_iff_isomorphic(self, a, b):
-        same = canonical_code(a) == canonical_code(b)
+        same = canonical_form(a) == canonical_form(b)
         assert same == (brute_isomorphism(a, b) is not None)
 
     @settings(deadline=None, max_examples=50)
     @given(small_graphs(max_n=4))
     def test_canonical_form_is_fixed_point(self, g):
         rep = canonical_form(g)
-        assert canonical_code(rep) == canonical_code(g)
         assert canonical_form(rep) == rep
 
 
@@ -298,20 +292,18 @@ class TestEnumerateOrderings:
 
     def test_ascending_code_order(self):
         p3 = build_graph(4, [(0, 1, 1), (1, 2, 2), (2, 3, 3)])
-        codes = [canonical_code(g).data for g in enumerate_orderings(p3)]
+        codes = [g.pairs_by_rank for g in enumerate_orderings(p3)]
         assert codes == sorted(codes)
 
 
 def labeling_oracle(shape):
-    """Reference enumerator: code all m! labelings, keep one form per code."""
+    """Reference enumerator: the canonical forms of all m! labelings, deduplicated."""
     pairs = sorted(shape.pairs_by_rank)
-    classes = {}
-    for perm in permutations(range(1, shape.m + 1)):
-        candidate = build_graph(shape.n, [(u, v, r) for (u, v), r in zip(pairs, perm)])
-        code = canonical_code(candidate).data
-        if code not in classes:
-            classes[code] = canonical_form(candidate)
-    return [classes[code] for code in sorted(classes)]
+    classes = {
+        canonical_form(build_graph(shape.n, [(u, v, r) for (u, v), r in zip(pairs, perm)]))
+        for perm in permutations(range(1, shape.m + 1))
+    }
+    return sorted(classes, key=lambda g: g.pairs_by_rank)
 
 
 def shape(n, text):
@@ -411,33 +403,33 @@ class TestOrbitEnumeration:
 
     def test_codes_ascend_with_two_digit_labels(self):
         # Labels 10-12 take two digits: the classes come out sorted as
-        # least-sequence tuples, which is code order only because codes pad
-        # every label to one width.
+        # least-sequence tuples, compared label by label as integers.
         pairs = [(6, 10), (5, 6), (1, 9), (2, 9), (10, 11), (7, 11), (4, 12), (0, 2)]
         g = build_graph(13, [(u, v, i + 1) for i, (u, v) in enumerate(pairs)])
         classes = list(enumerate_orderings(g))
         assert len(classes) == 10_080
-        codes = [canonical_code(c).data for c in classes]
+        codes = [c.pairs_by_rank for c in classes]
         assert codes == sorted(codes) and len(set(codes)) == len(codes)
-        assert classes == sorted(classes, key=lambda c: canonical_code(c).data)
-        assert [c.pairs_by_rank for c in classes] == sorted(c.pairs_by_rank for c in classes)
-        assert codes[0] == b"13:00,01;00,02;01,03;02,04;05,06;05,07;06,08;09,10"
+        assert codes[0] == ((0, 1), (0, 2), (1, 3), (2, 4), (5, 6), (5, 7), (6, 8), (9, 10))
 
     @pytest.mark.parametrize(
         "g, code",
         [
-            (path_with_ranks("1423"), b"5:0,1;2,3;2,4;0,3"),
-            (d_graph(5), b"5:0,1;0,2;0,3;0,4;1,4;2,4;3,4"),
-            (path_with_ranks("918273645"), b"10:0,1;2,3;4,5;6,7;6,8;4,7;2,5;0,3;1,9"),
+            (path_with_ranks("1423"), ((0, 1), (2, 3), (2, 4), (0, 3))),
+            (d_graph(5), ((0, 1), (0, 2), (0, 3), (0, 4), (1, 4), (2, 4), (3, 4))),
+            (
+                path_with_ranks("918273645"),
+                ((0, 1), (2, 3), (4, 5), (6, 7), (6, 8), (4, 7), (2, 5), (0, 3), (1, 9)),
+            ),
             (
                 build_graph(10, [(i, (i + 1) % 10, i + 1) for i in range(10)]),
-                b"10:0,1;0,2;2,3;3,4;4,5;5,6;6,7;7,8;8,9;1,9",
+                ((0, 1), (0, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8), (8, 9), (1, 9)),
             ),
         ],
         ids=["1423", "D5", "path10", "C10"],
     )
     def test_codes_up_to_ten_vertices_are_unpadded(self, g, code):
-        assert canonical_code(g).data == code
+        assert canonical_form(g) == EdgeOrderedGraph(g.n, code)
 
     def test_classes_not_labelings_are_capped(self):
         # The 3-edge path has 3! = 6 labelings but 6/2 = 3 classes.
@@ -456,6 +448,26 @@ class TestOrbitEnumeration:
         star = build_graph(7, [(0, i, i) for i in range(1, 7)])
         with pytest.raises(BudgetExceeded, match="Aut"):
             next(enumerate_orderings(star, max_labelings=719))
+
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            [(i, i + 1, i + 1) for i in range(1799)],
+            [(2 * i, 2 * i + 1, i + 1) for i in range(1800)],
+            [(0, i, i) for i in range(1, 1801)],
+        ],
+        ids=["path", "matching", "star"],
+    )
+    def test_wide_shapes_are_capped_before_the_automorphism_search(self, edges, monkeypatch):
+        # Each search recurses once per vertex; 1,800 levels would pass
+        # Python's recursion limit, but no shape this wide is within both caps.
+        def no_search(*args):
+            raise AssertionError("automorphisms searched")
+
+        monkeypatch.setattr(core, "_edge_automorphisms", no_search)
+        g = build_graph(max(v for _, v, _ in edges) + 1, edges)
+        with pytest.raises(BudgetExceeded, match="vertices make over 50000 classes"):
+            next(enumerate_orderings(g))
 
     def test_large_cliques_exceed_the_cap_before_any_search(self, monkeypatch):
         def no_search(*args):

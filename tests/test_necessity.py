@@ -17,7 +17,7 @@ from eotile import (
     SearchBudget,
     are_order_isomorphic,
     build_graph,
-    canonical_code,
+    canonical_form,
     enumerate_orderings,
     find_embedding,
     star_canonical_clique,
@@ -33,7 +33,7 @@ from eotile.canonical import (
 import eotile
 from eotile import necessity
 from eotile.characterize import d_graph, is_tileable, is_turanable, path_with_ranks
-from eotile.core import _encode, reverse
+from eotile.core import reverse
 from eotile.embed import DEFAULT_BUDGET
 from eotile.necessity import (
     ESTABLISHED_NECESSARY,
@@ -72,7 +72,7 @@ def dual(kind):
 
 def labeled_shape_scan(f_max):
     """Oracle: the classes of every labeled shape on f vertices from
-    ``enumerate_orderings``, duplicates dropped by canonical code, in the
+    ``enumerate_orderings``, duplicates dropped by canonical form, in the
     order ``scan_classes`` documents."""
     for f in range(1, f_max + 1):
         pairs = list(combinations(range(f), 2))
@@ -81,9 +81,8 @@ def labeled_shape_scan(f_max):
             for chosen in combinations(pairs, m):
                 shape = build_graph(f, [(u, v, i + 1) for i, (u, v) in enumerate(chosen)])
                 for ordering in enumerate_orderings(shape):
-                    bucket.setdefault(canonical_code(ordering).data, ordering)
-            for code in sorted(bucket):
-                yield bucket[code]
+                    bucket.setdefault(canonical_form(ordering), ordering)
+            yield from sorted(bucket, key=code)
 
 
 def shapes_up_to_isomorphism(f, m):
@@ -103,8 +102,8 @@ def shapes_up_to_isomorphism(f, m):
 
 
 def code(graph):
-    # Both generators yield canonical forms, whose rank order is the code.
-    return _encode(graph.n, graph.pairs_by_rank)
+    # Both generators yield canonical forms, keyed by their least sequences.
+    return graph.pairs_by_rank
 
 
 @pytest.fixture(scope="module")
