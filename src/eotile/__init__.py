@@ -1,5 +1,7 @@
 """Edge-ordered graph tilings: canonical orderings, embeddings, and tilers."""
 
+from types import ModuleType as _ModuleType
+
 from .canonical import (
     ALL_STAR_TYPES,
     CANONICAL_COINCIDENT_TYPES,
@@ -99,5 +101,10 @@ from .tiling import (
     verify_tiling,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# Submodules stay reachable as ``eotile.core`` and so on, but are not exported.
+__all__ = [
+    name
+    for name, value in sorted(globals().items())
+    if not (name.startswith("_") or isinstance(value, _ModuleType))
+]
 __version__ = "0.1.0"

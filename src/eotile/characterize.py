@@ -22,7 +22,7 @@ from .canonical import (
     canonical_clique,
     star_canonical_clique,
 )
-from .core import EdgeOrderedGraph, Pair, build_graph, components
+from .core import MAX_HOST_VERTICES, EdgeOrderedGraph, Pair, build_graph, components
 from .embed import (
     DEFAULT_BUDGET,
     Embedding,
@@ -352,30 +352,32 @@ def family_graph(descriptor: str) -> EdgeOrderedGraph:
     """Build a named family graph from a descriptor like ``D(4)``.
 
     Supported: D(n), Dplus(n), Dminus(n), MonoCycle(n), MonoPath(k),
-    PathRanks(digits), C4_1243.
+    PathRanks(digits), C4_1243.  A family of more than
+    ``MAX_HOST_VERTICES`` vertices raises :class:`BadSpec` before it is built.
     """
     match = _FAMILY_PATTERN.match(descriptor.strip())
     if not match:
         raise BadSpec(f"malformed family descriptor {descriptor!r}")
     name, arg = match.group(1), match.group(2)
+    if name == "PathRanks":
+        return path_with_ranks(arg or "")
+    if name == "C4_1243":
+        return c4_1243()
+    # Each sized family's builder and its vertex count beyond the argument.
+    sized = {
+        "D": (d_graph, 0), "Dplus": (d_plus, 1), "Dminus": (d_minus, 1),
+        "MonoCycle": (monotone_cycle, 0), "MonoPath": (monotone_path_graph, 1),
+    }
+    if name not in sized:
+        raise BadSpec(f"unknown family {name!r}")
+    build, extra = sized[name]
     try:
-        if name == "D":
-            return d_graph(int(arg))
-        if name == "Dplus":
-            return d_plus(int(arg))
-        if name == "Dminus":
-            return d_minus(int(arg))
-        if name == "MonoCycle":
-            return monotone_cycle(int(arg))
-        if name == "MonoPath":
-            return monotone_path_graph(int(arg))
-        if name == "PathRanks":
-            return path_with_ranks(arg or "")
-        if name == "C4_1243":
-            return c4_1243()
+        size = int(arg)
     except (TypeError, ValueError) as exc:
         raise BadSpec(f"bad argument in descriptor {descriptor!r}") from exc
-    raise BadSpec(f"unknown family {name!r}")
+    if size + extra > MAX_HOST_VERTICES:
+        raise BadSpec(f"family {name} has {size + extra} vertices, over {MAX_HOST_VERTICES}")
+    return build(size)
 
 
 def turanable_four_coloring(

@@ -27,6 +27,10 @@ DEFAULT_MAX_LABELINGS = 50_000
 # Exact chromatic number search is exponential; refuse silly instances.
 DEFAULT_MAX_COLOR_VERTICES = 24
 
+# Largest n of a graph the command line reads, generates or samples: a draw
+# or clique lists all C(n,2) pairs, about 5*10^5 at this cap, before any search.
+MAX_HOST_VERTICES = 1_000
+
 
 @dataclass(frozen=True)
 class EdgeOrderedGraph:

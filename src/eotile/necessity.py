@@ -19,7 +19,7 @@ from typing import Iterator, Optional
 from .canonical import ALL_STAR_TYPES, StarType
 from .characterize import _tile_checks, _type_checks
 from .core import DEFAULT_MAX_LABELINGS, EdgeOrderedGraph, Pair, _least_step, canonical_form
-from .embed import DEFAULT_BUDGET, Embedding, SearchBudget, _Meter, verify_embedding
+from .embed import DEFAULT_BUDGET, Embedding, SearchBudget, _Meter
 from .errors import BadSize, BudgetExceeded, CertificateError
 
 # One checked witness per type, as a ``path_with_ranks`` string: each 8-vertex
@@ -168,16 +168,15 @@ def _certify_witness(
 ) -> dict[StarType, Embedding]:
     """The nineteen certificates of ``graph`` as a witness for ``target``.
 
-    All twenty checks run on one budget.  Each certificate is re-verified
-    by the independent embedding checker, and the check against the
-    target's ordering must come back empty, by an exhausted search or by
-    the type loop's peel cut; otherwise :class:`CertificateError` is raised.
+    All twenty checks run on one budget.  Each other type must yield a
+    certificate, which :func:`find_embedding` checked before returning it,
+    and the check against the target's ordering must come back empty, by an
+    exhausted search or by the type loop's peel cut; otherwise
+    :class:`CertificateError` is raised.
     """
-    checks = _tile_checks(graph.n)
-    found = dict(_type_checks(graph, checks, _Meter(budget)))
-    for kind, host, _, _ in checks:
-        emb = found[kind]
-        if kind != target and (emb is None or not verify_embedding(graph, host, emb)):
+    found = dict(_type_checks(graph, _tile_checks(graph.n), _Meter(budget)))
+    for kind, emb in found.items():
+        if kind != target and emb is None:
             raise CertificateError(f"witness certificate for {kind} failed re-verification")
     if found.pop(target) is not None:
         raise CertificateError(f"witness refutation for {target} failed re-verification")

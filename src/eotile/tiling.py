@@ -211,12 +211,12 @@ def tiling_number(
     Short-circuits to None when the piece is not tileable, since then no t
     can ever work.
     """
+    f = piece.n
+    if f == 0:
+        raise BadDivisibility("piece must have at least one vertex")
     if not is_tileable(piece, budget).value:
         return None
-    f = piece.n
-    for t in range(max(f, 1), t_max + 1):
-        if t % f != 0:
-            continue
+    for t in range(f, t_max + 1, f):
         clique = EdgeOrderedGraph(t, tuple(combinations(range(t), 2)))
         try:
             classes = enumerate_orderings(clique)

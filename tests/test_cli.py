@@ -12,7 +12,8 @@ import eotile
 from eotile import DuplicateEdge, ParseError, build_graph, canonical_clique
 from eotile.canonical import CanonicalType
 from eotile.characterize import d_graph, path_with_ranks
-from eotile import cli
+from eotile import characterize, cli
+from eotile import embed as embed_module
 from eotile import tiling as tiling_module
 from eotile.cli import (
     EXPERIMENT_NAMES,
@@ -348,6 +349,67 @@ class TestBadInput:
         assert captured.out == ""
         assert captured.err == "error: parameter n must be at most 1000, got 1001\n"
 
+    @pytest.mark.parametrize("n", [1001, 10**9])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "turanable", "BIG"],
+            ["check", "tileable", "BIG"],
+            ["tile", "exact", "--host", "BIG", "--piece", "EDGE"],
+            ["tile", "exact", "--host", "EDGE", "--piece", "BIG"],
+        ],
+        ids=["check-turanable", "check-tileable", "tile-host", "tile-piece"],
+    )
+    def test_graph_documents_over_the_cap_are_refused(
+        self, capsys, tmp_path, monkeypatch, argv, n
+    ):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("solver reached")
+
+        for solver in ("is_turanable", "is_tileable", "perfect_tiling_exact"):
+            monkeypatch.setattr(cli, solver, unreachable)
+        big = tmp_path / "big.json"
+        big.write_bytes(b'{"n": %d, "edges": []}' % n)
+        edge = tmp_path / "edge.json"
+        edge.write_bytes(serialize_graph(build_graph(2, [(0, 1, 1)])))
+        files = {"BIG": str(big), "EDGE": str(edge)}
+        assert main([files.get(arg, arg) for arg in argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: field 'n' must be at most 1000, got {n}\n"
+
+    @pytest.mark.parametrize(
+        "descriptor, vertices",
+        [("MonoPath(1000000000)", 1000000001), ("D(1001)", 1001), ("Dplus(1000)", 1001)],
+    )
+    def test_gen_family_refuses_huge_families_before_building(
+        self, capsys, monkeypatch, descriptor, vertices
+    ):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("builder reached")
+
+        for builder in ("monotone_path_graph", "d_graph"):
+            monkeypatch.setattr(characterize, builder, unreachable)
+        assert main(["gen", "family", descriptor]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        name = descriptor.split("(")[0]
+        assert captured.err == f"error: family {name} has {vertices} vertices, over 1000\n"
+
+    def test_gen_family_at_the_cap(self, capsys):
+        assert main(["gen", "family", "MonoPath(999)"]) == 0
+        assert json.loads(capsys.readouterr().out)["n"] == 1000
+
+    def test_tile_clique_refuses_an_empty_piece(self, capsys, tmp_path):
+        host = tmp_path / "host.json"
+        host.write_bytes(serialize_graph(canonical_clique(CanonicalType.MIN, 4)))
+        piece = tmp_path / "piece.json"
+        piece.write_bytes(b'{"n": 0, "edges": []}')
+        assert main(["tile", "clique", "--host", str(host), "--piece", str(piece)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: piece must have at least one vertex\n"
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -499,9 +561,10 @@ class TestBadInput:
 
 
 class TestCertificateChecks:
-    """Failed re-verification raises CertificateError instead of relying on assert."""
+    """A certificate that fails the library's one check raises CertificateError,
+    which the CLI reports on stderr with nothing on stdout."""
 
-    @pytest.mark.parametrize("module", [cli, tiling_module], ids=["cli", "tiling"])
+    @pytest.mark.parametrize("module", [tiling_module], ids=["tiling"])
     def test_tile_dense_exit_code(self, capsys, tmp_path, monkeypatch, module):
         host = tmp_path / "host.json"
         host.write_bytes(serialize_graph(canonical_clique(CanonicalType.MIN, 8)))
@@ -516,7 +579,8 @@ class TestCertificateChecks:
         [("theorem1-grid", "verify_tiling"), ("rodl-threshold", "verify_embedding")],
     )
     def test_experiment_certificates(self, monkeypatch, name, checker):
-        monkeypatch.setattr(cli, checker, lambda *args: False)
+        module = tiling_module if checker == "verify_tiling" else embed_module
+        monkeypatch.setattr(module, checker, lambda *args: False)
         spec = ExperimentSpec(name, {"seed": 5, "n": 9, "k": 2, "trials": 2})
-        with pytest.raises(CertificateError, match="trial 0"):
+        with pytest.raises(CertificateError, match="failed re-verification"):
             run_experiment(spec)

@@ -626,6 +626,50 @@ class TestIterativeKernel:
         assert host.incidence[4] == [3, 6, 8, 9]
 
 
+class TestVerifyEmbedding:
+    """The checker rejects each kind of bad map on its own."""
+
+    # An edge 0-1 plus an isolated vertex 2, so a bad image of vertex 2
+    # breaks nothing but the check it is aimed at.
+    EDGE_AND_VERTEX = build_graph(3, [(0, 1, 1)])
+    PATH = build_graph(4, [(0, 1, 1), (1, 2, 2), (2, 3, 3)])
+
+    def test_a_good_map_passes(self):
+        assert verify_embedding(self.EDGE_AND_VERTEX, self.PATH, Embedding((0, 1, 3)))
+        assert verify_embedding(monotone_path_graph(2), self.PATH, Embedding((1, 2, 3)))
+
+    @pytest.mark.parametrize("vertex_map", [(0, 1), (0, 1, 2, 3)], ids=["short", "long"])
+    def test_wrong_length(self, vertex_map):
+        assert not verify_embedding(self.EDGE_AND_VERTEX, self.PATH, Embedding(vertex_map))
+
+    def test_repeated_host_vertex(self):
+        assert not verify_embedding(self.EDGE_AND_VERTEX, self.PATH, Embedding((0, 1, 1)))
+
+    @pytest.mark.parametrize("outside", [4, -1])
+    def test_vertex_outside_the_host(self, outside):
+        emb = Embedding((0, 1, outside))
+        assert not verify_embedding(self.EDGE_AND_VERTEX, self.PATH, emb)
+
+    def test_edge_sent_to_a_non_edge(self):
+        assert not verify_embedding(monotone_path_graph(1), self.PATH, Embedding((0, 2)))
+
+    def test_ranks_out_of_order(self):
+        # The reversed map sends rank 1 to rank 3 and rank 2 to rank 2.
+        assert not verify_embedding(monotone_path_graph(2), self.PATH, Embedding((3, 2, 1)))
+
+
+class TestTimeBudget:
+    def test_time_limit_stops_a_long_search(self):
+        # The clock is read every 4,096 nodes, so the search must be longer.
+        pattern = monotone_path_graph(3)
+        host = canonical_clique(CanonicalType.MIN, 14)
+        meter = _Meter(SearchBudget())
+        assert sum(1 for _ in _embeddings(pattern, host, meter)) == 6006
+        assert meter.nodes > 4096
+        with pytest.raises(Inconclusive, match="time budget"):
+            list(iter_embeddings(pattern, host, SearchBudget(time_limit=1e-9)))
+
+
 class TestCertificateChecks:
     """Re-verification raises CertificateError instead of relying on assert."""
 

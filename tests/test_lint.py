@@ -90,12 +90,12 @@ def test_least_state_call_is_detected():
 
 
 def calls_outside(tree, name, allowed):
-    """Lines of calls to ``name`` that no function named ``allowed`` encloses."""
+    """Lines of calls to ``name`` that no function named in ``allowed`` encloses."""
     found = []
 
     def visit(node, inside):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            inside = inside or node.name == allowed
+            inside = inside or node.name in allowed
         if not inside and calls(node, name):
             found.append(node.lineno)
         for child in ast.iter_child_nodes(node):
@@ -112,7 +112,9 @@ def test_only_the_type_loop_calls_find_embedding():
         f"{name}:{line}"
         for name in ("characterize.py", "necessity.py")
         for line in calls_outside(
-            ast.parse((SOURCE / name).read_text(), filename=name), "find_embedding", "_type_checks"
+            ast.parse((SOURCE / name).read_text(), filename=name),
+            "find_embedding",
+            {"_type_checks"},
         )
     ]
     assert found == [], "run type checks through _type_checks, not find_embedding"
@@ -131,7 +133,53 @@ def test_find_embedding_outside_the_type_loop_is_detected():
         "        return embed.find_embedding(graph, host)\n"
         "found = find_embedding(graph, host) or find_embedding\n"
     )
-    assert calls_outside(tree, "find_embedding", "_type_checks") == [6, 9, 10]
+    assert calls_outside(tree, "find_embedding", {"_type_checks"}) == [6, 9, 10]
+
+
+# The functions that may call a certificate checker: the two certifiers every
+# search returns through, the tiling checker itself, and is_tileable's Turan
+# re-check, which checks certificates mapped onto other cliques.
+CERTIFIERS = {
+    "embed": {"_certified"},
+    "tiling": {"_certified", "verify_tiling"},
+    "characterize": {"is_tileable"},
+}
+
+
+def checker_calls(module, tree):
+    """Lines of ``module`` calling a checker outside its allowed functions."""
+    allowed = CERTIFIERS.get(module, set())
+    return sorted(
+        f"{module}:{line}"
+        for checker in ("verify_embedding", "verify_tiling")
+        for line in calls_outside(tree, checker, allowed)
+    )
+
+
+def test_only_certifiers_call_the_checkers():
+    # A certificate is checked once, by the function that returns it; a second
+    # call of the same checker on the same objects cannot fail.
+    found = [
+        line
+        for path in sorted(SOURCE.rglob("*.py"))
+        for line in checker_calls(path.stem, ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert found == [], "print what the library certified; do not check it again"
+
+
+def test_checker_call_outside_a_certifier_is_detected():
+    tree = ast.parse(
+        "def _certified(host, piece, tiling):\n"
+        "    return verify_tiling(host, piece, tiling)\n"
+        "def verify_tiling(host, piece, tiling):\n"
+        "    return verify_embedding(piece, host, tiling)\n"
+        "def _cmd_tile(args):\n"
+        "    return tiling.verify_tiling(host, piece, found)\n"
+        "ok = verify_embedding(piece, host, emb) or verify_tiling\n"
+    )
+    assert checker_calls("tiling", tree) == ["tiling:6", "tiling:7"]
+    assert checker_calls("embed", tree) == ["embed:4", "embed:6", "embed:7"]
+    assert checker_calls("cli", tree) == ["cli:2", "cli:4", "cli:6", "cli:7"]
 
 
 def reads_edges(node):
@@ -284,18 +332,18 @@ def test_public_names_are_pinned():
         "NotComplete", "NotTuranable", "ParseError", "RankCollision", "SamplingFailed",
         "SearchBudget", "StarColor", "StarFamily", "StarType", "TilerConfig", "Tiling",
         "UnknownExperiment", "Verdict", "add_pendant", "add_two_pendants",
-        "are_order_isomorphic", "build_graph", "c4_1243", "canonical", "canonical_clique",
-        "canonical_form", "canonical_labels", "characterize", "chromatic_number",
-        "classify_star_canonical", "core", "count_copies", "count_order_automorphisms",
-        "d_graph", "d_minus", "d_plus", "embed", "enumerate_orderings", "errors",
+        "are_order_isomorphic", "build_graph", "c4_1243", "canonical_clique",
+        "canonical_form", "canonical_labels", "chromatic_number",
+        "classify_star_canonical", "count_copies", "count_order_automorphisms",
+        "d_graph", "d_minus", "d_plus", "enumerate_orderings",
         "extremal_construction", "extremal_vertices", "family_graph", "find_embedding",
         "find_monotone_path", "find_star_canonical_subclique", "induced_subgraph",
         "is_tileable", "is_turanable", "is_universally_tileable", "iter_embeddings",
         "local_absorbers", "monotone_cycle", "monotone_hamilton_cycle",
-        "monotone_path_graph", "monotone_star_subsequence", "necessity",
+        "monotone_path_graph", "monotone_star_subsequence",
         "necessity_witness", "order_isomorphisms", "path_with_ranks",
         "perfect_tiling_exact", "reverse", "scan_classes", "star_canonical_clique",
         "star_edge_coloring", "star_labels", "sufficiency_probe", "tile_dense_paths",
-        "tile_via_cliques", "tiling", "tiling_number", "turanable_four_coloring",
+        "tile_via_cliques", "tiling_number", "turanable_four_coloring",
         "verify_embedding", "verify_tiling",
     ]

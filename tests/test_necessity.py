@@ -206,7 +206,16 @@ class TestNecessityWitness:
         edge = build_graph(3, [(0, 1, 1)])
         monkeypatch.setattr(necessity, "_profile_table", lambda *args: ((edge, profile),))
         if claim == "certificate":
-            monkeypatch.setattr(necessity, "verify_embedding", lambda *args: False)
+            # The type loop finds no certificate for one other type (and none
+            # for the target, so only the missing certificate can raise).
+            other = ALL_STAR_TYPES[-1]
+            type_checks = necessity._type_checks
+
+            def missing(graph, checks, meter):
+                for kind, emb in type_checks(graph, checks, meter):
+                    yield kind, None if kind in (LD_MIN, other) else emb
+
+            monkeypatch.setattr(necessity, "_type_checks", missing)
         with pytest.raises(CertificateError, match=claim):
             necessity_witness(LD_MIN, 2)
 

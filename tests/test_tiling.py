@@ -18,6 +18,7 @@ from eotile import (
     Inconclusive,
     SearchBudget,
     TilerConfig,
+    Tiling,
     build_graph,
     canonical_clique,
     extremal_construction,
@@ -29,12 +30,14 @@ from eotile import (
     tile_dense_paths,
     tile_via_cliques,
     tiling_number,
+    verify_embedding,
     verify_tiling,
 )
 from eotile import tiling as tiling_module
 from eotile.canonical import CanonicalType
-from eotile.characterize import path_with_ranks
+from eotile.characterize import is_tileable, path_with_ranks
 import eotile
+from eotile.core import EdgeOrderedGraph
 from eotile.embed import DEFAULT_BUDGET, _Meter
 
 
@@ -125,9 +128,62 @@ class TestPerfectTilingExact:
         assert checked == 100 and positive > 10
 
 
+def embeddings(*maps):
+    return tuple(Embedding(vm) for vm in maps)
+
+
+class TestVerifyTiling:
+    """The checker rejects each kind of bad tiling on its own."""
+
+    HOST = canonical_clique(CanonicalType.MIN, 6)
+    PIECE = canonical_clique(CanonicalType.MIN, 3)
+
+    def test_a_good_tiling_passes(self):
+        pieces = embeddings((0, 1, 2), (3, 4, 5))
+        assert verify_tiling(self.HOST, self.PIECE, Tiling(pieces, frozenset(range(6))))
+
+    def test_bad_piece(self):
+        # (0, 2, 1) sends the MIN triangle's ranks out of order.
+        pieces = embeddings((0, 2, 1), (3, 4, 5))
+        assert not verify_embedding(self.PIECE, self.HOST, pieces[0])
+        assert not verify_tiling(self.HOST, self.PIECE, Tiling(pieces, frozenset(range(6))))
+
+    def test_overlapping_pieces(self):
+        # Each piece is valid and together they cover exactly ``covered``.
+        pieces = embeddings((0, 1, 2), (2, 3, 4))
+        assert all(verify_embedding(self.PIECE, self.HOST, emb) for emb in pieces)
+        assert not verify_tiling(self.HOST, self.PIECE, Tiling(pieces, frozenset(range(5))))
+
+    @pytest.mark.parametrize("covered", [range(5), range(7)], ids=["misses", "adds"])
+    def test_covered_differs_from_the_pieces(self, covered):
+        pieces = embeddings((0, 1, 2), (3, 4, 5))
+        assert not verify_tiling(self.HOST, self.PIECE, Tiling(pieces, frozenset(covered)))
+
+    def test_is_perfect_for(self):
+        tiling = Tiling(embeddings((0, 1, 2), (3, 4, 5)), frozenset(range(6)))
+        assert tiling.is_perfect_for(self.HOST)
+        assert not tiling.is_perfect_for(canonical_clique(CanonicalType.MIN, 9))
+
+
 class TestTilingNumber:
+    # Tileable, yet 8 of the 30 ordering classes of K_4 do not contain it.
+    STAR_AND_EDGE = EdgeOrderedGraph(4, ((0, 1), (0, 2), (0, 3), (1, 3)))
+
     def test_triangle(self):
         assert tiling_number(canonical_clique(CanonicalType.MIN, 3), 5) == 3
+
+    def test_empty_piece_is_refused(self):
+        with pytest.raises(BadDivisibility, match="at least one vertex"):
+            tiling_number(build_graph(0, []), 5)
+
+    def test_tileable_piece_with_no_t_up_to_t_max(self):
+        assert is_tileable(self.STAR_AND_EDGE).value
+        assert tiling_number(self.STAR_AND_EDGE, 4) is None
+
+    def test_clique_over_the_class_cap_is_inconclusive(self):
+        # K_8 has 28!/8! ordering classes, far over the enumeration cap.
+        with pytest.raises(Inconclusive, match="K_8 over budget"):
+            tiling_number(self.STAR_AND_EDGE, 8)
 
     def test_path_132(self):
         assert tiling_number(path_with_ranks("132"), 5) == 4
