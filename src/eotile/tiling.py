@@ -2,10 +2,11 @@
 
 Every tiler runs one exact cover: the least uncovered vertex is covered
 first, and a vertex set is searched for a spanning copy of the piece only
-when the cover reaches it (``find_embedding(..., within=)``).  The dense
-monotone-path tiler and each clique of the clique tiler are tiled this
-way; local absorbers are the paper's standalone objects, which no tiler
-uses.  Correctness always rests on re-verification.
+when the cover reaches it (``_find_piece``, the kernel's first map inside
+the set).  The dense monotone-path tiler and each clique of the clique
+tiler are tiled this way; local absorbers are the paper's standalone
+objects, which no tiler uses.  Pieces are not checked one by one:
+correctness rests on re-verifying each tiling returned, whole.
 
 A None from the exact solver is a proof: either the cover was exhausted,
 or, before any search, a component of the host has a size that a
@@ -17,8 +18,9 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import combinations
-from typing import Callable, Iterable, Iterator, Optional, TypeVar
+from typing import Callable, Iterator, Optional, Sequence, TypeVar
 
 from .canonical import CanonicalType, canonical_labels
 from .characterize import is_tileable
@@ -27,8 +29,8 @@ from .embed import (
     DEFAULT_BUDGET,
     Embedding,
     SearchBudget,
+    _embeddings,
     _Meter,
-    find_embedding,
     monotone_path_graph,
     verify_embedding,
 )
@@ -110,59 +112,69 @@ class TilerConfig:
             raise ValueError(f"eta must lie in (0, 1/2), got {self.eta}")
 
 
+def _find_piece(
+    piece: EdgeOrderedGraph,
+    host: EdgeOrderedGraph,
+    meter: _Meter,
+    subset: Sequence[int],
+) -> Optional[Embedding]:
+    """The kernel's first map of ``piece`` inside ``subset`` (ascending host
+    vertices the tiler chose), unchecked: :func:`_certified` checks its tiling."""
+    for vm in _embeddings(piece, host, meter, subset):
+        return Embedding(vm)
+    return None
+
+
 def _cover(
     vertices: frozenset[int],
     size: int,
     witness: Callable[[tuple[int, ...]], Optional[W]],
     meter: _Meter,
-    memo: Optional[dict[tuple[int, ...], Optional[W]]] = None,
 ) -> Optional[list[W]]:
     """Exact cover of ``vertices`` by disjoint ``size``-sets, backtracking.
 
     The least uncovered vertex v must lie in the set that covers it, so
     each node tries v plus every (size-1)-subset of the other uncovered
     vertices, in lexicographic order, and keeps the sets whose ``witness``
-    is not None.  Witnesses are asked lazily, once per set per top-level
-    call (``memo``).  This is Algorithm X with a fixed column order.
+    is not None.  Witnesses are asked lazily, once per set per call.  This
+    is Algorithm X with a fixed column order, one ``meter.tick()`` per node.
+    The branch is an explicit stack, so a cover by thousands of sets needs
+    no recursion.
 
     Sets are ascending tuples: a negative host can memoize most of its
     C(n, size) sets, and a small tuple takes about a ninth of the memory of
     a frozenset of the same vertices.
     """
+    memo: dict[tuple[int, ...], Optional[W]] = {}
+
+    def node(rest: frozenset[int]) -> Iterator[tuple[int, ...]]:
+        """The sets with a witness that cover the least vertex of ``rest``."""
+        meter.tick()
+        least = min(rest)
+        for others in combinations(sorted(rest - {least}), size - 1):
+            subset = (least, *others)
+            if subset not in memo:
+                memo[subset] = witness(subset)
+            if memo[subset] is not None:
+                yield subset
+
     if not vertices:
         return []
-    if memo is None:
-        memo = {}
-    meter.tick()
-    least = min(vertices)
-    for others in combinations(sorted(vertices - {least}), size - 1):
-        subset = (least, *others)
-        if subset not in memo:
-            memo[subset] = witness(subset)
-        found = memo[subset]
-        if found is not None:
-            rest = _cover(vertices.difference(subset), size, witness, meter, memo)
-            if rest is not None:
-                return [found] + rest
+    rest, taken = vertices, []  # the uncovered vertices; the sets the branch took
+    branch = [node(rest)]  # per node of the branch, the sets left to try
+    while branch:
+        subset = next(branch[-1], None)
+        if subset is None:
+            branch.pop()
+            if taken:
+                rest = rest.union(taken.pop())
+            continue
+        taken.append(subset)
+        rest = rest.difference(subset)
+        if not rest:
+            return [memo[chosen] for chosen in taken]
+        branch.append(node(rest))
     return None
-
-
-def _tile(
-    host: EdgeOrderedGraph,
-    piece: EdgeOrderedGraph,
-    vertices: Iterable[int],
-    meter: _Meter,
-) -> Optional[list[Embedding]]:
-    """Pieces tiling ``vertices`` of ``host`` exactly, in host coordinates.
-
-    Every subset search and the cover count against ``meter``.
-    """
-    return _cover(
-        frozenset(vertices),
-        piece.n,
-        lambda subset: find_embedding(piece, host, within=subset, meter=meter),
-        meter,
-    )
 
 
 def _split_by_components(host: EdgeOrderedGraph, piece: EdgeOrderedGraph) -> bool:
@@ -195,7 +207,9 @@ def perfect_tiling_exact(
         raise BadDivisibility(f"|piece|={piece.n} does not divide |host|={host.n}")
     if _split_by_components(host, piece):
         return None
-    pieces = _tile(host, piece, range(host.n), _Meter(budget))
+    meter = _Meter(budget)
+    finder = partial(_find_piece, piece, host, meter)
+    pieces = _cover(frozenset(range(host.n)), piece.n, finder, meter)
     if pieces is None:
         return None
     return _certified(host, piece, Tiling(tuple(pieces), frozenset(range(host.n))))
@@ -242,30 +256,34 @@ def local_absorbers(
     One absorber per vertex set, using the first valid decomposition in
     lexicographic order (P_x, then P_y, which leaves out the swing vertex
     w); each is re-verified to tile both extensions.  One budget bounds the
-    whole stream: every path search counts against a single meter.
+    whole stream: every path search counts against a single meter.  An
+    endpoint outside the host raises :class:`BadVertex` before any search.
     """
     if x == y:
         raise BadVertex("absorber endpoints must be distinct")
+    for v in (x, y):
+        if not 0 <= v < host.n:
+            raise BadVertex(f"vertex {v} not in graph with n={host.n}")
     others = [v for v in range(host.n) if v not in (x, y)]
     piece = monotone_path_graph(k)
-    meter = _Meter(budget)
+    finder = partial(_find_piece, piece, host, _Meter(budget))
 
     def first_absorber(chunk: tuple[int, ...]) -> Optional[AbsorberSet]:
         for p_x in combinations(chunk, k):
-            path_xx = find_embedding(piece, host, within=(*p_x, x), meter=meter)
+            path_xx = finder(sorted((*p_x, x)))
             if path_xx is None:
                 continue
             rest = [v for v in chunk if v not in p_x]
             # P_y is rest less w, w taken last-first: the order of combinations(rest, k).
             for w in reversed(rest):
                 p_y = [v for v in rest if v != w]
-                path_wx = find_embedding(piece, host, within=(*p_x, w), meter=meter)
+                path_wx = finder(sorted((*p_x, w)))
                 if path_wx is None:
                     continue
-                path_yy = find_embedding(piece, host, within=(*p_y, y), meter=meter)
+                path_yy = finder(sorted((*p_y, y)))
                 if path_yy is None:
                     continue
-                path_wy = find_embedding(piece, host, within=(*p_y, w), meter=meter)
+                path_wy = finder(sorted((*p_y, w)))
                 if path_wy is None:
                     continue
                 absorber = AbsorberSet(frozenset(p_x), frozenset(p_y), w)
@@ -326,11 +344,12 @@ def tile_via_cliques(
         )
 
     meter = _Meter(budget)
+    finder = partial(_find_piece, piece, host, meter)
     stripped: list[Embedding] = []
     remaining = set(range(host.n))
     overshoot = host.n % t_clique
     for _ in range(overshoot // f):
-        emb = find_embedding(piece, host, within=remaining, meter=meter)
+        emb = finder(sorted(remaining))
         if emb is None:
             return None
         stripped.append(emb)
@@ -338,7 +357,7 @@ def tile_via_cliques(
 
     def tiled_clique(subset: tuple[int, ...]) -> Optional[list[Embedding]]:
         if all(host.has_edge(a, b) for a, b in combinations(subset, 2)):
-            return _tile(host, piece, subset, meter)
+            return _cover(frozenset(subset), f, finder, meter)
         return None
 
     cover = _cover(frozenset(remaining), t_clique, tiled_clique, meter)

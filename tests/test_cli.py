@@ -135,6 +135,19 @@ class TestCommands:
         assert main(["tile", "exact", *files]) == 0
         assert json.loads(capsys.readouterr().out)["tiled"] is True
 
+    @pytest.mark.parametrize("command", [["exact"], ["clique", "-T", "1"]])
+    def test_tile_a_thousand_one_vertex_pieces(self, capsys, tmp_path, command):
+        # A cover of a thousand sets backtracks on a stack, not by recursion.
+        host = tmp_path / "host.json"
+        host.write_bytes(b'{"n":1000,"edges":[]}')
+        piece = tmp_path / "piece.json"
+        piece.write_bytes(b'{"n":1,"edges":[]}')
+        assert main(["tile", *command, "--host", str(host), "--piece", str(piece)]) == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "pieces": [[v] for v in range(1000)],
+            "tiled": True,
+        }
+
     def test_necessity_probe(self, capsys):
         assert main(
             [

@@ -720,6 +720,13 @@ class TestCertificateChecks:
 
             assert False  # stripped under -O
             host = canonical_clique(CanonicalType.MIN, 6)
+            t._embeddings = lambda pattern, host, meter, within: iter([(within[0],) * pattern.n])
+            try:
+                t.perfect_tiling_exact(host, monotone_path_graph(2))
+            except CertificateError:
+                pass
+            else:
+                raise SystemExit("piece check vanished")
             t.verify_tiling = lambda *args: False
             try:
                 t.perfect_tiling_exact(host, monotone_path_graph(2))

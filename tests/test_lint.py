@@ -136,6 +136,37 @@ def test_find_embedding_outside_the_type_loop_is_detected():
     assert calls_outside(tree, "find_embedding", {"_type_checks"}) == [6, 9, 10]
 
 
+def piece_finder_bypasses(tree):
+    """Lines searching for a piece other than through ``_find_piece``."""
+    return sorted(
+        calls_outside(tree, "find_embedding", set())
+        + calls_outside(tree, "_embeddings", {"_find_piece"})
+    )
+
+
+def test_tiling_searches_only_through_the_piece_finder():
+    # Each tiling is checked whole, once; find_embedding would certify every
+    # piece again, and a second kernel call would be a second finder.
+    found = piece_finder_bypasses(
+        ast.parse((SOURCE / "tiling.py").read_text(), filename="tiling.py")
+    )
+    assert found == [], "search for pieces with _find_piece"
+
+
+def test_search_outside_the_piece_finder_is_detected():
+    tree = ast.parse(
+        "def _find_piece(piece, host, meter, subset):\n"
+        "    for vm in _embeddings(piece, host, meter, subset):\n"
+        "        return find_embedding(piece, host)\n"
+        "def local_absorbers(host, x, y, k):\n"
+        "    def path_on(*vertices):\n"
+        "        return embed._embeddings(piece, host, meter, vertices)\n"
+        "    return find_embedding(piece, host, within=vertices)\n"
+        "found = _embeddings or _find_piece(piece, host, meter, subset)\n"
+    )
+    assert piece_finder_bypasses(tree) == [3, 6, 7]
+
+
 # The functions that may call a certificate checker: the two certifiers every
 # search returns through, the tiling checker itself, and is_tileable's Turan
 # re-check, which checks certificates mapped onto other cliques.

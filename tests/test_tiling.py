@@ -12,6 +12,7 @@ import pytest
 from eotile import (
     BadDivisibility,
     BadSplit,
+    BadVertex,
     CertificateError,
     DegreeBoundWarning,
     Embedding,
@@ -33,6 +34,7 @@ from eotile import (
     verify_embedding,
     verify_tiling,
 )
+from eotile import embed as embed_module
 from eotile import tiling as tiling_module
 from eotile.canonical import CanonicalType
 from eotile.characterize import is_tileable, path_with_ranks
@@ -238,6 +240,14 @@ class TestLocalAbsorbers:
     def test_isolated_endpoint_has_no_absorbers(self):
         host = build_graph(6, [(1, 2, 1), (2, 3, 2), (3, 4, 3), (4, 5, 4), (1, 5, 5)])
         assert list(local_absorbers(host, 0, 1, 1)) == []
+
+    @pytest.mark.parametrize("x, y, bad", [(0, 99, 99), (99, 0, 99), (-1, 3, -1)])
+    def test_endpoint_outside_the_host_is_rejected_before_any_search(self, x, y, bad):
+        # A one-node budget would end the first path search in Inconclusive.
+        host = canonical_clique(CanonicalType.MIN, 7)
+        stream = local_absorbers(host, x, y, 1, SearchBudget(node_limit=1))
+        with pytest.raises(BadVertex, match=f"^vertex {bad} not in graph with n=7$"):
+            next(stream)
 
     def test_one_budget_bounds_the_whole_stream(self):
         host, piece = canonical_clique(CanonicalType.MIN, 9), monotone_path_graph(1)
@@ -543,7 +553,8 @@ class TestCertificateChecks:
     def test_tile_via_cliques(self, monkeypatch):
         host = canonical_clique(CanonicalType.MAX, 9)
         k3 = canonical_clique(CanonicalType.MIN, 3)
-        # Only the final whole-host check fails; each clique's inner tiling passes.
+        # The check fails on the whole 9-vertex host, the one tiling it
+        # sees: no clique is checked alone.
         monkeypatch.setattr(tiling_module, "verify_tiling", lambda g, p, t: g.n != 9)
         with pytest.raises(CertificateError):
             tile_via_cliques(host, k3, 3)
@@ -552,6 +563,30 @@ class TestCertificateChecks:
         monkeypatch.setattr(tiling_module, "verify_tiling", lambda *args: False)
         with pytest.raises(CertificateError):
             next(local_absorbers(canonical_clique(CanonicalType.MIN, 7), 0, 1, 1))
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: perfect_tiling_exact(
+                canonical_clique(CanonicalType.MIN, 6), monotone_path_graph(2)
+            ),
+            lambda: tile_via_cliques(
+                canonical_clique(CanonicalType.MAX, 9), canonical_clique(CanonicalType.MIN, 3), 3
+            ),
+            lambda: next(local_absorbers(canonical_clique(CanonicalType.MIN, 7), 0, 1, 1)),
+        ],
+        ids=["exact", "cliques", "absorbers"],
+    )
+    def test_bad_piece_is_caught(self, monkeypatch, call):
+        # The piece finder checks nothing; the tiling check must reject a
+        # kernel map that sends every piece vertex to one host vertex.
+        def non_injective(pattern, host, meter, within):
+            meter.tick()
+            yield (within[0],) * pattern.n
+
+        monkeypatch.setattr(tiling_module, "_embeddings", non_injective)
+        with pytest.raises(CertificateError, match="tiling failed re-verification"):
+            call()
 
     def test_extremal_construction_degree(self, monkeypatch):
         monkeypatch.setattr(
@@ -564,6 +599,45 @@ class TestCertificateChecks:
         monkeypatch.setattr(tiling_module, "verify_tiling", lambda *args: False)
         with pytest.raises(CertificateError):
             tile_dense_paths(canonical_clique(CanonicalType.MIN, 6), 2)
+
+
+def record_embedding_checks(monkeypatch):
+    """Record the arguments of every ``verify_embedding`` call, in either module."""
+    calls = []
+    real = embed_module.verify_embedding
+
+    def recording(*args):
+        calls.append(args)
+        return real(*args)
+
+    for module in (embed_module, tiling_module):
+        monkeypatch.setattr(module, "verify_embedding", recording)
+    return calls
+
+
+class TestOneCheckPerPiece:
+    """Each returned piece is checked once, by the check of its tiling."""
+
+    def test_exact_checks_each_piece_once(self, monkeypatch):
+        # The cover backtracks here, past pieces no tiling keeps.
+        host = extremal_construction("Bipartite", 12, 2, gamma=0.3)
+        calls = record_embedding_checks(monkeypatch)
+        tiling = perfect_tiling_exact(host, monotone_path_graph(2))
+        assert len(tiling.pieces) == 4
+        assert len(calls) == 4
+
+    def test_clique_tiler_checks_each_piece_once(self, monkeypatch):
+        host = canonical_clique(CanonicalType.MAX, 12)
+        calls = record_embedding_checks(monkeypatch)
+        tiling = tile_via_cliques(host, canonical_clique(CanonicalType.MIN, 3), 6)
+        assert len(tiling.pieces) == 4
+        assert len(calls) == 4
+
+    def test_absorber_checks_its_four_paths_once(self, monkeypatch):
+        host = canonical_clique(CanonicalType.MAX, 9)
+        calls = record_embedding_checks(monkeypatch)
+        next(local_absorbers(host, 0, 1, 1))
+        assert len(calls) == 4
 
 
 class TestDenseFallbackBudget:
@@ -618,11 +692,12 @@ class TestCover:
 
 EXACT_ONE_BUDGET_SCRIPT = textwrap.dedent(
     """
+    from functools import partial
     from itertools import combinations
     from eotile import Inconclusive, SearchBudget, extremal_construction, find_embedding
     from eotile import monotone_path_graph, perfect_tiling_exact
     from eotile.embed import _Meter
-    from eotile.tiling import _cover, _tile
+    from eotile.tiling import _cover, _find_piece
 
     # K_{2,6} is connected, so no component argument refutes it: only the
     # search can, and a P3 takes two vertices of each side.
@@ -640,7 +715,8 @@ EXACT_ONE_BUDGET_SCRIPT = textwrap.dedent(
         raise SystemExit("K_{2,6} has a P3 tiling")
     # ... but the exact tiler's subset searches and cover need more together.
     total = _Meter(SearchBudget())
-    if _tile(host, piece, range(8), total) is not None:
+    finder = partial(_find_piece, piece, host, total)
+    if _cover(frozenset(range(8)), 4, finder, total) is not None:
         raise SystemExit("K_{2,6} has a P3 tiling")
     if total.nodes <= budget.node_limit:
         raise SystemExit(f"only {total.nodes} nodes in the whole exact tiling")
@@ -655,11 +731,12 @@ EXACT_ONE_BUDGET_SCRIPT = textwrap.dedent(
 
 CLIQUE_ONE_BUDGET_SCRIPT = textwrap.dedent(
     """
-    from eotile import Inconclusive, SearchBudget, canonical_clique, find_embedding
+    from functools import partial
+    from eotile import Inconclusive, SearchBudget, canonical_clique
     from eotile import monotone_path_graph, tile_via_cliques
     from eotile.canonical import CanonicalType
     from eotile.embed import _Meter
-    from eotile.tiling import _cover, _tile
+    from eotile.tiling import _cover, _find_piece
 
     host, piece = canonical_clique(CanonicalType.MAX, 10), monotone_path_graph(1)
     budget = SearchBudget(node_limit=14)
@@ -667,13 +744,14 @@ CLIQUE_ONE_BUDGET_SCRIPT = textwrap.dedent(
     # divisibility (10 mod 4 = 2), the cover by 4-cliques (every 4-set of
     # K10 is one) and the tiling of each clique ...
     meters = [_Meter(budget)]
-    strip = find_embedding(piece, host, within=range(10), meter=meters[-1])
+    strip = _find_piece(piece, host, meters[-1], range(10))
     meters.append(_Meter(budget))
     rest = frozenset(range(10)) - strip.image
     cliques = _cover(rest, 4, lambda subset: subset, meters[-1])
     for clique in cliques:
         meters.append(_Meter(budget))
-        if _tile(host, piece, clique, meters[-1]) is None:
+        finder = partial(_find_piece, piece, host, meters[-1])
+        if _cover(frozenset(clique), 2, finder, meters[-1]) is None:
             raise SystemExit(f"clique {clique} has no tiling")
     # ... but together they need more nodes than it allows, and without any
     # one of them the rest would fit.
