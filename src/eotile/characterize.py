@@ -24,11 +24,9 @@ from .canonical import (
 )
 from .core import MAX_HOST_VERTICES, EdgeOrderedGraph, Pair, build_graph, components
 from .embed import (
-    DEFAULT_BUDGET,
     Embedding,
     SearchBudget,
     _embeddings,
-    _Meter,
     are_order_isomorphic,
     find_embedding,
     monotone_path_graph,
@@ -110,10 +108,10 @@ def _tile_checks(f: int) -> tuple[_CheckRecord, ...]:
 
 
 def _type_checks(
-    graph: EdgeOrderedGraph, checks: Iterable[_CheckRecord], meter: _Meter
+    graph: EdgeOrderedGraph, checks: Iterable[_CheckRecord], budget: SearchBudget
 ) -> Iterator[tuple[Any, Optional[Embedding]]]:
     """Each kind in check order with the first embedding of ``graph`` into
-    its host, or None; every search counts against the one ``meter``.
+    its host, or None; every search counts against the one ``budget``.
 
     Each check is a ``(kind, host, front, back)`` record whose flags say
     whether the host's order peels from the front and from the back; the
@@ -143,23 +141,23 @@ def _type_checks(
             if not back:
                 yield kind, None
                 continue
-        yield kind, find_embedding(graph, host, meter=meter)
+        yield kind, find_embedding(graph, host, budget)
 
 
 def _first_failure(
-    graph: EdgeOrderedGraph, checks: Iterable[_CheckRecord], meter: _Meter
+    graph: EdgeOrderedGraph, checks: Iterable[_CheckRecord], budget: SearchBudget
 ) -> Verdict:
-    """The ``checks`` in order on one ``meter``, to the first failure: a
+    """The ``checks`` in order on one ``budget``, to the first failure: a
     verdict naming the failing kind, or holding every certificate."""
     certificates: dict[Any, Embedding] = {}
-    for kind, emb in _type_checks(graph, checks, meter):
+    for kind, emb in _type_checks(graph, checks, budget):
         if emb is None:
             return Verdict(False, failing=kind)
         certificates[kind] = emb
     return Verdict(True, certificates=certificates)
 
 
-def is_turanable(graph: EdgeOrderedGraph, budget: SearchBudget = DEFAULT_BUDGET) -> Verdict:
+def is_turanable(graph: EdgeOrderedGraph, budget: Optional[SearchBudget] = None) -> Verdict:
     """Check the four canonical orderings of K_f in fixed order.
 
     Returns certificates for all four on success, or the first failing
@@ -170,13 +168,13 @@ def is_turanable(graph: EdgeOrderedGraph, budget: SearchBudget = DEFAULT_BUDGET)
     """
     if _trivial_pattern(graph):
         return Verdict(True)
-    return _first_failure(graph, _canonical_checks(graph.n), _Meter(budget))
+    return _first_failure(graph, _canonical_checks(graph.n), budget or SearchBudget())
 
 
 _isomorphism = lru_cache(maxsize=None)(are_order_isomorphic)
 
 
-def is_tileable(graph: EdgeOrderedGraph, budget: SearchBudget = DEFAULT_BUDGET) -> Verdict:
+def is_tileable(graph: EdgeOrderedGraph, budget: Optional[SearchBudget] = None) -> Verdict:
     """Check the twenty star-canonical orderings of K_f in fixed order, on
     one budget.  A failing type may be refuted by the type loop's peel cut
     instead of a search.  Four types are order-isomorphic to the canonical
@@ -186,7 +184,7 @@ def is_tileable(graph: EdgeOrderedGraph, budget: SearchBudget = DEFAULT_BUDGET) 
     if _trivial_pattern(graph):
         return Verdict(True)
     f = graph.n
-    verdict = _first_failure(graph, _tile_checks(f), _Meter(budget))
+    verdict = _first_failure(graph, _tile_checks(f), budget or SearchBudget())
     if not verdict.value:
         return verdict
     for kind in CANONICAL_COINCIDENT_TYPES:
@@ -229,7 +227,7 @@ def is_universally_tileable(graph: EdgeOrderedGraph) -> bool:
 
 
 def extremal_vertices(
-    graph: EdgeOrderedGraph, budget: SearchBudget = DEFAULT_BUDGET
+    graph: EdgeOrderedGraph, budget: Optional[SearchBudget] = None
 ) -> tuple[frozenset[int], frozenset[int]]:
     """Vertices able to play v_1 in a min / v_f in a max embedding, on one budget.
 
@@ -241,15 +239,15 @@ def extremal_vertices(
     isolated = frozenset(graph.isolated_vertices())
     if graph.m == 0:
         return isolated, isolated
-    meter = _Meter(budget)
-    verdict = _first_failure(graph, _canonical_checks(graph.n), meter)
+    budget = budget or SearchBudget()
+    verdict = _first_failure(graph, _canonical_checks(graph.n), budget)
     if not verdict.value:
         raise NotTuranable(f"no canonical embedding of type {verdict.failing}")
     f = graph.n
     min_host = canonical_clique(CanonicalType.MIN, f)
     max_host = canonical_clique(CanonicalType.MAX, f)
-    minimal = isolated.union(vm.index(0) for vm in _embeddings(graph, min_host, meter))
-    maximal = isolated.union(vm.index(f - 1) for vm in _embeddings(graph, max_host, meter))
+    minimal = isolated.union(vm.index(0) for vm in _embeddings(graph, min_host, budget))
+    maximal = isolated.union(vm.index(f - 1) for vm in _embeddings(graph, max_host, budget))
     if not (minimal and maximal):
         raise CertificateError("Turanable graph has no extremal vertex")
     return minimal, maximal
@@ -278,7 +276,7 @@ def add_two_pendants(
     graph: EdgeOrderedGraph,
     vmin: int,
     vmax: int,
-    budget: SearchBudget = DEFAULT_BUDGET,
+    budget: Optional[SearchBudget] = None,
 ) -> EdgeOrderedGraph:
     """Pendants at a minimal and a maximal vertex; the result is tileable.
 
@@ -381,7 +379,7 @@ def family_graph(descriptor: str) -> EdgeOrderedGraph:
 
 
 def turanable_four_coloring(
-    graph: EdgeOrderedGraph, budget: SearchBudget = DEFAULT_BUDGET
+    graph: EdgeOrderedGraph, budget: Optional[SearchBudget] = None
 ) -> dict[int, int]:
     """Proper coloring with at most four colors, from the two sink sets.
 
@@ -395,7 +393,7 @@ def turanable_four_coloring(
         return {v: 0 for v in range(graph.n)}
     wanted = (CanonicalType.MIN, CanonicalType.INV_MIN)
     checks = [check for check in _canonical_checks(graph.n) if check[0] in wanted]
-    verdict = _first_failure(graph, checks, _Meter(budget))
+    verdict = _first_failure(graph, checks, budget or SearchBudget())
     if not verdict.value:
         raise NotTuranable(f"no embedding into the {verdict.failing.value} ordering")
     pos_min, pos_inv = (emb.vertex_map for emb in verdict.certificates.values())

@@ -61,7 +61,8 @@ MAX_SAMPLING_DRAWS = 100_000
 
 
 def default_budget() -> SearchBudget:
-    """Search budget for CLI-invoked solvers; EOTILE_NODE_BUDGET overrides.
+    """The one search budget of a CLI command; EOTILE_NODE_BUDGET overrides
+    its node limit, which then bounds the whole command.
 
     A value that is not a positive integer raises :class:`BadSpec`.
     """
@@ -373,14 +374,11 @@ def run_experiment(spec: ExperimentSpec) -> dict[str, Any]:
 
     The wall_ms field exists for schema compatibility and is pinned to 0 in
     canonical reports so that identical specs give identical bytes.  Every
-    solver call gets the one :func:`default_budget`: ``theorem1-grid`` and
-    ``rodl-threshold`` meter each call on its own, ``necessity-scan`` meters
-    its profile table once and each witness certification once, and
-    ``catalog-verdicts`` meters the whole experiment once.  Each tiling and
-    path a report digests was checked by the solver that returned it, which
-    raises :class:`CertificateError` on a failed check; the experiment does
-    not check it again.  A parameter of the wrong type raises
-    :class:`BadSpec` naming it.
+    search of the experiment counts against one :func:`default_budget`.
+    Each tiling and path a report digests was checked by the solver that
+    returned it, which raises :class:`CertificateError` on a failed check;
+    the experiment does not check it again.  A parameter of the wrong type
+    raises :class:`BadSpec` naming it.
     """
     if spec.name not in _EXPERIMENTS:
         raise UnknownExperiment(f"unknown experiment {spec.name!r}")

@@ -52,37 +52,34 @@ class Embedding:
 IsoCertificate = Embedding
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False, slots=True)
 class SearchBudget:
-    """Node and wall-clock caps for backtracking searches."""
+    """Node and wall-clock caps for one request's searches, and their count.
+
+    Every search given a budget ticks it, so searches that share one share
+    its count and its clock, which starts when it is made; budgets compare
+    by identity.  A NaN time limit, which no elapsed time exceeds, is refused.
+    """
 
     node_limit: int = 20_000_000
     time_limit: float = 120.0
+    nodes: int = field(default=0, init=False)
+    started: float = field(default_factory=time.monotonic, init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.node_limit <= 0 or self.time_limit <= 0:
-            raise ValueError("budget limits must be positive")
-
-
-DEFAULT_BUDGET = SearchBudget()
-
-# Isomorphism tests take no budget; their searches run to the end.
-_UNLIMITED = SearchBudget(node_limit=sys.maxsize, time_limit=math.inf)
-
-
-@dataclass
-class _Meter:
-    budget: SearchBudget
-    nodes: int = 0
-    started: float = field(default_factory=time.monotonic)
+        limit = self.node_limit
+        if type(limit) is not int or limit <= 0:  # a bool is not a node count
+            raise ValueError(f"node limit must be a positive int, got {limit!r}")
+        if not self.time_limit > 0:  # False for NaN too
+            raise ValueError(f"time limit must be positive, got {self.time_limit!r}")
 
     def tick(self) -> None:
+        """Count one node; past a cap (the clock is read every 4,096), raise Inconclusive."""
         self.nodes += 1
-        if self.nodes > self.budget.node_limit:
-            raise Inconclusive(f"node budget {self.budget.node_limit} exhausted")
-        if self.nodes % 4096 == 0:
-            if time.monotonic() - self.started > self.budget.time_limit:
-                raise Inconclusive(f"time budget {self.budget.time_limit}s exhausted")
+        if self.nodes > self.node_limit:
+            raise Inconclusive(f"node budget {self.node_limit} exhausted")
+        if self.nodes % 4096 == 0 and time.monotonic() - self.started > self.time_limit:
+            raise Inconclusive(f"time budget {self.time_limit}s exhausted")
 
 
 def verify_embedding(pattern: EdgeOrderedGraph, host: EdgeOrderedGraph, emb: Embedding) -> bool:
@@ -145,7 +142,7 @@ def _edge_plan(pattern: EdgeOrderedGraph) -> list[tuple[int, int, int]]:
 def _embeddings(
     pattern: EdgeOrderedGraph,
     host: EdgeOrderedGraph,
-    meter: _Meter,
+    budget: SearchBudget,
     within: Optional[Sequence[int]] = None,
 ) -> Iterator[tuple[int, ...]]:
     """All order-preserving embeddings, as total vertex maps.
@@ -163,7 +160,7 @@ def _embeddings(
     One iterative depth-first search: depth i places pattern edge i on a
     host pair after the one edge i-1 took, leaving room for the edges
     after it.  Each search node (including a complete map) costs one
-    ``meter.tick()``.
+    ``budget.tick()``.
     """
     vertices: Sequence[int] = range(host.n) if within is None else within
     hpairs: Sequence[Pair] = host.pairs_by_rank if within is None else _pairs_within(host, within)
@@ -183,7 +180,7 @@ def _embeddings(
         spare = (v for v in vertices if not used[v])
         return tuple(x if x >= 0 else next(spare) for x in fmap)
 
-    tick = meter.tick
+    tick = budget.tick
     tick()
     if mf == 0:
         yield complete()
@@ -246,10 +243,8 @@ def _embeddings(
 def find_embedding(
     pattern: EdgeOrderedGraph,
     host: EdgeOrderedGraph,
-    budget: SearchBudget = DEFAULT_BUDGET,
+    budget: Optional[SearchBudget] = None,
     within: Optional[Iterable[int]] = None,
-    *,
-    meter: Optional[_Meter] = None,
 ) -> Optional[Embedding]:
     """First order-preserving embedding in deterministic search order.
 
@@ -259,16 +254,14 @@ def find_embedding(
     against ``host`` itself.  Isolated pattern vertices take the smallest
     unused vertices of the subset.
 
-    An enclosing search passes its running ``meter`` so that one budget
-    bounds all its sub-searches; ``budget`` is then not read.
+    Its nodes count on ``budget`` (a fresh one when None); an enclosing
+    search passes its own, so that one budget bounds all its sub-searches.
 
     Returns None only when the full search space was exhausted; a budget
     overrun raises :class:`Inconclusive` instead.
     """
     subset = None if within is None else _vertex_subset(host, within)
-    if meter is None:
-        meter = _Meter(budget)
-    for vm in _embeddings(pattern, host, meter, subset):
+    for vm in _embeddings(pattern, host, budget or SearchBudget(), subset):
         return _certified(pattern, host, Embedding(vm), subset)
     return None
 
@@ -276,20 +269,20 @@ def find_embedding(
 def iter_embeddings(
     pattern: EdgeOrderedGraph,
     host: EdgeOrderedGraph,
-    budget: SearchBudget = DEFAULT_BUDGET,
+    budget: Optional[SearchBudget] = None,
 ) -> Iterator[Embedding]:
     """All embeddings in search order, one per embedding of the pattern's
     edges: isolated pattern vertices take the least unused host vertices."""
-    yield from (Embedding(vm) for vm in _embeddings(pattern, host, _Meter(budget)))
+    yield from (Embedding(vm) for vm in _embeddings(pattern, host, budget or SearchBudget()))
 
 
 def count_injections(
     pattern: EdgeOrderedGraph,
     host: EdgeOrderedGraph,
-    budget: SearchBudget = DEFAULT_BUDGET,
+    budget: Optional[SearchBudget] = None,
 ) -> int:
     """Number of injective order-preserving maps V(pattern) -> V(host)."""
-    maps = sum(1 for _ in _embeddings(pattern, host, _Meter(budget)))
+    maps = sum(1 for _ in _embeddings(pattern, host, budget or SearchBudget()))
     if not maps:  # also when the pattern outgrows the host
         return 0
     # Each map's isolated vertices may go to its unused host vertices in any order.
@@ -305,18 +298,19 @@ def count_order_automorphisms(pattern: EdgeOrderedGraph) -> int:
 def count_copies(
     pattern: EdgeOrderedGraph,
     host: EdgeOrderedGraph,
-    budget: SearchBudget = DEFAULT_BUDGET,
+    budget: Optional[SearchBudget] = None,
 ) -> int:
     """Number of subgraphs of ``host`` order-isomorphic to ``pattern``.
 
     Copies are subgraphs: embeddings differing by an automorphism of the
     pattern certify the same copy, so the injection count divides evenly.
-    Counting cannot return partial answers, so budget overruns surface as
-    BudgetExceeded rather than Inconclusive.
+    Both counts run on one budget.  Counting cannot return partial answers,
+    so budget overruns surface as BudgetExceeded rather than Inconclusive.
     """
+    budget = budget or SearchBudget()
     try:
         injections = count_injections(pattern, host, budget)
-        auts = count_order_automorphisms(pattern)
+        auts = count_injections(pattern, pattern, budget)
     except Inconclusive as exc:
         raise BudgetExceeded(f"copy count over budget: {exc}") from exc
     if injections % auts:
@@ -332,12 +326,12 @@ def order_isomorphisms(
     With equal edge counts the kernel's window pins edge i of ``first`` to
     edge i of ``second``, so only endpoint orientations branch.  Isolated
     vertices of ``first`` are matched to leftover vertices of ``second`` in
-    every possible way, so the stream is complete.
+    every possible way, so the stream is complete; no budget cuts it short.
     """
     if first.n != second.n or first.m != second.m:
         return
     isolated = first.isolated_vertices()
-    for vm in _embeddings(first, second, _Meter(_UNLIMITED)):
+    for vm in _embeddings(first, second, SearchBudget(sys.maxsize, math.inf)):
         for assignment in permutations(vm[v] for v in isolated):
             moved = dict(zip(isolated, assignment))
             yield tuple(moved.get(v, x) for v, x in enumerate(vm))
@@ -353,11 +347,11 @@ def are_order_isomorphic(
     first one found is the least: isomorphisms differ only by flipping
     single-edge components and permuting isolated vertices, and the search
     maps each such edge's lesser end first and fills isolated vertices in
-    ascending order.
+    ascending order.  No budget cuts the search short.
     """
     if first.n != second.n or first.m != second.m:
         return None
-    return find_embedding(first, second, _UNLIMITED)
+    return find_embedding(first, second, SearchBudget(sys.maxsize, math.inf))
 
 
 def monotone_path_graph(k: int) -> EdgeOrderedGraph:
@@ -370,7 +364,7 @@ def monotone_path_graph(k: int) -> EdgeOrderedGraph:
 def find_monotone_path(
     host: EdgeOrderedGraph,
     k: int,
-    budget: SearchBudget = DEFAULT_BUDGET,
+    budget: Optional[SearchBudget] = None,
     within: Optional[Iterable[int]] = None,
 ) -> Optional[Embedding]:
     """A monotone path of length k, or None when none exists.
@@ -500,7 +494,7 @@ def _star_masks_by_key(f: int) -> Mapping[tuple[int, ...], int]:
 
 
 def _alive_subsets(
-    host: EdgeOrderedGraph, x: int, f: int, meter: _Meter
+    host: EdgeOrderedGraph, x: int, f: int, budget: SearchBudget
 ) -> Iterator[tuple[list[int], int]]:
     """The f-subsets through ``x`` that no prefix rules out, ascending, each
     with the bitmask of the ``ALL_STAR_TYPES`` it may still match.
@@ -512,7 +506,7 @@ def _alive_subsets(
     is left: every subset through ``x`` of a star-canonical set with special
     vertex ``x`` is star-canonical of the same type.  A prefix's pairs are
     kept as ascending ``(rank, through x)`` entries, one ``insort`` per new
-    pair.  Each prefix grown costs one ``meter.tick()``.
+    pair.  Each prefix grown costs one ``budget.tick()``.
     """
     others = [v for v in range(host.n) if v != x]
     rank = host.rank
@@ -523,7 +517,7 @@ def _alive_subsets(
         # Candidates for the next of ``prefix``, leaving room for the rest.
         size = len(prefix) + 2
         for i in range(start, len(others) - f + size):
-            meter.tick()
+            budget.tick()
             v = others[i]
             grown = ranked.copy()
             insort(grown, (rank[(x, v) if x < v else (v, x)], True))
@@ -547,7 +541,7 @@ def find_star_canonical_subclique(
     host: EdgeOrderedGraph,
     x: int,
     f: int,
-    budget: SearchBudget = DEFAULT_BUDGET,
+    budget: Optional[SearchBudget] = None,
 ) -> Optional[tuple[StarType, Embedding]]:
     """Direct search for an f-subset through ``x`` inducing a star-canonical
     ordering; returns its type and the embedding of the generated clique.
@@ -557,7 +551,7 @@ def find_star_canonical_subclique(
     (:func:`_alive_subsets`), so the result is that of scanning all
     C(n-1, f-1) subsets in order and types in the fixed check order.  A
     subset that survives is matched, inside it (``within=``) and on the
-    request's one meter, only against the types still alive.  The special
+    request's one budget, only against the types still alive.  The special
     vertex's f-1 >= 2 edges then land on x's pairs, whose one common vertex
     is x, so every match maps the special vertex to x.
     """
@@ -567,10 +561,10 @@ def find_star_canonical_subclique(
         raise BadVertex(f"vertex {x} not in graph")
     if f < 3 or f > host.n:
         raise BadSize(f"subclique size {f} out of range 3..{host.n}")
-    meter = _Meter(budget)
-    for subset, alive in _alive_subsets(host, x, f, meter):
+    budget = budget or SearchBudget()
+    for subset, alive in _alive_subsets(host, x, f, budget):
         for kind in (k for i, k in enumerate(ALL_STAR_TYPES) if alive >> i & 1):
             generated, _ = star_canonical_clique(kind, f)
-            for vm in _embeddings(generated, host, meter, subset):
+            for vm in _embeddings(generated, host, budget, subset):
                 return kind, _certified(generated, host, Embedding(vm), subset)
     return None

@@ -19,7 +19,7 @@ from typing import Iterator, Optional
 from .canonical import ALL_STAR_TYPES, StarType
 from .characterize import _tile_checks, _type_checks
 from .core import DEFAULT_MAX_LABELINGS, EdgeOrderedGraph, Pair, _least_step, canonical_form
-from .embed import DEFAULT_BUDGET, Embedding, SearchBudget, _Meter
+from .embed import Embedding, SearchBudget
 from .errors import BadSize, BudgetExceeded, CertificateError
 
 # One checked witness per type, as a ``path_with_ranks`` string: each 8-vertex
@@ -98,18 +98,18 @@ def _class_profiles(
     the group; a type may fail by :func:`_type_checks`' peel cut with no
     search.  The empty graph and the classes on at most two vertices pass
     all twenty with no search.  Without a budget nothing is searched and
-    every class reads as passing all twenty.
+    every class reads as passing all twenty: unlike the public functions,
+    whose None stands for a fresh budget, None here means no search.
     """
     for f in range(f_max + 1):  # ascending: no factorial past the first K_f over the cap
         top = math.factorial(math.comb(f, 2)) // math.factorial(f)
         if top > DEFAULT_MAX_LABELINGS:
             raise BudgetExceeded(f"K_{f} has {top} ordering classes, over {DEFAULT_MAX_LABELINGS}")
-    meter = _Meter(budget) if budget else None
     for f in range(1, f_max + 1):
         # [types, clique, front, back] per ordering class of the twenty
         # cliques: one at f = 3, twelve at f = 4, twenty from f = 5 on.
         checks: dict[EdgeOrderedGraph, list] = {}
-        if meter and f > 2:
+        if budget and f > 2:
             for i, (_, host, front, back) in enumerate(_tile_checks(f)):
                 checks.setdefault(canonical_form(host), [0, host, front, back])[0] |= 1 << i
         # Each level maps a class's least sequence to its profile; equal
@@ -140,7 +140,7 @@ def _class_profiles(
             if checks:
                 for child, passed in inherited.items():
                     pending = [check for check in checks.values() if passed & check[0]]
-                    for kinds, emb in _type_checks(EdgeOrderedGraph(f, child), pending, meter):
+                    for kinds, emb in _type_checks(EdgeOrderedGraph(f, child), pending, budget):
                         if emb is None:
                             passed &= ~kinds
                     inherited[child] = passed
@@ -158,8 +158,10 @@ def _profile_table(
 ) -> tuple[tuple[EdgeOrderedGraph, int], ...]:
     """The rows of :func:`_class_profiles` on one budget, each a class and
     its profile mask, kept for the witness scans and probes that read them
-    again.  Every request reads one table, and an f_max = 5 table holds
-    82,299 rows, so only the last is kept."""
+    again.  The key holds the budget itself, which compares by identity,
+    so the calls of one request share one table and count its nodes once.
+    Every request reads one table, and an f_max = 5 table holds 82,299
+    rows, so only the last is kept."""
     return tuple(_class_profiles(f_max, budget))
 
 
@@ -168,13 +170,13 @@ def _certify_witness(
 ) -> dict[StarType, Embedding]:
     """The nineteen certificates of ``graph`` as a witness for ``target``.
 
-    All twenty checks run on one budget.  Each other type must yield a
+    All twenty checks run on ``budget``.  Each other type must yield a
     certificate, which :func:`find_embedding` checked before returning it,
     and the check against the target's ordering must come back empty, by an
     exhausted search or by the type loop's peel cut; otherwise
     :class:`CertificateError` is raised.
     """
-    found = dict(_type_checks(graph, _tile_checks(graph.n), _Meter(budget)))
+    found = dict(_type_checks(graph, _tile_checks(graph.n), budget))
     for kind, emb in found.items():
         if kind != target and emb is None:
             raise CertificateError(f"witness certificate for {kind} failed re-verification")
@@ -186,14 +188,16 @@ def _certify_witness(
 def necessity_witness(
     target: StarType,
     f_max: int,
-    budget: SearchBudget = DEFAULT_BUDGET,
+    budget: Optional[SearchBudget] = None,
 ) -> NecessityReport:
     """Scan for the first graph separating ``target`` from the other types.
 
-    The witness is certified by :func:`_certify_witness` on a fresh budget.
+    The profile table and the certification of a witness by
+    :func:`_certify_witness` run on one budget.
     """
     if f_max < 2:
         raise BadSize(f"witness scan needs f_max >= 2, got {f_max}")
+    budget = budget or SearchBudget()
     table = _profile_table(f_max, budget)
     separating = _ALL_TYPES ^ 1 << ALL_STAR_TYPES.index(target)
     for scanned, (graph, profile) in enumerate(table, 1):
@@ -208,7 +212,7 @@ def necessity_witness(
 def sufficiency_probe(
     subset: frozenset[StarType] | set[StarType] | tuple[StarType, ...],
     f_max: int,
-    budget: SearchBudget = DEFAULT_BUDGET,
+    budget: Optional[SearchBudget] = None,
 ) -> Optional[EdgeOrderedGraph]:
     """First graph passing every type in ``subset`` yet failing an omitted one.
 
@@ -222,7 +226,7 @@ def sufficiency_probe(
     if unknown:
         raise BadSize(f"unknown star types in subset: {unknown}")
     wanted = sum(1 << ALL_STAR_TYPES.index(kind) for kind in chosen)
-    for graph, profile in _profile_table(f_max, budget):
+    for graph, profile in _profile_table(f_max, budget or SearchBudget()):
         if profile & wanted == wanted and profile != _ALL_TYPES:
             return graph
     return None

@@ -26,11 +26,9 @@ from .canonical import CanonicalType, canonical_labels
 from .characterize import is_tileable
 from .core import EdgeOrderedGraph, build_graph, components, enumerate_orderings
 from .embed import (
-    DEFAULT_BUDGET,
     Embedding,
     SearchBudget,
     _embeddings,
-    _Meter,
     monotone_path_graph,
     verify_embedding,
 )
@@ -100,7 +98,8 @@ class TilerConfig:
     """Desk-scale tunables standing in for the asymptotic constants.
 
     ``tile_dense_paths`` reads only ``absorb_budget``, the budget of its
-    exact solve; ``eta`` and ``seed`` are validated but read by no tiler.
+    exact solve, so every call given one config counts against that one
+    budget; ``eta`` and ``seed`` are validated but read by no tiler.
     """
 
     eta: float = 0.25
@@ -115,12 +114,12 @@ class TilerConfig:
 def _find_piece(
     piece: EdgeOrderedGraph,
     host: EdgeOrderedGraph,
-    meter: _Meter,
+    budget: SearchBudget,
     subset: Sequence[int],
 ) -> Optional[Embedding]:
     """The kernel's first map of ``piece`` inside ``subset`` (ascending host
     vertices the tiler chose), unchecked: :func:`_certified` checks its tiling."""
-    for vm in _embeddings(piece, host, meter, subset):
+    for vm in _embeddings(piece, host, budget, subset):
         return Embedding(vm)
     return None
 
@@ -129,7 +128,7 @@ def _cover(
     vertices: frozenset[int],
     size: int,
     witness: Callable[[tuple[int, ...]], Optional[W]],
-    meter: _Meter,
+    budget: SearchBudget,
 ) -> Optional[list[W]]:
     """Exact cover of ``vertices`` by disjoint ``size``-sets, backtracking.
 
@@ -137,7 +136,7 @@ def _cover(
     each node tries v plus every (size-1)-subset of the other uncovered
     vertices, in lexicographic order, and keeps the sets whose ``witness``
     is not None.  Witnesses are asked lazily, once per set per call.  This
-    is Algorithm X with a fixed column order, one ``meter.tick()`` per node.
+    is Algorithm X with a fixed column order, one ``budget.tick()`` per node.
     The branch is an explicit stack, so a cover by thousands of sets needs
     no recursion.
 
@@ -149,7 +148,7 @@ def _cover(
 
     def node(rest: frozenset[int]) -> Iterator[tuple[int, ...]]:
         """The sets with a witness that cover the least vertex of ``rest``."""
-        meter.tick()
+        budget.tick()
         least = min(rest)
         for others in combinations(sorted(rest - {least}), size - 1):
             subset = (least, *others)
@@ -192,14 +191,14 @@ def _split_by_components(host: EdgeOrderedGraph, piece: EdgeOrderedGraph) -> boo
 def perfect_tiling_exact(
     host: EdgeOrderedGraph,
     piece: EdgeOrderedGraph,
-    budget: SearchBudget = DEFAULT_BUDGET,
+    budget: Optional[SearchBudget] = None,
 ) -> Optional[Tiling]:
     """A verified perfect tiling, or None proven within budget.
 
     One budget bounds the whole call: the subset searches and the exact
-    cover all count against a single meter.  A connected piece and a host
-    component whose size it does not divide give None before any search,
-    with no node counted.
+    cover all count against it.  A connected piece and a host component
+    whose size it does not divide give None before any search, with no
+    node counted.
     """
     if piece.n == 0:
         raise BadDivisibility("piece must have at least one vertex")
@@ -207,9 +206,9 @@ def perfect_tiling_exact(
         raise BadDivisibility(f"|piece|={piece.n} does not divide |host|={host.n}")
     if _split_by_components(host, piece):
         return None
-    meter = _Meter(budget)
-    finder = partial(_find_piece, piece, host, meter)
-    pieces = _cover(frozenset(range(host.n)), piece.n, finder, meter)
+    budget = budget or SearchBudget()
+    finder = partial(_find_piece, piece, host, budget)
+    pieces = _cover(frozenset(range(host.n)), piece.n, finder, budget)
     if pieces is None:
         return None
     return _certified(host, piece, Tiling(tuple(pieces), frozenset(range(host.n))))
@@ -218,16 +217,17 @@ def perfect_tiling_exact(
 def tiling_number(
     piece: EdgeOrderedGraph,
     t_max: int,
-    budget: SearchBudget = DEFAULT_BUDGET,
+    budget: Optional[SearchBudget] = None,
 ) -> Optional[int]:
     """Least t <= t_max such that every ordering class of K_t tiles perfectly.
 
     Short-circuits to None when the piece is not tileable, since then no t
-    can ever work.
+    can ever work.  The tileability check and every tiling run on one budget.
     """
     f = piece.n
     if f == 0:
         raise BadDivisibility("piece must have at least one vertex")
+    budget = budget or SearchBudget()
     if not is_tileable(piece, budget).value:
         return None
     for t in range(f, t_max + 1, f):
@@ -249,15 +249,15 @@ def local_absorbers(
     x: int,
     y: int,
     k: int,
-    budget: SearchBudget = DEFAULT_BUDGET,
+    budget: Optional[SearchBudget] = None,
 ) -> Iterator[AbsorberSet]:
     """Stream the (2k+1)-sets that absorb a swap between ``x`` and ``y``.
 
     One absorber per vertex set, using the first valid decomposition in
     lexicographic order (P_x, then P_y, which leaves out the swing vertex
     w); each is re-verified to tile both extensions.  One budget bounds the
-    whole stream: every path search counts against a single meter.  An
-    endpoint outside the host raises :class:`BadVertex` before any search.
+    whole stream: every path search counts against it.  An endpoint
+    outside the host raises :class:`BadVertex` before any search.
     """
     if x == y:
         raise BadVertex("absorber endpoints must be distinct")
@@ -266,7 +266,7 @@ def local_absorbers(
             raise BadVertex(f"vertex {v} not in graph with n={host.n}")
     others = [v for v in range(host.n) if v not in (x, y)]
     piece = monotone_path_graph(k)
-    finder = partial(_find_piece, piece, host, _Meter(budget))
+    finder = partial(_find_piece, piece, host, budget or SearchBudget())
 
     def first_absorber(chunk: tuple[int, ...]) -> Optional[AbsorberSet]:
         for p_x in combinations(chunk, k):
@@ -299,23 +299,24 @@ def local_absorbers(
 
 
 def tile_dense_paths(
-    host: EdgeOrderedGraph, k: int, config: TilerConfig = TilerConfig()
+    host: EdgeOrderedGraph, k: int, config: Optional[TilerConfig] = None
 ) -> Optional[Tiling]:
     """Perfect monotone-path tiling of a dense host, or None if none exists.
 
-    The exact solver on the whole host under ``config.absorb_budget``.  On
-    a dense host the least uncovered vertex almost always starts a path
-    among the first sets tried, so the cover rarely backtracks.  The
-    tiling returned is re-verified.
+    The exact solver on the whole host under ``config.absorb_budget`` (a
+    fresh budget when ``config`` is None).  On a dense host the least
+    uncovered vertex almost always starts a path among the first sets
+    tried, so the cover rarely backtracks.  The tiling returned is
+    re-verified.
     """
-    return perfect_tiling_exact(host, monotone_path_graph(k), config.absorb_budget)
+    return perfect_tiling_exact(host, monotone_path_graph(k), config and config.absorb_budget)
 
 
 def tile_via_cliques(
     host: EdgeOrderedGraph,
     piece: EdgeOrderedGraph,
     t_clique: int,
-    budget: SearchBudget = DEFAULT_BUDGET,
+    budget: Optional[SearchBudget] = None,
 ) -> Optional[Tiling]:
     """Strip pieces to fix divisibility, then cover the rest by T-cliques
     that each tile.
@@ -325,7 +326,7 @@ def tile_via_cliques(
     past a clique that does not tile.  The minimum-degree hypothesis is
     only advisory and produces a warning when violated.  One budget bounds
     the whole call: the strips, the clique cover and every clique's tiling
-    count against a single meter.
+    count against it.
 
     None is not a proof that no tiling exists: the strips are greedy and a
     tiling need not follow any clique cover.  :func:`perfect_tiling_exact`
@@ -343,8 +344,8 @@ def tile_via_cliques(
             stacklevel=2,
         )
 
-    meter = _Meter(budget)
-    finder = partial(_find_piece, piece, host, meter)
+    budget = budget or SearchBudget()
+    finder = partial(_find_piece, piece, host, budget)
     stripped: list[Embedding] = []
     remaining = set(range(host.n))
     overshoot = host.n % t_clique
@@ -357,10 +358,10 @@ def tile_via_cliques(
 
     def tiled_clique(subset: tuple[int, ...]) -> Optional[list[Embedding]]:
         if all(host.has_edge(a, b) for a, b in combinations(subset, 2)):
-            return _cover(frozenset(subset), f, finder, meter)
+            return _cover(frozenset(subset), f, finder, budget)
         return None
 
-    cover = _cover(frozenset(remaining), t_clique, tiled_clique, meter)
+    cover = _cover(frozenset(remaining), t_clique, tiled_clique, budget)
     if cover is None:
         return None
     pieces = stripped + [emb for inner in cover for emb in inner]

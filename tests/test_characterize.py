@@ -480,7 +480,7 @@ class TestCertificateChecks:
         monkeypatch.setattr(
             characterize,
             "_first_failure",
-            lambda g, checks, meter: Verdict(
+            lambda g, checks, budget: Verdict(
                 True, {kind: Embedding(tuple(range(g.n))) for kind, *_ in checks}
             ),
         )
@@ -598,7 +598,7 @@ def oracle_graphs():
 
 
 class TestTypeLoopMatchesPerSearchOracle:
-    """One loop on one meter decides exactly what separately budgeted
+    """One loop on one budget decides exactly what separately budgeted
     searches decided: same values, failing types and certificates."""
 
     def test_catalog_size(self, oracle_graphs):

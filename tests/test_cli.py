@@ -465,7 +465,7 @@ class TestBadInput:
         assert "node budget 1 exhausted" in captured.err
 
     def test_catalog_verdicts_runs_on_one_budget(self, capsys, monkeypatch):
-        # All searches of the f_max=4 catalog take 2,826 nodes on one meter.
+        # All searches of the f_max=4 catalog take 2,826 nodes on one budget.
         argv = ["experiment", "catalog-verdicts", "--seed", "0", "--param", "f_max=4"]
         monkeypatch.setenv("EOTILE_NODE_BUDGET", "2826")
         assert main(argv) == 0
@@ -475,6 +475,28 @@ class TestBadInput:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "node budget 2825 exhausted" in captured.err
+
+    # At its defaults, theorem1-grid's 21 tilings take at most 12 nodes each
+    # and 240 in all; rodl-threshold's 100 path searches at most 3 each and
+    # 300 in all.  A limit of 100 bounds the experiment, not each call.
+    @pytest.mark.parametrize("name", ["theorem1-grid", "rodl-threshold"])
+    def test_node_budget_bounds_the_whole_experiment(self, capsys, monkeypatch, name):
+        monkeypatch.setenv("EOTILE_NODE_BUDGET", "100")
+        assert main(["experiment", name, "--seed", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "inconclusive: node budget 100 exhausted\n"
+
+    def test_node_budget_bounds_the_whole_experiment_under_python_O(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(eotile.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "eotile", "experiment", "theorem1-grid", "--seed", "0"],
+            capture_output=True,
+            env={**os.environ, "PYTHONPATH": src, "EOTILE_NODE_BUDGET": "100"},
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == b""
+        assert proc.stderr == b"inconclusive: node budget 100 exhausted\n"
 
     @pytest.mark.parametrize(
         "argv",

@@ -1,5 +1,6 @@
 """Embedding engine vs brute force, plus the specialized searches."""
 
+import math
 import os
 import subprocess
 import sys
@@ -40,12 +41,12 @@ from eotile.embed import (
     SearchBudget,
     _edge_plan,
     _embeddings,
-    _Meter,
     _special_key,
     _star_masks_by_key,
     classify_star_canonical,
+    count_injections,
 )
-from eotile.errors import Inconclusive
+from eotile.errors import BudgetExceeded, Inconclusive
 
 
 def brute_injections(pattern, host):
@@ -177,6 +178,23 @@ class TestCountCopies:
             seen["isolated"] += bool(pattern.isolated_vertices())
             seen["positive"] += copies > 0
         assert all(count >= 20 for count in seen.values()), seen
+
+    def test_both_counts_run_on_one_budget(self):
+        # P2 takes 49 nodes of maps into MIN K5 and 4 of automorphisms: each
+        # count fits under 52 alone, the copy count does not.
+        pattern, host = monotone_path_graph(2), canonical_clique(CanonicalType.MIN, 5)
+        alone = []
+        for first, second in ((pattern, host), (pattern, pattern)):
+            own = SearchBudget(node_limit=52)
+            count_injections(first, second, own)
+            alone.append(own.nodes)
+        assert alone == [49, 4]
+        budget = SearchBudget(node_limit=53)
+        assert count_copies(pattern, host, budget) == 30
+        assert budget.nodes == 53
+        with pytest.raises(BudgetExceeded, match="node budget 52 exhausted") as caught:
+            count_copies(pattern, host, SearchBudget(node_limit=52))
+        assert isinstance(caught.value.__cause__, Inconclusive)
 
 
 class TestPatternsStayBare:
@@ -357,7 +375,7 @@ class TestStarSubcliqueSearch:
     def test_matching_counts_against_the_request_budget(self):
         # The first subset matches.  Its four prefix nodes, the failed
         # matches of the four smaller-dec types and the 11-node match of
-        # smaller-inc.min take 40 nodes in all; a meter per match would
+        # smaller-inc.min take 40 nodes in all; a budget per match would
         # never need more than 11.
         host = canonical_clique(CanonicalType.MIN, 6)
         assert find_star_canonical_subclique(host, 0, 5, SearchBudget(node_limit=40)) is not None
@@ -480,7 +498,7 @@ class TestSearchWithin:
             find_monotone_path(host, 1, within=[-1, 0, 1])
 
 
-def recursive_oracle(pattern, host, meter, within=None):
+def recursive_oracle(pattern, host, budget, within=None):
     """The recursive rank-chain search that ``_embeddings`` replaced: one
     generator per search node, one per candidate list, and the subset's
     pairs and incidence rebuilt by an O(m) scan on every call.  Kept as the
@@ -524,7 +542,7 @@ def recursive_oracle(pattern, host, meter, within=None):
         yield from range(floor, ceiling)
 
     def place(i, floor):
-        meter.tick()
+        budget.tick()
         if i == mf:
             yield complete()
             return
@@ -553,15 +571,15 @@ def recursive_oracle(pattern, host, meter, within=None):
 
 def kernel_trace(kernel, pattern, host, within, node_limit):
     """Everything a kernel yields, in order, then how it stopped and its node count."""
-    meter = _Meter(SearchBudget(node_limit=node_limit))
+    budget = SearchBudget(node_limit=node_limit)
     out = []
     try:
-        for vertex_map in kernel(pattern, host, meter, within):
+        for vertex_map in kernel(pattern, host, budget, within):
             out.append(vertex_map)
         out.append("exhausted")
     except Inconclusive:
         out.append("inconclusive")
-    return out, meter.nodes
+    return out, budget.nodes
 
 
 class TestIterativeKernel:
@@ -663,11 +681,50 @@ class TestTimeBudget:
         # The clock is read every 4,096 nodes, so the search must be longer.
         pattern = monotone_path_graph(3)
         host = canonical_clique(CanonicalType.MIN, 14)
-        meter = _Meter(SearchBudget())
-        assert sum(1 for _ in _embeddings(pattern, host, meter)) == 6006
-        assert meter.nodes > 4096
+        budget = SearchBudget()
+        assert sum(1 for _ in _embeddings(pattern, host, budget)) == 6006
+        assert budget.nodes > 4096
         with pytest.raises(Inconclusive, match="time budget"):
             list(iter_embeddings(pattern, host, SearchBudget(time_limit=1e-9)))
+
+
+class TestSearchBudget:
+    """One budget per request: limits checked when it is made, one count."""
+
+    # No elapsed time exceeds NaN, so a NaN limit would switch the clock off.
+    @pytest.mark.parametrize(
+        "limits, message",
+        [
+            ((10, float("nan")), "time limit must be positive, got nan"),
+            ((1.5,), "node limit must be a positive int, got 1.5"),
+            ((True,), "node limit must be a positive int, got True"),
+        ],
+        ids=["nan-time", "float-nodes", "bool-nodes"],
+    )
+    def test_bad_limit_is_refused(self, limits, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            SearchBudget(*limits)
+
+    def test_unbounded_limits_are_accepted(self):
+        budget = SearchBudget(sys.maxsize, math.inf)
+        assert (budget.node_limit, budget.time_limit, budget.nodes) == (sys.maxsize, math.inf, 0)
+
+    def test_budgets_compare_by_identity(self):
+        first, second = SearchBudget(), SearchBudget()
+        assert first == first and first != second
+        assert len({first, second}) == 2
+
+    def test_searches_on_one_budget_add_up(self):
+        pattern, host = monotone_path_graph(2), canonical_clique(CanonicalType.MIN, 5)
+        budget = SearchBudget(node_limit=5)
+        assert find_embedding(pattern, host, budget) is not None
+        assert budget.nodes == 3
+        # The second search starts from 3 nodes, so it runs out at its third.
+        with pytest.raises(Inconclusive, match="node budget 5 exhausted"):
+            find_embedding(pattern, host, budget)
+        # An exhausted budget stays exhausted: the next search stops at once.
+        with pytest.raises(Inconclusive, match="node budget 5 exhausted"):
+            find_embedding(pattern, host, budget)
 
 
 class TestCertificateChecks:
@@ -688,7 +745,14 @@ class TestCertificateChecks:
 
     def test_count_copies_divisibility(self, monkeypatch):
         # A single edge has 6 injections into K3; 4 does not divide them.
-        monkeypatch.setattr("eotile.embed.count_order_automorphisms", lambda pattern: 4)
+        from eotile import embed
+
+        real = embed.count_injections
+
+        def four_automorphisms(pattern, host, budget=None):
+            return 4 if host is pattern else real(pattern, host, budget)
+
+        monkeypatch.setattr(embed, "count_injections", four_automorphisms)
         with pytest.raises(CertificateError, match="not divisible"):
             count_copies(monotone_path_graph(1), canonical_clique(CanonicalType.MIN, 3))
 
@@ -703,8 +767,8 @@ class TestCertificateChecks:
 
         real = embed._embeddings
 
-        def escaping(pattern, host, meter, within=None):
-            yield from real(pattern, host, meter, None)
+        def escaping(pattern, host, budget, within=None):
+            yield from real(pattern, host, budget, None)
 
         monkeypatch.setattr(embed, "_embeddings", escaping)
         host = canonical_clique(CanonicalType.MIN, 5)
@@ -720,7 +784,7 @@ class TestCertificateChecks:
 
             assert False  # stripped under -O
             host = canonical_clique(CanonicalType.MIN, 6)
-            t._embeddings = lambda pattern, host, meter, within: iter([(within[0],) * pattern.n])
+            t._embeddings = lambda pattern, host, budget, within: iter([(within[0],) * pattern.n])
             try:
                 t.perfect_tiling_exact(host, monotone_path_graph(2))
             except CertificateError:

@@ -122,7 +122,7 @@ def test_only_the_type_loop_calls_find_embedding():
 
 def test_find_embedding_outside_the_type_loop_is_detected():
     tree = ast.parse(
-        "def _type_checks(graph, checks, meter):\n"
+        "def _type_checks(graph, checks, budget):\n"
         "    def search(host):\n"
         "        return find_embedding(graph, host)\n"
         "    return embed.find_embedding(graph, checks)\n"
@@ -155,14 +155,14 @@ def test_tiling_searches_only_through_the_piece_finder():
 
 def test_search_outside_the_piece_finder_is_detected():
     tree = ast.parse(
-        "def _find_piece(piece, host, meter, subset):\n"
-        "    for vm in _embeddings(piece, host, meter, subset):\n"
+        "def _find_piece(piece, host, budget, subset):\n"
+        "    for vm in _embeddings(piece, host, budget, subset):\n"
         "        return find_embedding(piece, host)\n"
         "def local_absorbers(host, x, y, k):\n"
         "    def path_on(*vertices):\n"
-        "        return embed._embeddings(piece, host, meter, vertices)\n"
+        "        return embed._embeddings(piece, host, budget, vertices)\n"
         "    return find_embedding(piece, host, within=vertices)\n"
-        "found = _embeddings or _find_piece(piece, host, meter, subset)\n"
+        "found = _embeddings or _find_piece(piece, host, budget, subset)\n"
     )
     assert piece_finder_bypasses(tree) == [3, 6, 7]
 
@@ -349,6 +349,65 @@ def test_eager_numpy_import_is_detected():
         "    from numpy import random\n"
     )
     assert eager_numpy_imports(tree) == [1, 2, 9, 11, 13]
+
+
+def import_time_budgets(tree):
+    """Lines of ``SearchBudget(...)`` and ``TilerConfig(...)`` calls that run
+    when the module is imported: at module level, in a class body (where a
+    ``default_factory`` names the class and calls nothing), in a parameter
+    default or in a decorator.  Function and lambda bodies run when called."""
+    found = []
+
+    def visit(node):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            deferred = node.body
+        elif isinstance(node, ast.Lambda):
+            deferred = [node.body]
+        else:
+            deferred = []
+        if calls(node, "SearchBudget") or calls(node, "TilerConfig"):
+            found.append(node.lineno)
+        for child in ast.iter_child_nodes(node):
+            if not any(child is body for body in deferred):
+                visit(child)
+
+    visit(tree)
+    return found
+
+
+def test_no_budget_is_made_at_import_time():
+    # A budget counts the nodes of every search given it and its clock runs
+    # from when it is made, so a shared default would make unrelated calls
+    # share one count and one clock.
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(SOURCE.rglob("*.py"))
+        for line in import_time_budgets(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert found == [], "make a fresh budget inside the call, or use default_factory"
+
+
+def test_import_time_budget_is_detected():
+    tree = ast.parse(
+        "DEFAULT = SearchBudget()\n"
+        "def solve(host, budget=embed.SearchBudget(5)):\n"
+        "    return budget or SearchBudget()\n"
+        "def tile(host, *, config=TilerConfig(), other=None):\n"
+        "    return config\n"
+        "class Config:\n"
+        "    budget: SearchBudget = field(default_factory=SearchBudget)\n"
+        "    eager: SearchBudget = SearchBudget()\n"
+        "    shared: SearchBudget = field(default=SearchBudget(1))\n"
+        "    lazy: TilerConfig = field(default_factory=lambda: TilerConfig(eta=0.1))\n"
+        "    def fresh(self):\n"
+        "        return SearchBudget()\n"
+        "unlimited = lambda limit=SearchBudget(9): limit or SearchBudget()\n"
+        "TABLE = [SearchBudget(n) for n in (1, 2)]\n"
+        "@cache(SearchBudget())\n"
+        "def run():\n"
+        "    return TilerConfig()\n"
+    )
+    assert import_time_budgets(tree) == [1, 2, 4, 8, 9, 13, 14, 15]
 
 
 def test_public_names_are_pinned():

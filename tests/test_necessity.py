@@ -34,7 +34,6 @@ import eotile
 from eotile import necessity
 from eotile.characterize import d_graph, is_tileable, is_turanable, path_with_ranks
 from eotile.core import reverse
-from eotile.embed import DEFAULT_BUDGET
 from eotile.necessity import (
     ESTABLISHED_NECESSARY,
     WITNESSES,
@@ -211,8 +210,8 @@ class TestNecessityWitness:
             other = ALL_STAR_TYPES[-1]
             type_checks = necessity._type_checks
 
-            def missing(graph, checks, meter):
-                for kind, emb in type_checks(graph, checks, meter):
+            def missing(graph, checks, budget):
+                for kind, emb in type_checks(graph, checks, budget):
                     yield kind, None if kind in (LD_MIN, other) else emb
 
             monkeypatch.setattr(necessity, "_type_checks", missing)
@@ -249,9 +248,9 @@ class TestWitnessTable:
     def test_witness_and_its_reverse_certify(self, kind):
         witness = path_with_ranks(WITNESSES[kind])
         assert witness.n == 8
-        certificates = _certify_witness(witness, kind, DEFAULT_BUDGET)
+        certificates = _certify_witness(witness, kind, SearchBudget())
         assert set(certificates) == set(ALL_STAR_TYPES) - {kind}
-        mirrored = _certify_witness(reverse(witness), dual(kind), DEFAULT_BUDGET)
+        mirrored = _certify_witness(reverse(witness), dual(kind), SearchBudget())
         assert set(mirrored) == set(ALL_STAR_TYPES) - {dual(kind)}
         # The dual type's tabled path is that reverse, read from its other end.
         assert are_order_isomorphic(reverse(witness), path_with_ranks(WITNESSES[dual(kind)]))
@@ -260,15 +259,15 @@ class TestWitnessTable:
         # Certification rests on explicit checks, not on assert: under -O all
         # eight witnesses still certify and a wrong target is still refused.
         script = (
+            "from eotile import SearchBudget\n"
             "from eotile.characterize import path_with_ranks\n"
-            "from eotile.embed import DEFAULT_BUDGET\n"
             "from eotile.errors import CertificateError\n"
             "from eotile.necessity import WITNESSES, _certify_witness\n"
-            "print(sum(len(_certify_witness(path_with_ranks(r), k, DEFAULT_BUDGET))\n"
+            "print(sum(len(_certify_witness(path_with_ranks(r), k, SearchBudget()))\n"
             "          for k, r in WITNESSES.items()))\n"
             "kinds = list(WITNESSES)\n"
             "try:\n"
-            "    _certify_witness(path_with_ranks(WITNESSES[kinds[0]]), kinds[1], DEFAULT_BUDGET)\n"
+            "    _certify_witness(path_with_ranks(WITNESSES[kinds[0]]), kinds[1], SearchBudget())\n"
             "except CertificateError as exc:\n"
             "    print(exc)\n"
         )
@@ -315,6 +314,42 @@ class TestOneBudget:
             necessity_witness(LD_MIN, 2, SearchBudget(node_limit=40))
         with pytest.raises(Inconclusive, match="node budget 39 exhausted"):
             necessity_witness(LD_MIN, 2, SearchBudget(node_limit=39))
+
+    def test_calls_on_one_budget_add_up(self):
+        budget = SearchBudget()
+        _profile_table(4, budget)
+        assert budget.nodes == 2_826
+        # The same budget reads the same table again, with no search ...
+        _profile_table(4, budget)
+        assert budget.nodes == 2_826
+        # ... and a further search on it adds to its count.
+        assert is_tileable(path_with_ranks("123"), budget).value
+        assert budget.nodes == 2_826 + 80
+
+    def test_witness_scan_bounds_table_and_certification_together(self, monkeypatch):
+        # No class on at most five vertices is a witness, so the f_max = 3
+        # table gets the tabled witness for smaller-dec.min as a last row,
+        # with its profile.  The table takes 10 nodes and the certification
+        # 1,659: each fits under 1,668 alone, the scan needs both.
+        kind = StarType(StarFamily.SMALLER_DEC, CanonicalType.MIN)
+        witness = path_with_ranks(WITNESSES[kind])
+        real = necessity._class_profiles
+
+        def with_witness(f_max, budget):
+            yield from real(f_max, budget)
+            yield witness, necessity._ALL_TYPES ^ 1 << ALL_STAR_TYPES.index(kind)
+
+        monkeypatch.setattr(necessity, "_class_profiles", with_witness)
+        own = SearchBudget(node_limit=1_668)
+        assert _profile_table(3, own)[-1][0] is witness and own.nodes == 10
+        own = SearchBudget(node_limit=1_668)
+        assert len(_certify_witness(witness, kind, own)) == 19 and own.nodes == 1_659
+        budget = SearchBudget(node_limit=1_669)
+        report = necessity_witness(kind, 3, budget)
+        assert (report.witness, report.refutation, report.classes_scanned) == (witness, True, 8)
+        assert budget.nodes == 1_669
+        with pytest.raises(Inconclusive, match="node budget 1668 exhausted"):
+            necessity_witness(kind, 3, SearchBudget(node_limit=1_668))
 
 
 class TestSufficiencyProbe:

@@ -22,6 +22,7 @@ from eotile import (
     Tiling,
     build_graph,
     canonical_clique,
+    enumerate_orderings,
     extremal_construction,
     find_embedding,
     induced_subgraph,
@@ -40,7 +41,6 @@ from eotile.canonical import CanonicalType
 from eotile.characterize import is_tileable, path_with_ranks
 import eotile
 from eotile.core import EdgeOrderedGraph
-from eotile.embed import DEFAULT_BUDGET, _Meter
 
 
 def brute_spanning_copy(pattern, host_ranks, block):
@@ -193,6 +193,23 @@ class TestTilingNumber:
     def test_non_tileable_path(self):
         assert tiling_number(path_with_ranks("1423"), 5) is None
 
+    def test_one_budget_bounds_every_subcall(self):
+        # The tileability check of 132 takes 138 nodes and each of the 30
+        # tilings of a K_4 class at most 9: each fits under 314 alone, and
+        # all of them take 315.
+        piece = path_with_ranks("132")
+        own = SearchBudget(node_limit=314)
+        assert is_tileable(piece, own).value and own.nodes == 138
+        for host in enumerate_orderings(canonical_clique(CanonicalType.MIN, 4)):
+            own = SearchBudget(node_limit=314)
+            assert perfect_tiling_exact(host, piece, own) is not None
+            assert own.nodes <= 9
+        budget = SearchBudget(node_limit=315)
+        assert tiling_number(piece, 4, budget) == 4
+        assert budget.nodes == 315
+        with pytest.raises(Inconclusive, match="node budget 314 exhausted"):
+            tiling_number(piece, 4, SearchBudget(node_limit=314))
+
     def test_monotonicity_spot_check(self):
         # every ordering of K_6 must tile by the triangle once T=3 is known
         k3 = canonical_clique(CanonicalType.MIN, 3)
@@ -252,16 +269,16 @@ class TestLocalAbsorbers:
     def test_one_budget_bounds_the_whole_stream(self):
         host, piece = canonical_clique(CanonicalType.MIN, 9), monotone_path_graph(1)
         budget = SearchBudget(node_limit=20)
-        # Every path search on two vertices of K9 takes the same 2 nodes, far
-        # under the limit ...
+        # Every path search on two vertices of K9, each on a budget of its
+        # own with the same limit, takes the same 2 nodes, far under it ...
         costs = set()
         for pair in combinations(range(9), 2):
-            meter = _Meter(budget)
-            assert find_embedding(piece, host, within=pair, meter=meter) is not None
-            costs.add(meter.nodes)
+            own = SearchBudget(node_limit=20)
+            assert find_embedding(piece, host, own, within=pair) is not None
+            costs.add(own.nodes)
         assert costs == {2}
         # ... but each absorber takes four searches, so the stream's 35 take
-        # 280 nodes: two absorbers come out, then the one meter runs dry.
+        # 280 nodes: two absorbers come out, then the one budget runs dry.
         stream = local_absorbers(host, 0, 1, 1, budget)
         assert [next(stream).w, next(stream).w] == [4, 5]
         with pytest.raises(Inconclusive, match="node budget 20 exhausted"):
@@ -431,7 +448,7 @@ def reference_tiling_pieces(host, piece):
         emb = find_embedding(piece, induced_subgraph(host, subset))
         if emb is not None:
             witnesses[subset] = Embedding(tuple(subset[h] for h in emb.vertex_map))
-    pieces = sorting_cover(frozenset(range(host.n)), witnesses, _Meter(DEFAULT_BUDGET))
+    pieces = sorting_cover(frozenset(range(host.n)), witnesses, SearchBudget())
     return None if pieces is None else tuple(pieces)
 
 
@@ -534,7 +551,7 @@ def record_exact_calls(monkeypatch):
     seen = []
     real = tiling_module.perfect_tiling_exact
 
-    def recording(host, piece, budget=DEFAULT_BUDGET):
+    def recording(host, piece, budget=None):
         seen.append((host.n, budget))
         return real(host, piece, budget)
 
@@ -580,8 +597,8 @@ class TestCertificateChecks:
     def test_bad_piece_is_caught(self, monkeypatch, call):
         # The piece finder checks nothing; the tiling check must reject a
         # kernel map that sends every piece vertex to one host vertex.
-        def non_injective(pattern, host, meter, within):
-            meter.tick()
+        def non_injective(pattern, host, budget, within):
+            budget.tick()
             yield (within[0],) * pattern.n
 
         monkeypatch.setattr(tiling_module, "_embeddings", non_injective)
@@ -650,18 +667,28 @@ class TestDenseFallbackBudget:
         assert seen == [(host.n, budget)]
         assert seen[0][1] is budget
 
+    def test_calls_given_one_config_share_its_budget(self):
+        # Each tiling of MIN K8 by P3 takes 10 nodes, counted on the one budget.
+        config = TilerConfig()
+        host = canonical_clique(CanonicalType.MIN, 8)
+        for total in (10, 20):
+            assert tile_dense_paths(host, 3, config) is not None
+            assert config.absorb_budget.nodes == total
+        # A default config is made per call, with a budget of its own.
+        assert TilerConfig().absorb_budget is not config.absorb_budget
 
-def sorting_cover(vertices, witnesses, meter):
+
+def sorting_cover(vertices, witnesses, budget):
     """The exact cover over precomputed witnesses, keyed by ascending vertex
     tuples: every search node re-sorts all of them.  Reference for order and
     nodes."""
     if not vertices:
         return []
-    meter.tick()
+    budget.tick()
     pivot = min(vertices)
     for subset in sorted(witnesses):
         if pivot in subset and vertices.issuperset(subset):
-            rest = sorting_cover(vertices.difference(subset), witnesses, meter)
+            rest = sorting_cover(vertices.difference(subset), witnesses, budget)
             if rest is not None:
                 return [witnesses[subset]] + rest
     return None
@@ -682,10 +709,10 @@ class TestCover:
                 if keep[i]
             }
             vertices = frozenset(range(n))
-            expected_meter, meter = _Meter(DEFAULT_BUDGET), _Meter(DEFAULT_BUDGET)
-            expected = sorting_cover(vertices, witnesses, expected_meter)
-            assert tiling_module._cover(vertices, f, witnesses.get, meter) == expected
-            assert meter.nodes == expected_meter.nodes
+            expected_budget, budget = SearchBudget(), SearchBudget()
+            expected = sorting_cover(vertices, witnesses, expected_budget)
+            assert tiling_module._cover(vertices, f, witnesses.get, budget) == expected
+            assert budget.nodes == expected_budget.nodes
             outcomes.add(expected is None)
         assert outcomes == {True, False}
 
@@ -696,7 +723,6 @@ EXACT_ONE_BUDGET_SCRIPT = textwrap.dedent(
     from itertools import combinations
     from eotile import Inconclusive, SearchBudget, extremal_construction, find_embedding
     from eotile import monotone_path_graph, perfect_tiling_exact
-    from eotile.embed import _Meter
     from eotile.tiling import _cover, _find_piece
 
     # K_{2,6} is connected, so no component argument refutes it: only the
@@ -704,17 +730,17 @@ EXACT_ONE_BUDGET_SCRIPT = textwrap.dedent(
     host = extremal_construction("Bipartite", 8, 3, 0.25)
     piece = monotone_path_graph(3)
     budget = SearchBudget(node_limit=20)
-    # Each of the 70 subset searches fits under the limit alone, and so does
-    # the cover over every copy they find ...
+    # Each of the 70 subset searches fits under the limit alone, on a budget
+    # of its own, and so does the cover over every copy they find ...
     witnesses = {}
     for subset in combinations(range(8), 4):
-        emb = find_embedding(piece, host, budget, within=subset)
+        emb = find_embedding(piece, host, SearchBudget(node_limit=20), within=subset)
         if emb is not None:
             witnesses[subset] = emb
-    if _cover(frozenset(range(8)), 4, witnesses.get, _Meter(budget)) is not None:
+    if _cover(frozenset(range(8)), 4, witnesses.get, SearchBudget(node_limit=20)) is not None:
         raise SystemExit("K_{2,6} has a P3 tiling")
     # ... but the exact tiler's subset searches and cover need more together.
-    total = _Meter(SearchBudget())
+    total = SearchBudget()
     finder = partial(_find_piece, piece, host, total)
     if _cover(frozenset(range(8)), 4, finder, total) is not None:
         raise SystemExit("K_{2,6} has a P3 tiling")
@@ -735,27 +761,26 @@ CLIQUE_ONE_BUDGET_SCRIPT = textwrap.dedent(
     from eotile import Inconclusive, SearchBudget, canonical_clique
     from eotile import monotone_path_graph, tile_via_cliques
     from eotile.canonical import CanonicalType
-    from eotile.embed import _Meter
     from eotile.tiling import _cover, _find_piece
 
     host, piece = canonical_clique(CanonicalType.MAX, 10), monotone_path_graph(1)
     budget = SearchBudget(node_limit=14)
-    # Each sub-search fits under the limit alone: the strip that fixes
-    # divisibility (10 mod 4 = 2), the cover by 4-cliques (every 4-set of
-    # K10 is one) and the tiling of each clique ...
-    meters = [_Meter(budget)]
-    strip = _find_piece(piece, host, meters[-1], range(10))
-    meters.append(_Meter(budget))
+    # Each sub-search fits under the limit alone, on a budget of its own:
+    # the strip that fixes divisibility (10 mod 4 = 2), the cover by
+    # 4-cliques (every 4-set of K10 is one) and the tiling of each clique ...
+    budgets = [SearchBudget(node_limit=14)]
+    strip = _find_piece(piece, host, budgets[-1], range(10))
+    budgets.append(SearchBudget(node_limit=14))
     rest = frozenset(range(10)) - strip.image
-    cliques = _cover(rest, 4, lambda subset: subset, meters[-1])
+    cliques = _cover(rest, 4, lambda subset: subset, budgets[-1])
     for clique in cliques:
-        meters.append(_Meter(budget))
-        finder = partial(_find_piece, piece, host, meters[-1])
-        if _cover(frozenset(clique), 2, finder, meters[-1]) is None:
+        budgets.append(SearchBudget(node_limit=14))
+        finder = partial(_find_piece, piece, host, budgets[-1])
+        if _cover(frozenset(clique), 2, finder, budgets[-1]) is None:
             raise SystemExit(f"clique {clique} has no tiling")
     # ... but together they need more nodes than it allows, and without any
     # one of them the rest would fit.
-    sizes = [meter.nodes for meter in meters]
+    sizes = [each.nodes for each in budgets]
     if len(sizes) != 4 or not sum(sizes) - min(sizes) <= budget.node_limit < sum(sizes):
         raise SystemExit(f"sub-searches of {sizes} nodes")
     try:
