@@ -15,7 +15,6 @@ from typing import Any, Iterable, Iterator, Optional, Sequence
 
 from .canonical import (
     ALL_STAR_TYPES,
-    CANONICAL_COINCIDENT_TYPES,
     CANONICAL_ORDER,
     CanonicalType,
     StarType,
@@ -27,10 +26,8 @@ from .embed import (
     Embedding,
     SearchBudget,
     _embeddings,
-    are_order_isomorphic,
     find_embedding,
     monotone_path_graph,
-    verify_embedding,
 )
 from .errors import BadAnchor, BadSpec, BadVertex, CertificateError, NotTuranable
 
@@ -171,29 +168,16 @@ def is_turanable(graph: EdgeOrderedGraph, budget: Optional[SearchBudget] = None)
     return _first_failure(graph, _canonical_checks(graph.n), budget or SearchBudget())
 
 
-_isomorphism = lru_cache(maxsize=None)(are_order_isomorphic)
-
-
 def is_tileable(graph: EdgeOrderedGraph, budget: Optional[SearchBudget] = None) -> Verdict:
     """Check the twenty star-canonical orderings of K_f in fixed order, on
     one budget.  A failing type may be refuted by the type loop's peel cut
-    instead of a search.  Four types are order-isomorphic to the canonical
-    orderings, so their certificates, mapped onto those, re-check
-    Turanability.
+    instead of a search.  A tileable graph is Turanable with no further
+    check: the four ``CANONICAL_COINCIDENT_TYPES`` cliques are the canonical
+    orderings.
     """
     if _trivial_pattern(graph):
         return Verdict(True)
-    f = graph.n
-    verdict = _first_failure(graph, _tile_checks(f), budget or SearchBudget())
-    if not verdict.value:
-        return verdict
-    for kind in CANONICAL_COINCIDENT_TYPES:
-        canonical = canonical_clique(kind.part, f)
-        iso = _isomorphism(star_canonical_clique(kind, f)[0], canonical)
-        mapped = iso and Embedding(tuple(map(iso.apply, verdict.certificates[kind].vertex_map)))
-        if not mapped or not verify_embedding(graph, canonical, mapped):
-            raise CertificateError("tileable graph failed the Turan re-check")
-    return verdict
+    return _first_failure(graph, _tile_checks(graph.n), budget or SearchBudget())
 
 
 def is_universally_tileable(graph: EdgeOrderedGraph) -> bool:
@@ -415,6 +399,8 @@ def turanable_four_coloring(
     for v in s_inv - s_min:
         colors[v] = 1
     # The leftover set induces a forest: two-color each component by BFS.
+    # An odd cycle would leave an edge with one color, which the properness
+    # check below refuses.
     rest_set = set(rest)
     for start in rest:
         if start in colors:
@@ -424,12 +410,9 @@ def turanable_four_coloring(
         while queue:
             v = queue.pop()
             for w in graph.adjacency[v]:
-                if w in rest_set:
-                    if w not in colors:
-                        colors[w] = 5 - colors[v]
-                        queue.append(w)
-                    elif colors[w] == colors[v]:
-                        raise CertificateError("leftover set is not a forest")
+                if w in rest_set and w not in colors:
+                    colors[w] = 5 - colors[v]
+                    queue.append(w)
 
     used = sorted(set(colors.values()))
     compact = {c: i for i, c in enumerate(used)}

@@ -217,12 +217,14 @@ def _trial_rng(seed: int, index: int) -> np.random.Generator:
 
 
 def _random_min_degree_host(
-    rng: np.random.Generator, n: int, min_degree: int, edge_prob: float
+    rng: np.random.Generator, n: int, min_degree: int, edge_prob: float, budget: SearchBudget
 ) -> EdgeOrderedGraph:
     """Random host: rejection-sample the underlying graph until the minimum
-    degree holds, then apply a uniformly random rank permutation."""
+    degree holds, then apply a uniformly random rank permutation.  Each
+    draw counts one node against ``budget``."""
     pairs = list(combinations(range(n), 2))
     for _ in range(MAX_SAMPLING_DRAWS):
+        budget.tick()
         mask = rng.random(len(pairs)) < edge_prob
         degrees = [0] * n
         chosen = [p for p, keep in zip(pairs, mask) if keep]
@@ -268,7 +270,7 @@ def _experiment_theorem1_grid(spec: ExperimentSpec, budget: SearchBudget) -> dic
     successes = 0
     for index in range(trials):
         rng = _trial_rng(spec.seed, index)
-        host = _random_min_degree_host(rng, n, min_degree, edge_prob)
+        host = _random_min_degree_host(rng, n, min_degree, edge_prob, budget)
         tiling = perfect_tiling_exact(host, piece, budget)
         digest = _digest(serialize_graph(host))
         if tiling is None:

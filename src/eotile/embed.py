@@ -26,7 +26,6 @@ from .core import EdgeOrderedGraph, Pair, _incidence, _pairs_within, _vertex_sub
 from .errors import (
     BadSize,
     BadVertex,
-    BudgetExceeded,
     CertificateError,
     Inconclusive,
     MissingEdge,
@@ -304,15 +303,11 @@ def count_copies(
 
     Copies are subgraphs: embeddings differing by an automorphism of the
     pattern certify the same copy, so the injection count divides evenly.
-    Both counts run on one budget.  Counting cannot return partial answers,
-    so budget overruns surface as BudgetExceeded rather than Inconclusive.
+    Both counts run on one budget.
     """
     budget = budget or SearchBudget()
-    try:
-        injections = count_injections(pattern, host, budget)
-        auts = count_injections(pattern, pattern, budget)
-    except Inconclusive as exc:
-        raise BudgetExceeded(f"copy count over budget: {exc}") from exc
+    injections = count_injections(pattern, host, budget)
+    auts = count_injections(pattern, pattern, budget)
     if injections % auts:
         raise CertificateError(f"{injections} injections not divisible by {auts} automorphisms")
     return injections // auts

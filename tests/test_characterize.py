@@ -10,7 +10,7 @@ from itertools import combinations, permutations
 import pytest
 
 import eotile
-from eotile import characterize
+from eotile import characterize, embed
 
 from eotile import (
     BadAnchor,
@@ -18,7 +18,6 @@ from eotile import (
     BadVertex,
     CertificateError,
     Inconclusive,
-    IsoCertificate,
     NotTuranable,
     SearchBudget,
     are_order_isomorphic,
@@ -58,7 +57,7 @@ from eotile.characterize import (
     path_with_ranks,
     turanable_four_coloring,
 )
-from eotile.embed import Embedding, find_embedding, monotone_path_graph
+from eotile.embed import Embedding, find_embedding, monotone_path_graph, verify_embedding
 from eotile.necessity import _profile_table, scan_classes
 
 
@@ -438,36 +437,39 @@ class TestFourColoring:
 class TestCertificateChecks:
     """Consistency checks raise CertificateError instead of relying on assert."""
 
-    def test_tileable_rechecks_turanability(self, monkeypatch):
-        # A wrong isomorphism maps the coincident certificates off the
-        # canonical cliques, so the re-check must refuse them.
-        monkeypatch.setattr(
-            characterize, "_isomorphism", lambda a, b: IsoCertificate(tuple(range(a.n)))
-        )
-        with pytest.raises(CertificateError, match="Turan re-check"):
-            is_tileable(path_with_ranks("123"))
-
-    def test_tileable_recheck_survives_optimized_mode(self):
-        script = textwrap.dedent(
-            """
-            import eotile.characterize as c
-            from eotile import CertificateError
-
-            assert False  # stripped under -O
-            c.verify_embedding = lambda *args: False
-            try:
-                c.is_tileable(c.path_with_ranks("123"))
-            except CertificateError as exc:
-                print("checked" if "Turan re-check" in str(exc) else exc)
-            """
-        )
-        assert run_optimized(script) == "checked"
-
     def test_coincident_types_map_onto_canonical_cliques(self):
-        for f in range(3, 10):
+        # Why every tileable graph is Turanable: four star-canonical types
+        # are the canonical orderings, so is_tileable need not check again.
+        for f in range(3, 13):
             for kind in CANONICAL_COINCIDENT_TYPES:
                 star, _ = star_canonical_clique(kind, f)
                 assert are_order_isomorphic(star, canonical_clique(kind.part, f)) is not None
+
+    @pytest.mark.parametrize(
+        "graph",
+        [path_with_ranks("123"), add_two_pendants(d_graph(4), 0, 3)],
+        ids=["path-123", "D4-two-pendants"],
+    )
+    def test_tileable_builds_no_canonical_clique(self, graph, monkeypatch):
+        # The twenty star checks decide tileability; no canonical clique is
+        # looked at again once they pass.
+        def refuse(*args):
+            raise AssertionError("canonical clique built")
+
+        monkeypatch.setattr(characterize, "canonical_clique", refuse)
+        assert is_tileable(graph).value
+
+    def test_tileable_verifies_each_certificate_once(self, monkeypatch):
+        graph = add_two_pendants(d_graph(4), 0, 3)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return verify_embedding(*args)
+
+        monkeypatch.setattr(embed, "verify_embedding", counted)
+        verdict = is_tileable(graph)
+        assert verdict.value and len(verdict.certificates) == len(calls) == 20
 
     def test_extremal_vertices_nonempty(self, monkeypatch):
         monkeypatch.setattr(characterize, "_embeddings", lambda *args: iter(()))
@@ -484,7 +486,7 @@ class TestCertificateChecks:
                 True, {kind: Embedding(tuple(range(g.n))) for kind, *_ in checks}
             ),
         )
-        with pytest.raises(CertificateError, match="not a forest"):
+        with pytest.raises(CertificateError, match="coloring is not proper"):
             turanable_four_coloring(canonical_clique(CanonicalType.MIN, 4))
 
 

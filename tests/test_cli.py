@@ -477,8 +477,9 @@ class TestBadInput:
         assert "node budget 2825 exhausted" in captured.err
 
     # At its defaults, theorem1-grid's 21 tilings take at most 12 nodes each
-    # and 240 in all; rodl-threshold's 100 path searches at most 3 each and
-    # 300 in all.  A limit of 100 bounds the experiment, not each call.
+    # and 240 in all, and its 20 hosts 53 draws of one node each, 293 in all;
+    # rodl-threshold's 100 path searches at most 3 each and 300 in all.  A
+    # limit of 100 bounds the experiment, not each call.
     @pytest.mark.parametrize("name", ["theorem1-grid", "rodl-threshold"])
     def test_node_budget_bounds_the_whole_experiment(self, capsys, monkeypatch, name):
         monkeypatch.setenv("EOTILE_NODE_BUDGET", "100")
@@ -486,6 +487,18 @@ class TestBadInput:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "inconclusive: node budget 100 exhausted\n"
+
+    def test_node_budget_bounds_the_host_sampler(self, capsys, monkeypatch):
+        # No host on 60 vertices at edge_prob 0.5 has minimum degree 45; each
+        # draw counts one node, so the sampler stops at the budget, not after
+        # 100,000 draws.
+        monkeypatch.setenv("EOTILE_NODE_BUDGET", "1000")
+        argv = ["experiment", "theorem1-grid", "--seed", "0"]
+        argv += ["--param", "n=60", "--param", "edge_prob=0.5", "--param", "trials=1"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "inconclusive: node budget 1000 exhausted\n"
 
     def test_node_budget_bounds_the_whole_experiment_under_python_O(self):
         src = os.path.dirname(os.path.dirname(os.path.abspath(eotile.__file__)))

@@ -168,12 +168,10 @@ def test_search_outside_the_piece_finder_is_detected():
 
 
 # The functions that may call a certificate checker: the two certifiers every
-# search returns through, the tiling checker itself, and is_tileable's Turan
-# re-check, which checks certificates mapped onto other cliques.
+# search returns through and the tiling checker itself.
 CERTIFIERS = {
     "embed": {"_certified"},
     "tiling": {"_certified", "verify_tiling"},
-    "characterize": {"is_tileable"},
 }
 
 
@@ -211,6 +209,11 @@ def test_checker_call_outside_a_certifier_is_detected():
     assert checker_calls("tiling", tree) == ["tiling:6", "tiling:7"]
     assert checker_calls("embed", tree) == ["embed:4", "embed:6", "embed:7"]
     assert checker_calls("cli", tree) == ["cli:2", "cli:4", "cli:6", "cli:7"]
+    tree = ast.parse(
+        "def is_tileable(graph, budget=None):\n"
+        "    return verify_embedding(graph, host, emb)\n"
+    )
+    assert checker_calls("characterize", tree) == ["characterize:2"]
 
 
 def reads_edges(node):
