@@ -67,7 +67,6 @@ from .errors import (
     BadSpec,
     BadSplit,
     BadVertex,
-    BudgetExceeded,
     CertificateError,
     DuplicateEdge,
     EotileError,

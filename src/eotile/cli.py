@@ -7,7 +7,8 @@ canonical JSON whose bytes depend only on the spec and seed.
 Command handlers return their answer; :func:`main` alone writes stdout
 and stderr.  A certificate is printed as the library returned it: the
 function that found it has checked it.  Exit codes: 0 decided, 2
-inconclusive (budget ran out), 1 error, usage errors included.
+inconclusive (a node, time or size limit stopped the command), 1 error,
+usage errors included.
 """
 
 from __future__ import annotations
@@ -152,7 +153,8 @@ def _tiling_digest(tiling: Tiling) -> str:
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """A named experiment plus its parameter map; the seed is mandatory."""
+    """A named experiment plus its parameter map; the seed is mandatory and
+    a nonnegative integer."""
 
     name: str
     parameters: dict[str, Any] = field(default_factory=dict)
@@ -160,6 +162,7 @@ class ExperimentSpec:
     def __post_init__(self) -> None:
         if "seed" not in self.parameters:
             raise BadSpec("experiment spec requires a seed")
+        _param(self.parameters, "seed", None, low=0)
 
     @property
     def seed(self) -> int:
@@ -264,7 +267,17 @@ def _experiment_theorem1_grid(spec: ExperimentSpec, budget: SearchBudget) -> dic
     edge_prob = _param(p, "edge_prob", 0.9, float)
     if not 0 < edge_prob <= 1:
         raise BadSpec(f"parameter edge_prob must lie in (0, 1], got {edge_prob}")
-    min_degree = -(-int((0.5 + eta) * 2 * n) // 2)  # ceil((1/2+eta)n)
+    # ceil((1/2+eta)n) on the decimal that eta spells; Fraction(eta) would
+    # read 0.1 as the binary fraction just above it.  Imported here, like
+    # numpy, since fractions loads decimal (about 1.4 ms).
+    from fractions import Fraction
+
+    min_degree = math.ceil((Fraction(1, 2) + Fraction(repr(eta))) * n)
+    if min_degree > n - 1:
+        raise BadSpec(
+            f"parameter eta must leave the minimum degree ceil((1/2+eta)n) = {min_degree} "
+            f"at most n - 1 = {n - 1}, got {eta}"
+        )
     piece = monotone_path_graph(k)
     trial_rows = []
     successes = 0
@@ -361,11 +374,14 @@ def _experiment_catalog_verdicts(spec: ExperimentSpec, budget: SearchBudget) -> 
     return {"trials": trial_rows, "summary": summary}
 
 
+# Each experiment with the parameters it accepts.
 _EXPERIMENTS = {
-    "theorem1-grid": _experiment_theorem1_grid,
-    "rodl-threshold": _experiment_rodl_threshold,
-    "necessity-scan": _experiment_necessity_scan,
-    "catalog-verdicts": _experiment_catalog_verdicts,
+    "theorem1-grid": (
+        _experiment_theorem1_grid, ("edge_prob", "eta", "k", "n", "seed", "trials")
+    ),
+    "rodl-threshold": (_experiment_rodl_threshold, ("edges", "k", "n", "seed", "trials")),
+    "necessity-scan": (_experiment_necessity_scan, ("f_max", "seed")),
+    "catalog-verdicts": (_experiment_catalog_verdicts, ("f_max", "seed")),
 }
 
 EXPERIMENT_NAMES = tuple(_EXPERIMENTS)
@@ -379,12 +395,17 @@ def run_experiment(spec: ExperimentSpec) -> dict[str, Any]:
     search of the experiment counts against one :func:`default_budget`.
     Each tiling and path a report digests was checked by the solver that
     returned it, which raises :class:`CertificateError` on a failed check;
-    the experiment does not check it again.  A parameter of the wrong type
-    raises :class:`BadSpec` naming it.
+    the experiment does not check it again.  A parameter the experiment
+    does not read, or one of the wrong type, raises :class:`BadSpec` naming
+    it before any work.
     """
     if spec.name not in _EXPERIMENTS:
         raise UnknownExperiment(f"unknown experiment {spec.name!r}")
-    body = _EXPERIMENTS[spec.name](spec, default_budget())
+    run, keys = _EXPERIMENTS[spec.name]
+    for key in spec.parameters:
+        if key not in keys:
+            raise BadSpec(f"parameter {key} must be one of {', '.join(keys)}")
+    body = run(spec, default_budget())
     return {
         "spec": {"name": spec.name, "parameters": dict(sorted(spec.parameters.items()))},
         "trials": body["trials"],

@@ -15,7 +15,7 @@ from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .errors import BadVertex, BudgetExceeded, CertificateError, DuplicateEdge, RankCollision
+from .errors import BadVertex, CertificateError, DuplicateEdge, Inconclusive, RankCollision
 
 Pair = tuple[int, int]
 
@@ -286,7 +286,7 @@ def _edge_automorphisms(shape: EdgeOrderedGraph, limit: int) -> tuple[tuple[int,
     mapped.  The lower end of an isolated edge only maps to a lower end;
     then distinct vertex maps induce distinct edge permutations, so each
     element is found once (the orbit count of :func:`enumerate_orderings`
-    checks this).  :class:`BudgetExceeded` past ``limit`` elements.
+    checks this).  :class:`Inconclusive` past ``limit`` elements.
     Sorted, so the identity comes first.
     """
     pairs = sorted(shape.pairs_by_rank)
@@ -305,7 +305,7 @@ def _edge_automorphisms(shape: EdgeOrderedGraph, limit: int) -> tuple[tuple[int,
                 tuple(index[(min(image[u], image[v]), max(image[u], image[v]))] for u, v in pairs)
             )
             if len(found) > limit:
-                raise BudgetExceeded(f"Aut(shape) has more than {limit} elements")
+                raise Inconclusive(f"Aut(shape) has more than {limit} elements")
             return
         v = verts[k]
         taken = set(image.values())
@@ -347,7 +347,7 @@ def enumerate_orderings(
     classes by identity up to their first difference.
 
     The cap counts what is visited: more than ``max_labelings`` classes
-    (``m!/|Aut|``), or automorphisms, raise :class:`BudgetExceeded` before
+    (``m!/|Aut|``), or automorphisms, raise :class:`Inconclusive` before
     any class is listed.  ``|Aut|`` is at most ``k!`` for ``k`` non-isolated
     vertices, so a shape with ``m!/k!`` over the cap (K_6 and up) raises
     before the automorphisms are searched.  Classes times automorphisms
@@ -359,12 +359,12 @@ def enumerate_orderings(
     used = n - len(shape.isolated_vertices())
     total = math.factorial(m)
     if total > max_labelings * math.factorial(used):
-        raise BudgetExceeded(f"{m}! labelings make over {max_labelings} classes")
+        raise Inconclusive(f"{m}! labelings make over {max_labelings} classes")
     if math.factorial((used + 1) // 2) > max_labelings**2:
-        raise BudgetExceeded(f"{used} vertices make over {max_labelings} classes or automorphisms")
+        raise Inconclusive(f"{used} vertices make over {max_labelings} classes or automorphisms")
     group = _edge_automorphisms(shape, max_labelings)
     if total // len(group) > max_labelings:
-        raise BudgetExceeded(
+        raise Inconclusive(
             f"{m}!/{len(group)} = {total // len(group)} classes exceed budget {max_labelings}"
         )
     pairs = sorted(shape.pairs_by_rank)
@@ -404,7 +404,7 @@ def chromatic_number(graph: EdgeOrderedGraph) -> int:
     """Exact chromatic number of the underlying graph (small n only)."""
     n = graph.n
     if n > DEFAULT_MAX_COLOR_VERTICES:
-        raise BudgetExceeded(f"exact coloring capped at {DEFAULT_MAX_COLOR_VERTICES} vertices")
+        raise Inconclusive(f"exact coloring capped at {DEFAULT_MAX_COLOR_VERTICES} vertices")
     if n == 0:
         return 0
     if graph.m == 0:

@@ -53,10 +53,6 @@ class BadSplit(EotileError):
     """No extremal split with the required indivisibility exists."""
 
 
-class BudgetExceeded(EotileError):
-    """The instance is larger than the configured enumeration budget."""
-
-
 class UnknownExperiment(EotileError):
     """The experiment name is not one of the registered experiments."""
 
@@ -73,7 +69,9 @@ class CertificateError(EotileError):
 
 
 class Inconclusive(EotileError):
-    """A search budget was exhausted before the question was decided.
+    """A node, time or size limit stopped the search before the question was
+    decided: a :class:`SearchBudget` ran out, or an enumeration or coloring
+    cap refused the instance before any work.
 
     Deliberately distinct from a negative answer: callers must never treat
     a timeout as a proof of absence.

@@ -20,7 +20,7 @@ from .canonical import ALL_STAR_TYPES, StarType
 from .characterize import _tile_checks, _type_checks
 from .core import DEFAULT_MAX_LABELINGS, EdgeOrderedGraph, Pair, _least_step, canonical_form
 from .embed import Embedding, SearchBudget
-from .errors import BadSize, BudgetExceeded, CertificateError
+from .errors import BadSize, CertificateError, Inconclusive
 
 # One checked witness per type, as a ``path_with_ranks`` string: each 8-vertex
 # path embeds into the other nineteen star-canonical K8s and not into its
@@ -67,7 +67,7 @@ def scan_classes(f_max: int) -> Iterator[EdgeOrderedGraph]:
     The classes come from the augmentation levels of
     :func:`_class_profiles`, which searches nothing here.  Past
     ``DEFAULT_MAX_LABELINGS`` classes on a K_f level the first ``next()``
-    raises :class:`BudgetExceeded` naming the least such f: f_max = 5
+    raises :class:`Inconclusive` naming the least such f: f_max = 5
     (30,240) runs, and every f_max from 6 on stops at K_6.
     """
     for graph, _ in _class_profiles(f_max):
@@ -104,7 +104,7 @@ def _class_profiles(
     for f in range(f_max + 1):  # ascending: no factorial past the first K_f over the cap
         top = math.factorial(math.comb(f, 2)) // math.factorial(f)
         if top > DEFAULT_MAX_LABELINGS:
-            raise BudgetExceeded(f"K_{f} has {top} ordering classes, over {DEFAULT_MAX_LABELINGS}")
+            raise Inconclusive(f"K_{f} has {top} ordering classes, over {DEFAULT_MAX_LABELINGS}")
     for f in range(1, f_max + 1):
         # [types, clique, front, back] per ordering class of the twenty
         # cliques: one at f = 3, twelve at f = 4, twenty from f = 5 on.

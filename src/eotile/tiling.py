@@ -32,14 +32,7 @@ from .embed import (
     monotone_path_graph,
     verify_embedding,
 )
-from .errors import (
-    BadDivisibility,
-    BadSplit,
-    BadVertex,
-    BudgetExceeded,
-    CertificateError,
-    Inconclusive,
-)
+from .errors import BadDivisibility, BadSplit, BadVertex, CertificateError
 
 W = TypeVar("W")
 
@@ -223,6 +216,8 @@ def tiling_number(
 
     Short-circuits to None when the piece is not tileable, since then no t
     can ever work.  The tileability check and every tiling run on one budget.
+    A K_t with more classes than :func:`enumerate_orderings` lists (K_6 and
+    up) raises its :class:`Inconclusive`.
     """
     f = piece.n
     if f == 0:
@@ -232,15 +227,11 @@ def tiling_number(
         return None
     for t in range(f, t_max + 1, f):
         clique = EdgeOrderedGraph(t, tuple(combinations(range(t), 2)))
-        try:
-            classes = enumerate_orderings(clique)
-            if all(
-                perfect_tiling_exact(ordering, piece, budget) is not None
-                for ordering in classes
-            ):
-                return t
-        except BudgetExceeded as exc:
-            raise Inconclusive(f"ordering enumeration for K_{t} over budget") from exc
+        if all(
+            perfect_tiling_exact(ordering, piece, budget) is not None
+            for ordering in enumerate_orderings(clique)
+        ):
+            return t
     return None
 
 

@@ -216,6 +216,64 @@ class TestExperiments:
         assert report["summary"]["successes"] == 4
         assert report["summary"]["extremal_refuted"] is True
 
+    @pytest.mark.parametrize(
+        "n, k, eta, min_degree", [(8, 1, 0.3, 7), (9, 2, 0.3, 8), (10, 1, 0.1, 6), (8, 1, 0.25, 6)]
+    )
+    def test_grid_min_degree_is_the_exact_ceiling(self, n, k, eta, min_degree):
+        # ceil((1/2+eta)n) on the decimal eta spells: 6.4 -> 7, 7.2 -> 8, and
+        # 0.6 * 10 is 6, not the 7 that eta's binary value would round to.
+        params = {"seed": 0, "n": n, "k": k, "eta": eta, "trials": 0}
+        spec = ExperimentSpec("theorem1-grid", params)
+        assert run_experiment(spec)["summary"]["min_degree"] == min_degree
+
+    @pytest.mark.parametrize("params", [["n=18", "k=2", "eta=0.49"], ["n=2", "k=1"]])
+    def test_grid_refuses_a_min_degree_past_n_minus_one(self, capsys, monkeypatch, params):
+        # No graph on n vertices has minimum degree n, whatever edge_prob is.
+        def no_draw(*args):
+            raise AssertionError("sampled a host")
+
+        monkeypatch.setattr(cli, "_random_min_degree_host", no_draw)
+        argv = ["experiment", "theorem1-grid", "--seed", "0"]
+        for param in params:
+            argv += ["--param", param]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: parameter eta must ")
+
+    @pytest.mark.parametrize("name", EXPERIMENT_NAMES)
+    def test_negative_seed_exit_code(self, capsys, name):
+        assert main(["experiment", name, "--seed", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: parameter seed must be an integer >= 0, got -1\n"
+
+    def test_seed_is_checked_when_the_spec_is_built(self):
+        with pytest.raises(BadSpec, match="parameter seed must be an integer >= 0"):
+            ExperimentSpec("rodl-threshold", {"seed": -3})
+        with pytest.raises(BadSpec, match="parameter seed must be an integer"):
+            ExperimentSpec("catalog-verdicts", {"seed": "0"})
+
+    @pytest.mark.parametrize(
+        "name, param, keys",
+        [
+            ("rodl-threshold", "trails=1", "edges, k, n, seed, trials"),
+            ("theorem1-grid", "trails=1", "edge_prob, eta, k, n, seed, trials"),
+            ("catalog-verdicts", "n=3", "f_max, seed"),
+            ("necessity-scan", "trials=1", "f_max, seed"),
+        ],
+    )
+    def test_unread_parameter_exit_code(self, capsys, monkeypatch, name, param, keys):
+        def no_work(*args):
+            raise AssertionError("ran the experiment")
+
+        monkeypatch.setattr(cli, "default_budget", no_work)
+        assert main(["experiment", name, "--seed", "0", "--param", param]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        key = param.split("=")[0]
+        assert captured.err == f"error: parameter {key} must be one of {keys}\n"
+
     def test_grid_rejects_infeasible_cell(self):
         with pytest.raises(BadSpec):
             run_experiment(
@@ -534,10 +592,10 @@ class TestBadInput:
         assert captured.err.startswith("error: sufficiency probe needs f_max >= 2")
 
     def test_necessity_scan_over_the_cap_exit_code(self, capsys):
-        assert main(["necessity", "witness", "--target", "larger-dec.min", "--f-max", "6"]) == 1
+        assert main(["necessity", "witness", "--target", "larger-dec.min", "--f-max", "6"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: K_6 has") and "Traceback" not in captured.err
+        assert captured.err.startswith("inconclusive: K_6 has") and "Traceback" not in captured.err
 
     @pytest.mark.parametrize(
         "argv",
@@ -546,16 +604,35 @@ class TestBadInput:
             ["necessity", "probe", "--types", "larger-dec.min", "--f-max", "60"],
             ["experiment", "necessity-scan", "--seed", "0", "--param", "f_max=60"],
             ["experiment", "catalog-verdicts", "--seed", "0", "--param", "f_max=1000000"],
+            ["necessity", "witness", "--target", "larger-dec.min", "--f-max", "6"],
+            ["necessity", "probe", "--types", "larger-dec.min", "--f-max", "6"],
+            ["experiment", "necessity-scan", "--seed", "0", "--param", "f_max=6"],
+            ["experiment", "catalog-verdicts", "--seed", "0", "--param", "f_max=6"],
         ],
-        ids=["witness-60", "probe-60", "necessity-scan-60", "catalog-10**6"],
+        ids=[
+            "witness-60", "probe-60", "necessity-scan-60", "catalog-10**6",
+            "witness-6", "probe-6", "necessity-scan-6", "catalog-6",
+        ],
     )
     def test_f_max_far_past_the_cap_exit_code(self, capsys, argv):
         # The cap message names K_6 however large f_max is, and builds no
-        # integer too long to format.
-        assert main(argv) == 1
+        # integer too long to format.  A cap is a limit, so the command is
+        # inconclusive, as when a node budget runs out.
+        assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: K_6 has 1816214400 ordering classes, over 50000\n"
+        assert captured.err == "inconclusive: K_6 has 1816214400 ordering classes, over 50000\n"
+
+    def test_tile_clique_over_the_class_cap_exit_code(self, capsys, tmp_path):
+        host = tmp_path / "host.json"
+        host.write_bytes(serialize_graph(canonical_clique(CanonicalType.MIN, 8)))
+        piece = tmp_path / "piece.json"
+        piece.write_bytes(serialize_graph(path_with_ranks("123")))
+        argv = ["tile", "clique", "--host", str(host), "--piece", str(piece), "--t-max", "8"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "inconclusive: 28! labelings make over 50000 classes\n"
 
     @pytest.mark.parametrize("k", ["-1", "0"])
     def test_two_cliques_nonpositive_k_exit_code(self, capsys, k):

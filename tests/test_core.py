@@ -13,10 +13,10 @@ from hypothesis import strategies as st
 from eotile import core
 from eotile import (
     BadVertex,
-    BudgetExceeded,
     CertificateError,
     DuplicateEdge,
     EdgeOrderedGraph,
+    Inconclusive,
     RankCollision,
     are_order_isomorphic,
     build_graph,
@@ -287,7 +287,7 @@ class TestEnumerateOrderings:
 
     def test_budget(self):
         k5 = canonical_clique(CanonicalType.MIN, 5)
-        with pytest.raises(BudgetExceeded):
+        with pytest.raises(Inconclusive):
             list(enumerate_orderings(k5, max_labelings=100))
 
     def test_ascending_code_order(self):
@@ -435,7 +435,7 @@ class TestOrbitEnumeration:
         # The 3-edge path has 3! = 6 labelings but 6/2 = 3 classes.
         p3 = shape(4, "01 12 23")
         assert len(list(enumerate_orderings(p3, max_labelings=3))) == 3
-        with pytest.raises(BudgetExceeded, match="3 classes"):
+        with pytest.raises(Inconclusive, match="3 classes"):
             next(enumerate_orderings(p3, max_labelings=2))
 
     def test_automorphism_search_is_capped(self):
@@ -446,7 +446,7 @@ class TestOrbitEnumeration:
         assert len(list(enumerate_orderings(matching, max_labelings=math.factorial(7)))) == 1
         # The 6-edge star has one class too, but 6! = 720 automorphisms.
         star = build_graph(7, [(0, i, i) for i in range(1, 7)])
-        with pytest.raises(BudgetExceeded, match="Aut"):
+        with pytest.raises(Inconclusive, match="Aut"):
             next(enumerate_orderings(star, max_labelings=719))
 
     @pytest.mark.parametrize(
@@ -466,7 +466,7 @@ class TestOrbitEnumeration:
 
         monkeypatch.setattr(core, "_edge_automorphisms", no_search)
         g = build_graph(max(v for _, v, _ in edges) + 1, edges)
-        with pytest.raises(BudgetExceeded, match="vertices make over 50000 classes"):
+        with pytest.raises(Inconclusive, match="vertices make over 50000 classes"):
             next(enumerate_orderings(g))
 
     def test_large_cliques_exceed_the_cap_before_any_search(self, monkeypatch):
@@ -475,8 +475,18 @@ class TestOrbitEnumeration:
 
         monkeypatch.setattr(core, "_edge_automorphisms", no_search)
         # At least 15!/6! classes, since |Aut(K_6)| <= 6!.
-        with pytest.raises(BudgetExceeded, match="15! labelings"):
+        with pytest.raises(Inconclusive, match="15! labelings"):
             next(enumerate_orderings(canonical_clique(CanonicalType.MIN, 6)))
+
+    def test_a_cap_is_inconclusive_with_its_own_message(self):
+        # A cap stops the search as a node budget does: Inconclusive, not an error.
+        with pytest.raises(Inconclusive, match="^28! labelings make over 50000 classes$"):
+            next(enumerate_orderings(canonical_clique(CanonicalType.MIN, 8)))
+        path = build_graph(1800, [(i, i + 1, i + 1) for i in range(1799)])
+        with pytest.raises(
+            Inconclusive, match="^1800 vertices make over 50000 classes or automorphisms$"
+        ):
+            next(enumerate_orderings(path))
 
     def test_orbit_count_check_catches_a_wrong_group(self, monkeypatch):
         c4 = shape(4, "01 12 23 03")
@@ -504,5 +514,9 @@ class TestChromaticNumber:
 
     def test_budget(self):
         big = build_graph(30, [(i, i + 1, i + 1) for i in range(29)])
-        with pytest.raises(BudgetExceeded):
+        with pytest.raises(Inconclusive):
             chromatic_number(big)
+
+    def test_cap_message(self):
+        with pytest.raises(Inconclusive, match="^exact coloring capped at 24 vertices$"):
+            chromatic_number(build_graph(25, []))

@@ -19,11 +19,18 @@ def test_no_assert_statements_in_the_package():
     assert found == [], "assert is stripped under -O; raise explicitly instead"
 
 
-def raises_assertion_error(node):
+def name_of(node):
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+def raises(node, name):
     if not isinstance(node, ast.Raise) or node.exc is None:
         return False
-    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
-    return isinstance(exc, ast.Name) and exc.id == "AssertionError"
+    return name_of(node.exc.func if isinstance(node.exc, ast.Call) else node.exc) == name
+
+
+def raises_assertion_error(node):
+    return raises(node, "AssertionError")
 
 
 def test_no_raise_assertion_error_in_the_package():
@@ -42,10 +49,7 @@ def test_raise_assertion_error_is_detected():
 
 
 def calls(node, name):
-    if not isinstance(node, ast.Call):
-        return False
-    func = node.func
-    return (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == name
+    return isinstance(node, ast.Call) and name_of(node.func) == name
 
 
 def test_only_core_calls_induced_subgraph():
@@ -89,20 +93,25 @@ def test_least_state_call_is_detected():
     ]
 
 
-def calls_outside(tree, name, allowed):
-    """Lines of calls to ``name`` that no function named in ``allowed`` encloses."""
+def lines_outside(tree, matches, allowed):
+    """Lines of nodes that ``matches`` and no function named in ``allowed`` encloses."""
     found = []
 
     def visit(node, inside):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             inside = inside or node.name in allowed
-        if not inside and calls(node, name):
+        if not inside and matches(node):
             found.append(node.lineno)
         for child in ast.iter_child_nodes(node):
             visit(child, inside)
 
     visit(tree, False)
     return found
+
+
+def calls_outside(tree, name, allowed):
+    """Lines of calls to ``name`` that no function named in ``allowed`` encloses."""
+    return lines_outside(tree, lambda node: calls(node, name), allowed)
 
 
 def test_only_the_type_loop_calls_find_embedding():
@@ -214,6 +223,76 @@ def test_checker_call_outside_a_certifier_is_detected():
         "    return verify_embedding(graph, host, emb)\n"
     )
     assert checker_calls("characterize", tree) == ["characterize:2"]
+
+
+# An exhausted limit is one outcome, Inconclusive, which only the CLI turns
+# into an exit code.  These names would catch it on its way there, and a
+# handler that raises it turns some other outcome into it.
+BROAD_EXCEPTIONS = {"Inconclusive", "EotileError", "Exception", "BaseException"}
+
+
+def catches_broadly(node):
+    """Whether ``node`` is a bare ``except``, one naming a broad exception, or
+    one that converts what it caught into :class:`Inconclusive`."""
+    if not isinstance(node, ast.ExceptHandler):
+        return False
+    if node.type is None:
+        return True
+    types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+    return any(name_of(kind) in BROAD_EXCEPTIONS for kind in types) or any(
+        raises(inner, "Inconclusive") for statement in node.body for inner in ast.walk(statement)
+    )
+
+
+def broad_handlers(module, tree):
+    """Lines of ``module`` catching broadly outside ``cli.main``."""
+    allowed = {"main"} if module == "cli" else set()
+    return [f"{module}:{line}" for line in lines_outside(tree, catches_broadly, allowed)]
+
+
+def test_only_the_cli_main_catches_inconclusive():
+    # A cap or budget that runs out raises Inconclusive all the way up, so
+    # no layer can turn it into another error, a None or a negative answer.
+    found = [
+        line
+        for path in sorted(SOURCE.rglob("*.py"))
+        for line in broad_handlers(path.stem, ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert found == [], "let Inconclusive reach cli.main; catch only narrow errors"
+
+
+def test_broad_handler_is_detected():
+    source = (
+        "def main(argv):\n"
+        "    try:\n"
+        "        run()\n"
+        "    except Inconclusive:\n"
+        "        return 2\n"
+        "    except EotileError:\n"
+        "        return 1\n"
+        "def tiling_number(piece):\n"
+        "    try:\n"
+        "        run()\n"
+        "    except OverCap as exc:\n"
+        "        raise Inconclusive('over') from exc\n"
+        "try:\n"
+        "    run()\n"
+        "except (ValueError, errors.Inconclusive):\n"
+        "    pass\n"
+        "except ValueError:\n"
+        "    pass\n"
+        "except Exception:\n"
+        "    pass\n"
+        "except BaseException:\n"
+        "    pass\n"
+        "except:\n"
+        "    pass\n"
+    )
+    tree = ast.parse(source)
+    assert broad_handlers("cli", tree) == ["cli:11", "cli:15", "cli:19", "cli:21", "cli:23"]
+    assert broad_handlers("tiling", tree) == [
+        "tiling:4", "tiling:6", "tiling:11", "tiling:15", "tiling:19", "tiling:21", "tiling:23"
+    ]
 
 
 def reads_edges(node):
@@ -418,7 +497,7 @@ def test_public_names_are_pinned():
     # change this list in the same commit and record it in CHANGES.md.
     assert sorted(eotile.__all__) == [
         "ALL_STAR_TYPES", "AbsorberSet", "BadAnchor", "BadDivisibility", "BadSize",
-        "BadSpec", "BadSplit", "BadVertex", "BudgetExceeded", "CANONICAL_COINCIDENT_TYPES",
+        "BadSpec", "BadSplit", "BadVertex", "CANONICAL_COINCIDENT_TYPES",
         "CANONICAL_ORDER", "CanonicalType", "CertificateError", "DegreeBoundWarning",
         "DuplicateEdge", "ESTABLISHED_NECESSARY", "EdgeOrderedGraph", "Embedding",
         "EotileError", "Inconclusive", "IsoCertificate", "MissingEdge", "NecessityReport",
