@@ -105,10 +105,12 @@ def _tile_checks(f: int) -> tuple[_CheckRecord, ...]:
 
 
 def _type_checks(
-    graph: EdgeOrderedGraph, checks: Iterable[_CheckRecord], budget: SearchBudget
+    graph: EdgeOrderedGraph, checks: Iterable[_CheckRecord], budget: Optional[SearchBudget]
 ) -> Iterator[tuple[Any, Optional[Embedding]]]:
     """Each kind in check order with the first embedding of ``graph`` into
-    its host, or None; every search counts against the one ``budget``.
+    its host, or None; every search counts against the one ``budget``, made
+    at the first search when None, so a graph refuted by the peel cut below
+    makes none.
 
     Each check is a ``(kind, host, front, back)`` record whose flags say
     whether the host's order peels from the front and from the back; the
@@ -138,11 +140,13 @@ def _type_checks(
             if not back:
                 yield kind, None
                 continue
+        if budget is None:
+            budget = SearchBudget()
         yield kind, find_embedding(graph, host, budget)
 
 
 def _first_failure(
-    graph: EdgeOrderedGraph, checks: Iterable[_CheckRecord], budget: SearchBudget
+    graph: EdgeOrderedGraph, checks: Iterable[_CheckRecord], budget: Optional[SearchBudget]
 ) -> Verdict:
     """The ``checks`` in order on one ``budget``, to the first failure: a
     verdict naming the failing kind, or holding every certificate."""
@@ -165,7 +169,7 @@ def is_turanable(graph: EdgeOrderedGraph, budget: Optional[SearchBudget] = None)
     """
     if _trivial_pattern(graph):
         return Verdict(True)
-    return _first_failure(graph, _canonical_checks(graph.n), budget or SearchBudget())
+    return _first_failure(graph, _canonical_checks(graph.n), budget)
 
 
 def is_tileable(graph: EdgeOrderedGraph, budget: Optional[SearchBudget] = None) -> Verdict:
@@ -177,7 +181,7 @@ def is_tileable(graph: EdgeOrderedGraph, budget: Optional[SearchBudget] = None) 
     """
     if _trivial_pattern(graph):
         return Verdict(True)
-    return _first_failure(graph, _tile_checks(graph.n), budget or SearchBudget())
+    return _first_failure(graph, _tile_checks(graph.n), budget)
 
 
 def is_universally_tileable(graph: EdgeOrderedGraph) -> bool:
@@ -377,7 +381,7 @@ def turanable_four_coloring(
         return {v: 0 for v in range(graph.n)}
     wanted = (CanonicalType.MIN, CanonicalType.INV_MIN)
     checks = [check for check in _canonical_checks(graph.n) if check[0] in wanted]
-    verdict = _first_failure(graph, checks, budget or SearchBudget())
+    verdict = _first_failure(graph, checks, budget)
     if not verdict.value:
         raise NotTuranable(f"no embedding into the {verdict.failing.value} ordering")
     pos_min, pos_inv = (emb.vertex_map for emb in verdict.certificates.values())

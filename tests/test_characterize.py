@@ -848,6 +848,18 @@ class TestPeelCut:
         assert verdict.failing is CanonicalType.MIN
         assert len(searches) == 1
 
+    def test_refutations_make_no_budget(self, monkeypatch):
+        # The type loop makes its budget at the first search, so a graph the
+        # peel cut refutes makes none, and one that is searched makes one.
+        def no_budget(*args, **kwargs):
+            raise AssertionError("budget made")
+
+        monkeypatch.setattr(characterize, "SearchBudget", no_budget)
+        graph = path_with_ranks("1423")
+        assert is_turanable(reverse(graph)).failing is CanonicalType.MIN
+        with pytest.raises(AssertionError, match="budget made"):
+            is_turanable(graph)
+
     def test_far_fewer_searches_and_the_same_verdicts(self, peel_shape_classes, monkeypatch):
         searches = []
         monkeypatch.setattr(

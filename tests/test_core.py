@@ -4,6 +4,7 @@ import dataclasses
 import inspect
 import math
 import random
+import time
 from itertools import combinations, permutations
 
 import pytest
@@ -208,14 +209,19 @@ class TestCanonicalCode:
         rng = random.Random(600 + n)
         pairs = list(combinations(range(n), 2))
         cases = [rng.sample(pairs, rng.randint(0, len(pairs))) for _ in range(25)]
-        # The complete graph and a perfect matching branch the most.
+        # The complete graph and a perfect matching branch the most; sparse
+        # graphs have isolated edges, of which canonical_form keeps one
+        # orientation and _least_state keeps both.
         cases += [rng.sample(pairs, len(pairs)), [(i, i + 1) for i in range(0, n - 1, 2)]]
+        cases += [rng.sample(pairs, rng.randint(0, min(n, len(pairs)))) for _ in range(15)]
         for chosen in cases:
             want = min(
                 tuple(tuple(sorted((perm[u], perm[v]))) for u, v in chosen)
                 for perm in permutations(range(n))
             )
             assert core._least_state(n, chosen)[0] == want, chosen
+            g = build_graph(n, [(u, v, i + 1) for i, (u, v) in enumerate(chosen)])
+            assert canonical_form(g).pairs_by_rank == want, chosen
 
     @pytest.mark.parametrize("n", range(2, 8))
     def test_one_state_steps_every_extension(self, n):
@@ -246,6 +252,14 @@ class TestCanonicalCode:
     def test_canonical_form_is_fixed_point(self, g):
         rep = canonical_form(g)
         assert canonical_form(rep) == rep
+
+    def test_large_matching_has_one_relabeling(self):
+        # Both orientations of each isolated edge would make 2^1000 relabelings.
+        started = time.perf_counter()
+        matching = build_graph(2000, [(2 * i, 2 * i + 1, 1000 - i) for i in range(1000)])
+        form = canonical_form(matching)
+        assert form.pairs_by_rank == tuple((2 * i, 2 * i + 1) for i in range(1000))
+        assert time.perf_counter() - started < 1.0
 
 
 class TestEnumerateOrderings:
@@ -390,16 +404,48 @@ class TestOrbitEnumeration:
         classes = list(enumerate_orderings(g))
         assert len(classes) == math.factorial(g.m) // order == len(labeling_oracle(g))
 
-    def test_each_class_costs_at_most_three_steps(self, monkeypatch):
-        # The walk carries one least-sequence state down the orbit tree, so
-        # each tree node costs one step: about e per class once the
-        # stabilizer is trivial, where relabeling each class costs m = 8.
+    def test_each_class_costs_at_most_one_step(self, monkeypatch):
+        # The walk carries one least-sequence state down the orbit tree and
+        # stops stepping at a rigid suffix, whose orders it lists whole:
+        # 2,338 steps here, where relabeling each class would cost m = 8.
         steps = []
         step = core._least_step
         monkeypatch.setattr(core, "_least_step", lambda *args: steps.append(1) or step(*args))
         classes = list(enumerate_orderings(shape(5, "01 02 03 04 12 13 14 23")))
         assert len(classes) == 10_080
-        assert len(steps) <= 3 * len(classes)
+        assert len(steps) <= len(classes)
+
+    def test_catalog_shapes_take_under_8000_steps(self, monkeypatch):
+        steps = []
+        step = core._least_step
+        monkeypatch.setattr(core, "_least_step", lambda *args: steps.append(1) or step(*args))
+        shapes = connected_five_vertex_shapes(8)
+        assert len(shapes) == 19
+        assert sum(len(list(enumerate_orderings(g))) for g in shapes) == 21_637
+        assert len(steps) <= 8_000
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            shape(6, "01 02 13 24"),
+            shape(6, "01 12 34"),
+            shape(6, "01 02 03 45"),
+            shape(7, "01 02 03 45"),
+            shape(6, "01 23 45"),
+            shape(8, "01 12 23 34 56"),
+        ],
+        ids=["P5+isolated", "P3+K2+isolated", "K13+K2", "K13+K2+isolated", "3K2", "P5+K2+isolated"],
+    )
+    def test_rigid_suffix_with_isolated_vertices_and_edges(self, g, monkeypatch):
+        # The suffix turns rigid once every non-isolated vertex has a label,
+        # with isolated vertices (used < n) and isolated edges kept in one
+        # orientation; its orders are then listed as permutations.
+        listed = []
+        monkeypatch.setattr(
+            core, "permutations", lambda rest: listed.append(rest) or permutations(rest)
+        )
+        assert list(enumerate_orderings(g)) == labeling_oracle(g)
+        assert listed
 
     def test_codes_ascend_with_two_digit_labels(self):
         # Labels 10-12 take two digits: the classes come out sorted as
@@ -492,6 +538,14 @@ class TestOrbitEnumeration:
         c4 = shape(4, "01 12 23 03")
         monkeypatch.setattr(core, "_edge_automorphisms", lambda g, limit: (tuple(range(g.m)),))
         with pytest.raises(CertificateError, match="labelings"):
+            list(enumerate_orderings(c4))
+
+    def test_orbit_count_check_catches_a_class_listed_twice(self, monkeypatch):
+        # Eight copies of the identity pass the count (3 classes x 8 = 4!),
+        # but never fix a rigid suffix, so the walk lists all 24 orders.
+        c4 = shape(4, "01 12 23 03")
+        monkeypatch.setattr(core, "_edge_automorphisms", lambda g, limit: (tuple(range(g.m)),) * 8)
+        with pytest.raises(CertificateError, match="^21 classes listed twice$"):
             list(enumerate_orderings(c4))
 
     def test_is_a_generator_function(self):
