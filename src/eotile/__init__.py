@@ -43,7 +43,6 @@ from .core import (
 )
 from .embed import (
     Embedding,
-    IsoCertificate,
     SearchBudget,
     StarColor,
     are_order_isomorphic,
@@ -76,8 +75,6 @@ from .errors import (
     NotTuranable,
     ParseError,
     RankCollision,
-    SamplingFailed,
-    UnknownExperiment,
 )
 from .necessity import (
     ESTABLISHED_NECESSARY,

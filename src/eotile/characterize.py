@@ -230,7 +230,7 @@ def extremal_vertices(
     budget = budget or SearchBudget()
     verdict = _first_failure(graph, _canonical_checks(graph.n), budget)
     if not verdict.value:
-        raise NotTuranable(f"no canonical embedding of type {verdict.failing}")
+        raise NotTuranable(f"no embedding into the {verdict.failing.value} ordering")
     f = graph.n
     min_host = canonical_clique(CanonicalType.MIN, f)
     max_host = canonical_clique(CanonicalType.MAX, f)
@@ -269,7 +269,8 @@ def add_two_pendants(
     """Pendants at a minimal and a maximal vertex; the result is tileable.
 
     Vertex ``n`` carries the new globally smallest edge, vertex ``n+1``
-    the new globally largest one.
+    the new globally largest one.  A graph that is not Turanable raises
+    :class:`NotTuranable`, as in :func:`extremal_vertices`.
     """
     for v in (vmin, vmax):
         if not (0 <= v < graph.n):
@@ -278,10 +279,7 @@ def add_two_pendants(
         raise BadAnchor("minimal and maximal anchors must be distinct")
     if not graph.adjacency[vmin] or not graph.adjacency[vmax]:
         raise BadAnchor("anchors must be non-isolated")
-    try:
-        minimal, maximal = extremal_vertices(graph, budget)
-    except NotTuranable as exc:
-        raise BadAnchor("pendant pair extension needs a Turanable graph") from exc
+    minimal, maximal = extremal_vertices(graph, budget)
     if vmin not in minimal:
         raise BadAnchor(f"vertex {vmin} is not minimal")
     if vmax not in maximal:

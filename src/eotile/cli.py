@@ -7,7 +7,7 @@ canonical JSON whose bytes depend only on the spec and seed.
 Command handlers return their answer; :func:`main` alone writes stdout
 and stderr.  A certificate is printed as the library returned it: the
 function that found it has checked it.  Exit codes: 0 decided, 2
-inconclusive (a node, time or size limit stopped the command), 1 error,
+inconclusive (a node, time, size or draw limit stopped the command), 1 error,
 usage errors included.
 """
 
@@ -42,8 +42,6 @@ from .errors import (
     EotileError,
     Inconclusive,
     ParseError,
-    SamplingFailed,
-    UnknownExperiment,
 )
 from .necessity import _ALL_TYPES, _class_profiles, necessity_witness, sufficiency_probe
 from .tiling import (
@@ -224,7 +222,9 @@ def _random_min_degree_host(
 ) -> EdgeOrderedGraph:
     """Random host: rejection-sample the underlying graph until the minimum
     degree holds, then apply a uniformly random rank permutation.  Each
-    draw counts one node against ``budget``."""
+    draw counts one node against ``budget``.  The caller has checked that
+    a host exists with positive probability, so running out of draws is a
+    limit that stopped begun work: :class:`Inconclusive`."""
     pairs = list(combinations(range(n), 2))
     for _ in range(MAX_SAMPLING_DRAWS):
         budget.tick()
@@ -237,7 +237,7 @@ def _random_min_degree_host(
         if chosen and min(degrees) >= min_degree:
             ranks = rng.permutation(len(chosen)) + 1
             return build_graph(n, [(u, v, int(r)) for (u, v), r in zip(chosen, ranks)])
-    raise SamplingFailed(
+    raise Inconclusive(
         f"no host with minimum degree {min_degree} in {MAX_SAMPLING_DRAWS} draws; "
         "raise edge_prob"
     )
@@ -400,7 +400,7 @@ def run_experiment(spec: ExperimentSpec) -> dict[str, Any]:
     it before any work.
     """
     if spec.name not in _EXPERIMENTS:
-        raise UnknownExperiment(f"unknown experiment {spec.name!r}")
+        raise BadSpec(f"unknown experiment {spec.name!r}")
     run, keys = _EXPERIMENTS[spec.name]
     for key in spec.parameters:
         if key not in keys:

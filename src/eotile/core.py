@@ -287,6 +287,12 @@ def canonical_form(graph: EdgeOrderedGraph) -> EdgeOrderedGraph:
     edge), so two graphs are order-isomorphic iff their canonical forms
     are equal, and forms on one ``n`` sort by their ``pairs_by_rank``
     tuples.
+
+    Known blow-up: an edge whose two ends are fresh doubles the candidate
+    relabelings until a later edge tells its orientation apart, and only
+    isolated edges keep one.  A 2k-cycle whose k alternate edges are
+    ranked first doubles them k times: 0.074 s and 46 MB at k = 16
+    (Python 3.11.7, 2 cores).  No CLI command reaches such a graph.
     """
     seq: list[Pair] = []
     candidates: list[list[int]] = [[-1] * graph.n]

@@ -25,6 +25,7 @@ from .canonical import ALL_STAR_TYPES, StarType, star_canonical_clique
 from .core import EdgeOrderedGraph, Pair, _incidence, _pairs_within, _vertex_subset, build_graph
 from .errors import (
     BadSize,
+    BadSpec,
     BadVertex,
     CertificateError,
     Inconclusive,
@@ -39,16 +40,9 @@ class Embedding:
 
     vertex_map: tuple[int, ...]
 
-    def apply(self, v: int) -> int:
-        return self.vertex_map[v]
-
     @property
     def image(self) -> frozenset[int]:
         return frozenset(self.vertex_map)
-
-
-# Between graphs of equal size an embedding is an order-isomorphism.
-IsoCertificate = Embedding
 
 
 @dataclass(eq=False, slots=True)
@@ -68,9 +62,9 @@ class SearchBudget:
     def __post_init__(self) -> None:
         limit = self.node_limit
         if type(limit) is not int or limit <= 0:  # a bool is not a node count
-            raise ValueError(f"node limit must be a positive int, got {limit!r}")
+            raise BadSpec(f"node limit must be a positive int, got {limit!r}")
         if not self.time_limit > 0:  # False for NaN too
-            raise ValueError(f"time limit must be positive, got {self.time_limit!r}")
+            raise BadSpec(f"time limit must be positive, got {self.time_limit!r}")
 
     def tick(self) -> None:
         """Count one node; past a cap (the clock is read every 4,096), raise Inconclusive."""
@@ -334,7 +328,7 @@ def order_isomorphisms(
 
 def are_order_isomorphic(
     first: EdgeOrderedGraph, second: EdgeOrderedGraph
-) -> Optional[IsoCertificate]:
+) -> Optional[Embedding]:
     """Lexicographically least order-isomorphism, as the :class:`Embedding`
     of ``first`` into ``second`` that certifies it, or None.
 

@@ -1,4 +1,11 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Every refusal the package raises is one of these classes.  A node, time,
+size or draw limit that stops work on a valid request raises
+:class:`Inconclusive`; every other class is a definite refusal: bad input,
+an unmet precondition or a failed certificate check.  Only ``cli.main``
+catches them, and exits 2 for :class:`Inconclusive` and 1 for the rest.
+"""
 
 
 class EotileError(Exception):
@@ -38,11 +45,8 @@ class BadAnchor(EotileError):
 
 
 class BadSpec(EotileError):
-    """A family descriptor or experiment spec cannot be parsed."""
-
-
-class SamplingFailed(BadSpec):
-    """A seeded generator found no input meeting the spec's constraints."""
+    """A malformed or out-of-range specification: family descriptor,
+    experiment parameter, search or tiler setting."""
 
 
 class BadDivisibility(EotileError):
@@ -51,10 +55,6 @@ class BadDivisibility(EotileError):
 
 class BadSplit(EotileError):
     """No extremal split with the required indivisibility exists."""
-
-
-class UnknownExperiment(EotileError):
-    """The experiment name is not one of the registered experiments."""
 
 
 class ParseError(EotileError):
@@ -69,9 +69,11 @@ class CertificateError(EotileError):
 
 
 class Inconclusive(EotileError):
-    """A node, time or size limit stopped the search before the question was
-    decided: a :class:`SearchBudget` ran out, or an enumeration or coloring
-    cap refused the instance before any work.
+    """A node, time, size or draw limit stopped the search before the
+    question was decided: a :class:`SearchBudget` ran out, an enumeration
+    or coloring cap refused the instance before any work, or the
+    ``theorem1-grid`` host sampler drew no host of the minimum degree in
+    its ``MAX_SAMPLING_DRAWS`` draws.
 
     Deliberately distinct from a negative answer: callers must never treat
     a timeout as a proof of absence.

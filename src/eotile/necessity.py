@@ -20,7 +20,7 @@ from .canonical import ALL_STAR_TYPES, StarType
 from .characterize import _tile_checks, _type_checks
 from .core import DEFAULT_MAX_LABELINGS, EdgeOrderedGraph, Pair, _least_step, canonical_form
 from .embed import Embedding, SearchBudget
-from .errors import BadSize, CertificateError, Inconclusive
+from .errors import BadSize, BadSpec, CertificateError, Inconclusive
 
 # One checked witness per type, as a ``path_with_ranks`` string: each 8-vertex
 # path embeds into the other nineteen star-canonical K8s and not into its
@@ -224,7 +224,7 @@ def sufficiency_probe(
     chosen = set(subset)
     unknown = chosen - set(ALL_STAR_TYPES)
     if unknown:
-        raise BadSize(f"unknown star types in subset: {unknown}")
+        raise BadSpec(f"unknown star types in subset: {unknown}")
     wanted = sum(1 << ALL_STAR_TYPES.index(kind) for kind in chosen)
     for graph, profile in _profile_table(f_max, budget or SearchBudget()):
         if profile & wanted == wanted and profile != _ALL_TYPES:

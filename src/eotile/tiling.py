@@ -32,7 +32,7 @@ from .embed import (
     monotone_path_graph,
     verify_embedding,
 )
-from .errors import BadDivisibility, BadSplit, BadVertex, CertificateError
+from .errors import BadDivisibility, BadSpec, BadSplit, BadVertex, CertificateError
 
 W = TypeVar("W")
 
@@ -101,7 +101,7 @@ class TilerConfig:
 
     def __post_init__(self) -> None:
         if not (0 < self.eta < 0.5):
-            raise ValueError(f"eta must lie in (0, 1/2), got {self.eta}")
+            raise BadSpec(f"eta must lie in (0, 1/2), got {self.eta}")
 
 
 def _find_piece(
@@ -324,7 +324,9 @@ def tile_via_cliques(
     decides.
     """
     f = piece.n
-    if f == 0 or host.n % f != 0:
+    if f == 0:
+        raise BadDivisibility("piece must have at least one vertex")
+    if host.n % f != 0:
         raise BadDivisibility(f"|piece|={f} does not divide |host|={host.n}")
     if t_clique <= 0 or t_clique % f != 0:
         raise BadDivisibility(f"clique size {t_clique} not a positive multiple of |piece|={f}")

@@ -9,7 +9,7 @@ from eotile import (
     BadSize,
     BadVertex,
     CertificateError,
-    IsoCertificate,
+    Embedding,
     NotComplete,
     are_order_isomorphic,
     build_graph,
@@ -358,7 +358,7 @@ class TestOrderIsomorphismsMatchOracle:
                 second = random_graph(rng, n, first.m)
             expected = list(order_isomorphisms_oracle(first, second))
             assert list(order_isomorphisms(first, second)) == expected, (first, second)
-            least = IsoCertificate(min(expected)) if expected else None
+            least = Embedding(min(expected)) if expected else None
             assert are_order_isomorphic(first, second) == least
             seen["no_edges"] += first.m == 0
             seen["isolated"] += bool(first.isolated_vertices()) and first.m > 0

@@ -249,6 +249,15 @@ class TestExtremalVertices:
         with pytest.raises(NotTuranable):
             extremal_vertices(monotone_cycle(4))
 
+    def test_not_turanable_message_matches_the_four_coloring(self):
+        # One fault, one message, whichever function meets it first.
+        with pytest.raises(NotTuranable) as extremal:
+            extremal_vertices(monotone_cycle(4))
+        with pytest.raises(NotTuranable) as coloring:
+            turanable_four_coloring(monotone_cycle(4))
+        assert str(extremal.value) == str(coloring.value)
+        assert "min" in str(extremal.value)
+
     def test_edgeless_graphs(self):
         assert extremal_vertices(build_graph(0, [])) == (frozenset(), frozenset())
         assert extremal_vertices(build_graph(1, [])) == (frozenset({0}), frozenset({0}))
@@ -341,8 +350,8 @@ class TestPendants:
             add_two_pendants(d_graph(4), 0, 0)
         with pytest.raises(BadAnchor):
             add_two_pendants(d_graph(4), 1, 3)  # u_2 is not minimal
-        with pytest.raises(BadAnchor):
-            add_two_pendants(monotone_cycle(4), 0, 1)  # not Turanable
+        with pytest.raises(NotTuranable, match="min"):
+            add_two_pendants(monotone_cycle(4), 0, 1)
 
     @pytest.mark.parametrize("anchors", [(0, 9), (9, 3), (-1, 3), (0, -4), (4, 4)])
     def test_two_pendants_foreign_anchors(self, anchors, monkeypatch):

@@ -26,7 +26,7 @@ from eotile.cli import (
     run_experiment,
     serialize_graph,
 )
-from eotile.errors import BadSpec, CertificateError, UnknownExperiment
+from eotile.errors import BadSpec, CertificateError
 
 
 class TestGraphDocuments:
@@ -180,7 +180,7 @@ class TestExperiments:
             ExperimentSpec("rodl-threshold", {})
 
     def test_unknown_name(self):
-        with pytest.raises(UnknownExperiment):
+        with pytest.raises(BadSpec, match="unknown experiment 'nope'"):
             run_experiment(ExperimentSpec("nope", {"seed": 1}))
 
     @pytest.mark.parametrize("name", EXPERIMENT_NAMES)
@@ -681,8 +681,12 @@ class TestBadInput:
         monkeypatch.setattr(cli, "MAX_SAMPLING_DRAWS", 50)
         argv = ["experiment", "theorem1-grid", "--seed", "0",
                 "--param", "n=8", "--param", "k=1", "--param", "edge_prob=0.05"]
-        assert main(argv) == 1
-        assert "raise edge_prob" in capsys.readouterr().err
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "inconclusive: no host with minimum degree 6 in 50 draws; raise edge_prob\n"
+        )
 
 
 class TestCertificateChecks:

@@ -12,6 +12,7 @@ import pytest
 
 import eotile
 from eotile import (
+    BadSpec,
     BadVertex,
     CertificateError,
     Embedding,
@@ -701,7 +702,7 @@ class TestSearchBudget:
         ids=["nan-time", "float-nodes", "bool-nodes"],
     )
     def test_bad_limit_is_refused(self, limits, message):
-        with pytest.raises(ValueError, match=f"^{message}$"):
+        with pytest.raises(BadSpec, match=f"^{message}$"):
             SearchBudget(*limits)
 
     def test_unbounded_limits_are_accepted(self):

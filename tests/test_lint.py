@@ -1,4 +1,5 @@
-"""Source lint: certificate and consistency checks must survive ``python -O``."""
+"""Source lint: certificate and consistency checks must survive ``python -O``,
+and the package keeps its layering and its one error contract."""
 
 import ast
 from pathlib import Path
@@ -6,6 +7,12 @@ from pathlib import Path
 import eotile
 
 SOURCE = Path(eotile.__file__).parent
+# The classes a refusal may raise, and that only cli.main may catch.
+ERROR_CLASSES = frozenset(
+    node.name
+    for node in ast.parse((SOURCE / "errors.py").read_text()).body
+    if isinstance(node, ast.ClassDef)
+)
 
 
 def test_no_assert_statements_in_the_package():
@@ -29,23 +36,38 @@ def raises(node, name):
     return name_of(node.exc.func if isinstance(node.exc, ast.Call) else node.exc) == name
 
 
-def raises_assertion_error(node):
-    return raises(node, "AssertionError")
+def raises_foreign_class(node):
+    """Whether ``node`` raises a class that ``errors.py`` does not define; a
+    bare ``raise`` re-raises and names none."""
+    if not isinstance(node, ast.Raise) or node.exc is None:
+        return False
+    return not any(raises(node, name) for name in ERROR_CLASSES)
 
 
 def test_no_raise_assertion_error_in_the_package():
+    # Every refusal is a class from eotile.errors, so cli.main can give each
+    # an exit code; AssertionError and ValueError are not among them.
     found = [
         f"{path.name}:{node.lineno}"
         for path in sorted(SOURCE.rglob("*.py"))
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-        if raises_assertion_error(node)
+        if raises_foreign_class(node)
     ]
-    assert found == [], "raise CertificateError for a failed check, not AssertionError"
+    assert found == [], "raise a class from eotile.errors (CertificateError for a failed check)"
 
 
 def test_raise_assertion_error_is_detected():
-    tree = ast.parse("raise AssertionError('x')\nraise AssertionError\nraise ValueError")
-    assert [raises_assertion_error(node) for node in tree.body] == [True, True, False]
+    tree = ast.parse(
+        "raise AssertionError('x')\n"
+        "raise AssertionError\n"
+        "raise ValueError('node limit')\n"
+        "raise CertificateError('x')\n"
+        "raise errors.Inconclusive('x') from None\n"
+        "raise\n"
+    )
+    assert [raises_foreign_class(node) for node in tree.body] == [
+        True, True, True, False, False, False
+    ]
 
 
 def calls(node, name):
@@ -225,21 +247,23 @@ def test_checker_call_outside_a_certifier_is_detected():
     assert checker_calls("characterize", tree) == ["characterize:2"]
 
 
-# An exhausted limit is one outcome, Inconclusive, which only the CLI turns
-# into an exit code.  These names would catch it on its way there, and a
-# handler that raises it turns some other outcome into it.
-BROAD_EXCEPTIONS = {"Inconclusive", "EotileError", "Exception", "BaseException"}
+# Only cli.main turns the package's errors into exit codes.  A handler naming
+# one of them elsewhere would convert or swallow it on its way there, a broad
+# one would catch them all, and one that raises Inconclusive turns some other
+# outcome into an exhausted limit.
+CAUGHT_ONLY_BY_MAIN = ERROR_CLASSES | {"Exception", "BaseException"}
 
 
 def catches_broadly(node):
-    """Whether ``node`` is a bare ``except``, one naming a broad exception, or
-    one that converts what it caught into :class:`Inconclusive`."""
+    """Whether ``node`` is a bare ``except``, one naming a package error or a
+    broad exception, or one that converts what it caught into
+    :class:`Inconclusive`."""
     if not isinstance(node, ast.ExceptHandler):
         return False
     if node.type is None:
         return True
     types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
-    return any(name_of(kind) in BROAD_EXCEPTIONS for kind in types) or any(
+    return any(name_of(kind) in CAUGHT_ONLY_BY_MAIN for kind in types) or any(
         raises(inner, "Inconclusive") for statement in node.body for inner in ast.walk(statement)
     )
 
@@ -251,14 +275,15 @@ def broad_handlers(module, tree):
 
 
 def test_only_the_cli_main_catches_inconclusive():
-    # A cap or budget that runs out raises Inconclusive all the way up, so
-    # no layer can turn it into another error, a None or a negative answer.
+    # A cap or budget that runs out raises Inconclusive all the way up, and
+    # every other error reaches the CLI as the class that was raised, so no
+    # layer can turn one into another error, a None or a negative answer.
     found = [
         line
         for path in sorted(SOURCE.rglob("*.py"))
         for line in broad_handlers(path.stem, ast.parse(path.read_text(), filename=str(path)))
     ]
-    assert found == [], "let Inconclusive reach cli.main; catch only narrow errors"
+    assert found == [], "let the package's errors reach cli.main; catch only foreign ones"
 
 
 def test_broad_handler_is_detected():
@@ -275,6 +300,11 @@ def test_broad_handler_is_detected():
         "        run()\n"
         "    except OverCap as exc:\n"
         "        raise Inconclusive('over') from exc\n"
+        "def add_two_pendants(graph):\n"
+        "    try:\n"
+        "        run()\n"
+        "    except NotTuranable as exc:\n"
+        "        raise BadAnchor('needs a Turanable graph') from exc\n"
         "try:\n"
         "    run()\n"
         "except (ValueError, errors.Inconclusive):\n"
@@ -289,9 +319,12 @@ def test_broad_handler_is_detected():
         "    pass\n"
     )
     tree = ast.parse(source)
-    assert broad_handlers("cli", tree) == ["cli:11", "cli:15", "cli:19", "cli:21", "cli:23"]
+    assert broad_handlers("cli", tree) == [
+        "cli:11", "cli:16", "cli:20", "cli:24", "cli:26", "cli:28"
+    ]
     assert broad_handlers("tiling", tree) == [
-        "tiling:4", "tiling:6", "tiling:11", "tiling:15", "tiling:19", "tiling:21", "tiling:23"
+        "tiling:4", "tiling:6", "tiling:11", "tiling:16", "tiling:20", "tiling:24",
+        "tiling:26", "tiling:28",
     ]
 
 
@@ -500,10 +533,10 @@ def test_public_names_are_pinned():
         "BadSpec", "BadSplit", "BadVertex", "CANONICAL_COINCIDENT_TYPES",
         "CANONICAL_ORDER", "CanonicalType", "CertificateError", "DegreeBoundWarning",
         "DuplicateEdge", "ESTABLISHED_NECESSARY", "EdgeOrderedGraph", "Embedding",
-        "EotileError", "Inconclusive", "IsoCertificate", "MissingEdge", "NecessityReport",
-        "NotComplete", "NotTuranable", "ParseError", "RankCollision", "SamplingFailed",
+        "EotileError", "Inconclusive", "MissingEdge", "NecessityReport",
+        "NotComplete", "NotTuranable", "ParseError", "RankCollision",
         "SearchBudget", "StarColor", "StarFamily", "StarType", "TilerConfig", "Tiling",
-        "UnknownExperiment", "Verdict", "add_pendant", "add_two_pendants",
+        "Verdict", "add_pendant", "add_two_pendants",
         "are_order_isomorphic", "build_graph", "c4_1243", "canonical_clique",
         "canonical_form", "canonical_labels", "chromatic_number",
         "classify_star_canonical", "count_copies", "count_order_automorphisms",

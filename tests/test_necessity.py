@@ -11,6 +11,7 @@ import pytest
 
 from eotile import (
     BadSize,
+    BadSpec,
     CertificateError,
     Inconclusive,
     SearchBudget,
@@ -387,7 +388,7 @@ class TestSufficiencyProbe:
             sufficiency_probe({LD_MIN}, f_max)
 
     def test_unknown_type_rejected(self):
-        with pytest.raises(BadSize):
+        with pytest.raises(BadSpec, match="unknown star types"):
             sufficiency_probe({"not-a-type"}, 4)
 
     def test_deterministic(self):

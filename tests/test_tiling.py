@@ -11,6 +11,7 @@ import pytest
 
 from eotile import (
     BadDivisibility,
+    BadSpec,
     BadSplit,
     BadVertex,
     CertificateError,
@@ -388,6 +389,12 @@ class TestTileViaCliques:
         with pytest.raises(BadDivisibility, match="positive multiple"):
             tile_via_cliques(host, build_graph(2, [(0, 1, 1)]), t_clique)
 
+    def test_empty_piece_is_refused(self):
+        # The message of perfect_tiling_exact and tiling_number, not "0 does not divide".
+        host = canonical_clique(CanonicalType.MIN, 4)
+        with pytest.raises(BadDivisibility, match="^piece must have at least one vertex$"):
+            tile_via_cliques(host, build_graph(0, []), 2)
+
 
 class TestExtremalConstruction:
     def test_two_cliques_10_1(self):
@@ -432,9 +439,9 @@ class TestExtremalConstruction:
 
 class TestTilerConfig:
     def test_eta_range_enforced(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(BadSpec, match="eta must lie in"):
             TilerConfig(eta=0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(BadSpec, match="eta must lie in"):
             TilerConfig(eta=0.5)
         assert TilerConfig(eta=0.49).eta == 0.49
 
