@@ -51,7 +51,9 @@ class SearchBudget:
 
     Every search given a budget ticks it, so searches that share one share
     its count and its clock, which starts when it is made; budgets compare
-    by identity.  A NaN time limit, which no elapsed time exceeds, is refused.
+    by identity.  A node is a kernel call or a map it extends, or a set an
+    exact cover tries, so no search works long between two ticks.  A NaN
+    time limit, which no elapsed time exceeds, is refused.
     """
 
     node_limit: int = 20_000_000
@@ -152,9 +154,12 @@ def _embeddings(
 
     One iterative depth-first search: depth i places pattern edge i on a
     host pair after the one edge i-1 took, leaving room for the edges
-    after it.  Each search node (including a complete map) costs one
-    ``budget.tick()``.
+    after it.  The call itself and each search node after it (including
+    a complete map) cost one ``budget.tick()`` each, so a search refused
+    before its first edge still counts.
     """
+    tick = budget.tick
+    tick()
     vertices: Sequence[int] = range(host.n) if within is None else within
     hpairs: Sequence[Pair] = host.pairs_by_rank if within is None else _pairs_within(host, within)
     incidence = host.incidence if within is None else _incidence(within, hpairs)
@@ -173,8 +178,6 @@ def _embeddings(
         spare = (v for v in vertices if not used[v])
         return tuple(x if x >= 0 else next(spare) for x in fmap)
 
-    tick = budget.tick
-    tick()
     if mf == 0:
         yield complete()
         return

@@ -8,10 +8,10 @@ tiler are tiled this way; local absorbers are the paper's standalone
 objects, which no tiler uses.  Pieces are not checked one by one:
 correctness rests on re-verifying each tiling returned, whole.
 
-A None from the exact solver is a proof: either the cover was exhausted,
-or, before any search, a component of the host has a size that a
-connected piece does not divide (each copy of a connected piece lies in
-one component), which refutes the two-clique lower-bound construction.
+A None from the exact solver is a proof.  A copy of a connected piece
+lies in one host component, so each is covered alone: one whose size the
+piece does not divide refutes before any search (the two-clique
+lower-bound construction); otherwise some component's cover was exhausted.
 """
 
 from __future__ import annotations
@@ -129,9 +129,9 @@ def _cover(
     each node tries v plus every (size-1)-subset of the other uncovered
     vertices, in lexicographic order, and keeps the sets whose ``witness``
     is not None.  Witnesses are asked lazily, once per set per call.  This
-    is Algorithm X with a fixed column order, one ``budget.tick()`` per node.
-    The branch is an explicit stack, so a cover by thousands of sets needs
-    no recursion.
+    is Algorithm X with a fixed column order; each set tried, memo hits
+    included, is one node and one ``budget.tick()``.  The branch is an
+    explicit stack, so a cover by thousands of sets needs no recursion.
 
     Sets are ascending tuples: a negative host can memoize most of its
     C(n, size) sets, and a small tuple takes about a ninth of the memory of
@@ -141,10 +141,10 @@ def _cover(
 
     def node(rest: frozenset[int]) -> Iterator[tuple[int, ...]]:
         """The sets with a witness that cover the least vertex of ``rest``."""
-        budget.tick()
         least = min(rest)
         for others in combinations(sorted(rest - {least}), size - 1):
             subset = (least, *others)
+            budget.tick()
             if subset not in memo:
                 memo[subset] = witness(subset)
             if memo[subset] is not None:
@@ -169,18 +169,6 @@ def _cover(
     return None
 
 
-def _split_by_components(host: EdgeOrderedGraph, piece: EdgeOrderedGraph) -> bool:
-    """True if ``piece`` is connected and ``piece.n`` does not divide the
-    size of some component of ``host``, so no perfect tiling exists.
-
-    A disconnected host misses at least n-1 of the C(n,2) pairs, so a host
-    with more than C(n-1,2) edges is connected and needs no search.
-    """
-    if host.m > (host.n - 1) * (host.n - 2) // 2 or len(components(piece)) > 1:
-        return False
-    return any(len(comp) % piece.n for comp in components(host))
-
-
 def perfect_tiling_exact(
     host: EdgeOrderedGraph,
     piece: EdgeOrderedGraph,
@@ -188,22 +176,33 @@ def perfect_tiling_exact(
 ) -> Optional[Tiling]:
     """A verified perfect tiling, or None proven within budget.
 
-    One budget bounds the whole call: the subset searches and the exact
-    cover all count against it.  A connected piece and a host component
-    whose size it does not divide give None before any search, with no
-    node counted.
+    A copy of a connected piece lies in one host component, so each
+    component is covered alone, smallest first; by least vertex, its pieces
+    are the tiling a cover of the whole host finds first.  A component whose
+    size the piece does not divide gives None before any search, with no
+    node counted.  A disconnected piece, or a host with over C(n-1, 2)
+    edges (connected: a cut misses n-1 pairs), is covered whole.  One
+    budget bounds the call.
     """
     if piece.n == 0:
         raise BadDivisibility("piece must have at least one vertex")
     if host.n % piece.n != 0:
         raise BadDivisibility(f"|piece|={piece.n} does not divide |host|={host.n}")
-    if _split_by_components(host, piece):
+    if host.m > (host.n - 1) * (host.n - 2) // 2 or len(components(piece)) > 1:
+        parts = [range(host.n)]
+    else:
+        parts = sorted(components(host), key=len)
+    if any(len(part) % piece.n for part in parts):
         return None
     budget = budget or SearchBudget()
     finder = partial(_find_piece, piece, host, budget)
-    pieces = _cover(frozenset(range(host.n)), piece.n, finder, budget)
-    if pieces is None:
-        return None
+    pieces: list[Embedding] = []
+    for part in parts:
+        covered = _cover(frozenset(part), piece.n, finder, budget)
+        if covered is None:
+            return None
+        pieces += covered
+    pieces.sort(key=lambda emb: min(emb.vertex_map))
     return _certified(host, piece, Tiling(tuple(pieces), frozenset(range(host.n))))
 
 

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import eotile
-from eotile import DuplicateEdge, ParseError, build_graph, canonical_clique
+from eotile import DuplicateEdge, ParseError, build_graph, canonical_clique, monotone_path_graph
 from eotile.canonical import CanonicalType
 from eotile.characterize import d_graph, path_with_ranks
 from eotile import characterize, cli
@@ -172,6 +172,18 @@ class TestCommands:
         piece = tmp_path / "piece.json"
         piece.write_bytes(serialize_graph(canonical_clique(CanonicalType.MIN, 4)))
         assert main(["tile", "exact", "--host", str(host), "--piece", str(piece)]) == 2
+
+    def test_clique_tiler_counts_sets_without_cliques(self, capsys, tmp_path, monkeypatch):
+        # A path has no 6-clique, so no clique is ever tiled and no piece
+        # searched; each of the C(59, 5) sets the clique cover tries costs a node.
+        monkeypatch.setenv("EOTILE_NODE_BUDGET", "1000")
+        host = tmp_path / "host.json"
+        host.write_bytes(serialize_graph(monotone_path_graph(59)))
+        piece = tmp_path / "piece.json"
+        piece.write_bytes(serialize_graph(monotone_path_graph(2)))
+        argv = ["tile", "clique", "--host", str(host), "--piece", str(piece), "-T", "6"]
+        assert main(argv) == 2
+        assert "node budget 1000 exhausted" in capsys.readouterr().err
 
 
 class TestExperiments:

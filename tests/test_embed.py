@@ -502,7 +502,8 @@ def recursive_oracle(pattern, host, budget, within=None):
     """The recursive rank-chain search that ``_embeddings`` replaced: one
     generator per search node, one per candidate list, and the subset's
     pairs and incidence rebuilt by an O(m) scan on every call.  Kept as the
-    reference for yield order, total maps and node counts."""
+    reference for yield order, total maps and node counts; a search refused
+    before its first edge counts one node."""
     if within is None:
         hpairs = host.pairs_by_rank
         rank = host.rank
@@ -513,6 +514,7 @@ def recursive_oracle(pattern, host, budget, within=None):
         rank = {pair: i + 1 for i, pair in enumerate(hpairs)}
         vertices = within
     if pattern.n > len(vertices) or pattern.m > len(hpairs):
+        budget.tick()
         return
     fpairs = pattern.pairs_by_rank
     mf, mh = len(fpairs), len(hpairs)
@@ -779,25 +781,33 @@ class TestCertificateChecks:
         script = textwrap.dedent(
             """
             import eotile.embed as e, eotile.tiling as t
-            from eotile import CertificateError, canonical_clique, monotone_path_graph
+            from eotile import CertificateError, build_graph, canonical_clique, monotone_path_graph
             from eotile.canonical import CanonicalType
 
             assert False  # stripped under -O
             host = canonical_clique(CanonicalType.MIN, 6)
+            # Two monotone P2s, {0, 2, 4} and {1, 3, 5}: covered one at a time.
+            split = build_graph(6, [(0, 2, 1), (1, 3, 2), (2, 4, 3), (3, 5, 4)])
+            if t.perfect_tiling_exact(split, monotone_path_graph(2)) is None:
+                raise SystemExit("two disjoint paths did not tile")
+            real = t._embeddings
             t._embeddings = lambda pattern, host, budget, within: iter([(within[0],) * pattern.n])
-            try:
-                t.perfect_tiling_exact(host, monotone_path_graph(2))
-            except CertificateError:
-                pass
-            else:
-                raise SystemExit("piece check vanished")
+            for graph in (host, split):
+                try:
+                    t.perfect_tiling_exact(graph, monotone_path_graph(2))
+                except CertificateError:
+                    pass
+                else:
+                    raise SystemExit("piece check vanished")
+            t._embeddings = real
             t.verify_tiling = lambda *args: False
-            try:
-                t.perfect_tiling_exact(host, monotone_path_graph(2))
-            except CertificateError:
-                pass
-            else:
-                raise SystemExit("tiling check vanished")
+            for graph in (host, split):
+                try:
+                    t.perfect_tiling_exact(graph, monotone_path_graph(2))
+                except CertificateError:
+                    pass
+                else:
+                    raise SystemExit("tiling check vanished")
             e.verify_embedding = lambda *args: False
             try:
                 e.find_embedding(monotone_path_graph(2), host, within=[1, 2, 3])

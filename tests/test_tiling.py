@@ -455,7 +455,7 @@ def reference_tiling_pieces(host, piece):
         emb = find_embedding(piece, induced_subgraph(host, subset))
         if emb is not None:
             witnesses[subset] = Embedding(tuple(subset[h] for h in emb.vertex_map))
-    pieces = sorting_cover(frozenset(range(host.n)), witnesses, SearchBudget())
+    pieces = sorting_cover(frozenset(range(host.n)), piece.n, witnesses, SearchBudget())
     return None if pieces is None else tuple(pieces)
 
 
@@ -517,40 +517,103 @@ def disjoint_union_host(rng, sizes):
     return build_graph(n, [(u, v, int(r)) for (u, v), r in zip(pairs, ranks)])
 
 
+def shuffled_union(rng, graphs):
+    """The disjoint union of ``graphs``, vertices shuffled and ranks
+    interleaved at random, each graph keeping its own edge order."""
+    n = sum(g.n for g in graphs)
+    label = rng.permutation(n)
+    keyed, offset = [], 0
+    for g in graphs:
+        for key, (u, v) in zip(np.sort(rng.random(g.m)), g.pairs_by_rank):
+            keyed.append((key, int(label[u + offset]), int(label[v + offset])))
+        offset += g.n
+    keyed.sort()
+    return build_graph(n, [(u, v, r) for r, (_, u, v) in enumerate(keyed, 1)])
+
+
+def bounded_piece_searches(monkeypatch, limit):
+    """Record the subset of every ``_find_piece`` call; fail past ``limit`` calls."""
+    calls = []
+    real = tiling_module._find_piece
+
+    def counting(*args):
+        calls.append(args[-1])
+        if len(calls) > limit:
+            pytest.fail(f"more than {limit} subset searches")
+        return real(*args)
+
+    monkeypatch.setattr(tiling_module, "_find_piece", counting)
+    return calls
+
+
 class TestComponentDivisibility:
-    """A connected piece is refuted at the root when it does not divide
-    the size of some component of the host; every answer is the search's."""
+    """A connected piece is covered one host component at a time, and is
+    refuted at the root when it does not divide the size of some component;
+    every other answer is the search's."""
 
     def test_large_two_cliques_refuted_without_search(self):
         host, piece = extremal_construction("TwoCliques", 30, 4), monotone_path_graph(4)
         # One node would not cover even the first subset search.
         assert perfect_tiling_exact(host, piece, SearchBudget(node_limit=1)) is None
 
-    @pytest.mark.parametrize("kind", ["P2", "2K2"])
+    @pytest.mark.parametrize("kind", ["P2", "P3", "2K2"])
     def test_disjoint_unions_match_reference(self, kind):
-        if kind == "P2":
-            piece = monotone_path_graph(2)
-        else:
+        if kind == "2K2":
             piece = build_graph(4, [(0, 1, 1), (2, 3, 2)])
-        rng = np.random.default_rng(2024 + piece.n)
-        split = tiled_split = 0
-        for _ in range(30):
+        else:
+            piece = monotone_path_graph(int(kind[1]))
+        rng = np.random.default_rng(2024 + piece.n + (kind == "P3"))
+        split = tiled_split = tiled_even = 0
+        for trial in range(60):
+            # Cut anywhere, then only where every block is a multiple of the piece.
+            unit = 1 if trial < 30 else piece.n
             blocks = int(rng.integers(2, 4))
             n = piece.n * int(rng.integers(2, 4))
-            cuts = sorted(rng.choice(range(1, n), size=blocks - 1, replace=False))
+            blocks = min(blocks, n // unit)
+            cuts = sorted(rng.choice(range(unit, n, unit), size=blocks - 1, replace=False))
             sizes = [int(b - a) for a, b in zip([0, *cuts], [*cuts, n])]
             host = disjoint_union_host(rng, sizes)
             tiling = perfect_tiling_exact(host, piece)
             expected = reference_tiling_pieces(host, piece)
+            # The same pieces in the same order as the whole-host cover's.
             assert (None if tiling is None else tiling.pieces) == expected, host
             uneven = any(len(comp) % piece.n for comp in eotile.core.components(host))
             split += uneven and expected is None
             tiled_split += uneven and expected is not None
-        if kind == "P2":
+            tiled_even += not uneven and expected is not None
+        assert tiled_even >= 10
+        if kind != "2K2":
             assert split >= 10 and tiled_split == 0
         else:
             # Two disjoint edges tile across components: the cut must not fire.
             assert tiled_split >= 3
+
+    def test_disjoint_paths_take_one_search_per_piece(self, monkeypatch):
+        # 250 monotone P3s: each component is one 4-set, so each piece costs
+        # one subset search.  A whole-host cover hops between components and
+        # backtracks across them.
+        piece, count = monotone_path_graph(3), 250
+        host = shuffled_union(np.random.default_rng(9), [piece] * count)
+        calls = bounded_piece_searches(monkeypatch, count)
+        tiling = perfect_tiling_exact(host, piece)
+        assert len(tiling.pieces) == len(calls) == count
+
+    def test_dead_small_component_is_found_first(self):
+        # K_{1,3} holds no P3.  Covered first, it is refuted in a few nodes;
+        # a whole-host cover backtracks through the K16's sets each time
+        # its least uncovered vertex lies in the star.
+        rng = np.random.default_rng(16)
+        star = build_graph(4, [(0, 1, 1), (0, 2, 2), (0, 3, 3)])
+        host = shuffled_union(rng, [random_clique_ordering(rng, 16), star])
+        budget = SearchBudget(node_limit=10)
+        assert perfect_tiling_exact(host, monotone_path_graph(3), budget) is None
+
+    def test_three_dense_components_tile(self):
+        # A whole-host cover of this host runs out of the default budget.
+        host = disjoint_union_host(np.random.default_rng(5), [12, 12, 8])
+        assert len(eotile.core.components(host)) == 3
+        tiling = perfect_tiling_exact(host, monotone_path_graph(3))
+        assert tiling is not None and len(tiling.pieces) == 8
 
 
 def record_exact_calls(monkeypatch):
@@ -685,17 +748,18 @@ class TestDenseFallbackBudget:
         assert TilerConfig().absorb_budget is not config.absorb_budget
 
 
-def sorting_cover(vertices, witnesses, budget):
+def sorting_cover(vertices, size, witnesses, budget):
     """The exact cover over precomputed witnesses, keyed by ascending vertex
-    tuples: every search node re-sorts all of them.  Reference for order and
+    tuples: every search node re-sorts all its ``size``-sets that hold the
+    least vertex and ticks once per set it tries.  Reference for order and
     nodes."""
     if not vertices:
         return []
-    budget.tick()
     pivot = min(vertices)
-    for subset in sorted(witnesses):
-        if pivot in subset and vertices.issuperset(subset):
-            rest = sorting_cover(vertices.difference(subset), witnesses, budget)
+    for subset in sorted(tuple(sorted(s)) for s in combinations(vertices, size) if pivot in s):
+        budget.tick()
+        if subset in witnesses:
+            rest = sorting_cover(vertices.difference(subset), size, witnesses, budget)
             if rest is not None:
                 return [witnesses[subset]] + rest
     return None
@@ -717,7 +781,7 @@ class TestCover:
             }
             vertices = frozenset(range(n))
             expected_budget, budget = SearchBudget(), SearchBudget()
-            expected = sorting_cover(vertices, witnesses, expected_budget)
+            expected = sorting_cover(vertices, f, witnesses, expected_budget)
             assert tiling_module._cover(vertices, f, witnesses.get, budget) == expected
             assert budget.nodes == expected_budget.nodes
             outcomes.add(expected is None)
@@ -736,15 +800,16 @@ EXACT_ONE_BUDGET_SCRIPT = textwrap.dedent(
     # search can, and a P3 takes two vertices of each side.
     host = extremal_construction("Bipartite", 8, 3, 0.25)
     piece = monotone_path_graph(3)
-    budget = SearchBudget(node_limit=20)
+    budget = SearchBudget(node_limit=100)
     # Each of the 70 subset searches fits under the limit alone, on a budget
-    # of its own, and so does the cover over every copy they find ...
+    # of its own, and so does the cover over every copy they find (50 sets
+    # tried) ...
     witnesses = {}
     for subset in combinations(range(8), 4):
-        emb = find_embedding(piece, host, SearchBudget(node_limit=20), within=subset)
+        emb = find_embedding(piece, host, SearchBudget(node_limit=100), within=subset)
         if emb is not None:
             witnesses[subset] = emb
-    if _cover(frozenset(range(8)), 4, witnesses.get, SearchBudget(node_limit=20)) is not None:
+    if _cover(frozenset(range(8)), 4, witnesses.get, SearchBudget(node_limit=100)) is not None:
         raise SystemExit("K_{2,6} has a P3 tiling")
     # ... but the exact tiler's subset searches and cover need more together.
     total = SearchBudget()
@@ -820,3 +885,46 @@ class TestOneBudget:
         proc = run_script(CLIQUE_ONE_BUDGET_SCRIPT, flags)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "inconclusive"
+
+
+def sparse_tree_host(rng, n):
+    """A random spanning tree plus n/4 more edges, vertices and ranks shuffled:
+    almost every small vertex set spans too few edges to hold a piece."""
+    pairs = {(int(rng.integers(0, v)), v) for v in range(1, n)}
+    while len(pairs) < n - 1 + n // 4:
+        u, v = sorted(int(x) for x in rng.choice(n, size=2, replace=False))
+        pairs.add((u, v))
+    label = rng.permutation(n)
+    ranks = rng.permutation(len(pairs)) + 1
+    return build_graph(
+        n, [(int(label[u]), int(label[v]), int(r)) for (u, v), r in zip(sorted(pairs), ranks)]
+    )
+
+
+class TestLimitsBoundRefusedSearches:
+    """A subset search refused before its first edge, and a set the cover
+    tries, each cost a node, so a limit stops a tiler that finds nothing."""
+
+    def test_exact_tiling_counts_refused_searches(self, monkeypatch):
+        # Most 4-sets here span fewer than three edges, so their P3 searches
+        # refuse before placing one; each still costs a node, so a limit of
+        # 10,000 nodes stops the cover within 10,000 searches.
+        host = sparse_tree_host(np.random.default_rng(1), 100)
+        bounded_piece_searches(monkeypatch, 10_000)
+        with pytest.raises(Inconclusive, match="node budget 10000"):
+            perfect_tiling_exact(host, monotone_path_graph(3), SearchBudget(node_limit=10_000))
+
+    def test_clique_tiler_stops_at_time_limit(self):
+        # The host has no 6-clique, so every set the clique cover tries is
+        # refused without a search, and C(59, 5) wait at its first node.
+        host = sparse_tree_host(np.random.default_rng(1), 60)
+        with pytest.warns(DegreeBoundWarning), pytest.raises(Inconclusive, match="time budget"):
+            tile_via_cliques(host, monotone_path_graph(2), 6, SearchBudget(time_limit=0.5))
+
+    def test_absorber_stream_counts_refused_searches(self):
+        # Counting only the searches that place an edge, the whole stream
+        # takes 51,278 nodes and finds no absorber; the millions of path
+        # searches it refuses at once count as well.
+        host = sparse_tree_host(np.random.default_rng(1), 40)
+        with pytest.raises(Inconclusive, match="node budget 100000"):
+            list(local_absorbers(host, 0, 1, 2, SearchBudget(node_limit=100_000)))
