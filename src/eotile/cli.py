@@ -475,9 +475,11 @@ def _cmd_check(args: argparse.Namespace) -> bytes:
 def _cmd_tile(args: argparse.Namespace) -> bytes:
     host = _read_graph_arg(args.host)
     budget = default_budget()
-    if args.mode == "dense" and args.k > 0 and host.n % (args.k + 1) != 0:  # before the path
-        raise BadDivisibility(f"|piece|={args.k + 1} does not divide |host|={host.n}")
-    piece = monotone_path_graph(args.k) if args.mode == "dense" else _read_graph_arg(args.piece)
+    piece = None if args.mode == "dense" else _read_graph_arg(args.piece)
+    size = args.k + 1 if piece is None else piece.n  # checked before the path and any search
+    if size > 0 and host.n % size:
+        raise BadDivisibility(f"|piece|={size} does not divide |host|={host.n}")
+    piece = piece or family_graph(f"MonoPath({args.k})")  # capped as `gen family` caps it
     if args.mode != "clique":
         tiling = perfect_tiling_exact(host, piece, budget)
     else:

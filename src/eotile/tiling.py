@@ -1,17 +1,17 @@
 """Perfect tilings: exact solver, T(F), absorbers, and the dense tiler.
 
-Every tiler runs one exact cover: the least uncovered vertex is covered
-first, and a vertex set is searched for a spanning copy of the piece only
-when the cover reaches it (``_find_piece``, the kernel's first map inside
-the set).  The dense monotone-path tiler and each clique of the clique
-tiler are tiled this way; local absorbers are the paper's standalone
-objects, which no tiler uses.  Pieces are not checked one by one:
-correctness rests on re-verifying each tiling returned, whole.
-
-A None from the exact solver is a proof.  A copy of a connected piece
-lies in one host component, so each is covered alone: one whose size the
-piece does not divide refutes before any search (the two-clique
-lower-bound construction); otherwise some component's cover was exhausted.
+Every tiler runs one exact cover over parts (``_cover``): each part is
+covered alone, least uncovered vertex first, and a vertex set is searched
+for a spanning copy of the piece only when the cover reaches it
+(``_find_piece``, the kernel's first map inside the set).  A clique or a
+copy of a connected piece lies in one host component, so the exact solver
+(which the dense monotone-path tiler calls) and the clique tiler cover
+each host component alone, and each clique is a part of its own.  Local
+absorbers are the paper's standalone objects, which no tiler uses.
+Pieces are not checked one by one: correctness rests on re-verifying each
+tiling returned, whole.  A None from the exact solver is a proof: a
+component whose size the piece does not divide refutes before any search
+(the two-clique lower-bound construction), or a component's cover ran out.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import warnings
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import combinations
-from typing import Callable, Iterator, Optional, Sequence, TypeVar
+from typing import Callable, Collection, Iterator, Optional, Sequence, TypeVar
 
 from .canonical import CanonicalType, canonical_labels
 from .characterize import is_tileable
@@ -118,25 +118,30 @@ def _find_piece(
 
 
 def _cover(
-    vertices: frozenset[int],
+    parts: Sequence[Collection[int]],
     size: int,
     witness: Callable[[tuple[int, ...]], Optional[W]],
     budget: SearchBudget,
 ) -> Optional[list[W]]:
-    """Exact cover of ``vertices`` by disjoint ``size``-sets, backtracking.
+    """Exact cover of each of ``parts`` in turn by disjoint ``size``-sets.
 
-    The least uncovered vertex v must lie in the set that covers it, so
-    each node tries v plus every (size-1)-subset of the other uncovered
-    vertices, in lexicographic order, and keeps the sets whose ``witness``
-    is not None.  Witnesses are asked lazily, once per set per call.  This
-    is Algorithm X with a fixed column order; each set tried, memo hits
-    included, is one node and one ``budget.tick()``.  The branch is an
-    explicit stack, so a cover by thousands of sets needs no recursion.
+    A part that ``size`` does not divide gives None before any search, with
+    no node counted.  A finished part is never backtracked into, so no set
+    may cross parts (host components).  The least uncovered vertex v must
+    lie in the set that covers it, so each node tries v plus every
+    (size-1)-subset of the other uncovered vertices of its part, in
+    lexicographic order, and keeps the sets whose ``witness`` is not None.
+    Witnesses are asked lazily, once per set per call.  This is Algorithm X
+    with a fixed column order; each set tried, memo hits included, is one
+    node and one ``budget.tick()``.  The branch is an explicit stack, so a
+    cover by thousands of sets needs no recursion.
 
     Sets are ascending tuples: a negative host can memoize most of its
     C(n, size) sets, and a small tuple takes about a ninth of the memory of
     a frozenset of the same vertices.
     """
+    if any(len(part) % size for part in parts):
+        return None
     memo: dict[tuple[int, ...], Optional[W]] = {}
 
     def node(rest: frozenset[int]) -> Iterator[tuple[int, ...]]:
@@ -150,23 +155,22 @@ def _cover(
             if memo[subset] is not None:
                 yield subset
 
-    if not vertices:
-        return []
-    rest, taken = vertices, []  # the uncovered vertices; the sets the branch took
-    branch = [node(rest)]  # per node of the branch, the sets left to try
-    while branch:
-        subset = next(branch[-1], None)
-        if subset is None:
-            branch.pop()
-            if taken:
+    taken: list[tuple[int, ...]] = []  # the sets chosen, part after part
+    for part in parts:
+        rest = frozenset(part)  # the part's uncovered vertices
+        branch = [node(rest)]  # per node of the branch, the sets left to try
+        while rest:
+            subset = next(branch[-1], None)
+            if subset is None:
+                branch.pop()
+                if not branch:  # the part's first node is exhausted
+                    return None
                 rest = rest.union(taken.pop())
-            continue
-        taken.append(subset)
-        rest = rest.difference(subset)
-        if not rest:
-            return [memo[chosen] for chosen in taken]
-        branch.append(node(rest))
-    return None
+            else:
+                taken.append(subset)
+                rest = rest.difference(subset)
+                branch.append(node(rest))
+    return [memo[chosen] for chosen in taken]
 
 
 def perfect_tiling_exact(
@@ -176,12 +180,11 @@ def perfect_tiling_exact(
 ) -> Optional[Tiling]:
     """A verified perfect tiling, or None proven within budget.
 
-    A copy of a connected piece lies in one host component, so each
-    component is covered alone, smallest first; by least vertex, its pieces
-    are the tiling a cover of the whole host finds first.  A component whose
-    size the piece does not divide gives None before any search, with no
-    node counted.  A disconnected piece, or a host with over C(n-1, 2)
-    edges (connected: a cut misses n-1 pairs), is covered whole.  One
+    A copy of a connected piece lies in one host component, so the parts
+    :func:`_cover` covers are the host components, smallest first; by least
+    vertex, their pieces are the tiling a cover of the whole host finds
+    first.  A disconnected piece, or a host with over C(n-1, 2) edges
+    (connected: a cut misses n-1 pairs), is one part, the whole host.  One
     budget bounds the call.
     """
     if piece.n == 0:
@@ -192,16 +195,10 @@ def perfect_tiling_exact(
         parts = [range(host.n)]
     else:
         parts = sorted(components(host), key=len)
-    if any(len(part) % piece.n for part in parts):
-        return None
     budget = budget or SearchBudget()
-    finder = partial(_find_piece, piece, host, budget)
-    pieces: list[Embedding] = []
-    for part in parts:
-        covered = _cover(frozenset(part), piece.n, finder, budget)
-        if covered is None:
-            return None
-        pieces += covered
+    pieces = _cover(parts, piece.n, partial(_find_piece, piece, host, budget), budget)
+    if pieces is None:
+        return None
     pieces.sort(key=lambda emb: min(emb.vertex_map))
     return _certified(host, piece, Tiling(tuple(pieces), frozenset(range(host.n))))
 
@@ -313,10 +310,11 @@ def tile_via_cliques(
 
     The Hajnal-Szemeredi step is replaced by exact clique-cover search, in
     which a clique counts only once it is tiled, so the cover backtracks
-    past a clique that does not tile.  The minimum-degree hypothesis is
-    only advisory and produces a warning when violated.  One budget bounds
-    the whole call: the strips, the clique cover and every clique's tiling
-    count against it.
+    past a clique that does not tile.  A clique lies in one host component,
+    so what the strips leave of each is covered alone, smallest first.  The
+    minimum-degree hypothesis is only advisory and produces a warning when
+    violated.  One budget bounds the whole call: the strips, the clique
+    cover and every clique's tiling count against it.
 
     None is not a proof that no tiling exists: the strips are greedy and a
     tiling need not follow any clique cover.  :func:`perfect_tiling_exact`
@@ -340,8 +338,7 @@ def tile_via_cliques(
     finder = partial(_find_piece, piece, host, budget)
     stripped: list[Embedding] = []
     remaining = set(range(host.n))
-    overshoot = host.n % t_clique
-    for _ in range(overshoot // f):
+    for _ in range(host.n % t_clique // f):
         emb = finder(sorted(remaining))
         if emb is None:
             return None
@@ -350,10 +347,11 @@ def tile_via_cliques(
 
     def tiled_clique(subset: tuple[int, ...]) -> Optional[list[Embedding]]:
         if all(host.has_edge(a, b) for a, b in combinations(subset, 2)):
-            return _cover(frozenset(subset), f, finder, budget)
+            return _cover([subset], f, finder, budget)
         return None
 
-    cover = _cover(frozenset(remaining), t_clique, tiled_clique, budget)
+    parts = sorted((comp & remaining for comp in components(host)), key=len)
+    cover = _cover(parts, t_clique, tiled_clique, budget)
     if cover is None:
         return None
     pieces = stripped + [emb for inner in cover for emb in inner]

@@ -5,13 +5,15 @@ import json
 import os
 import subprocess
 import sys
+from itertools import combinations
 
+import numpy as np
 import pytest
 
 import eotile
 from eotile import DuplicateEdge, ParseError, build_graph, canonical_clique, monotone_path_graph
 from eotile.canonical import CanonicalType
-from eotile.characterize import d_graph, path_with_ranks
+from eotile.characterize import d_graph, family_graph, path_with_ranks
 from eotile import characterize, cli
 from eotile import embed as embed_module
 from eotile import tiling as tiling_module
@@ -27,6 +29,18 @@ from eotile.cli import (
     serialize_graph,
 )
 from eotile.errors import BadSpec, CertificateError
+
+
+def three_k8s_and_a_path():
+    """Three K_8s and a 4-vertex path, vertices and ranks shuffled: the path
+    holds no 4-clique."""
+    rng = np.random.default_rng(8)
+    pairs = [(8 * b + u, 8 * b + v) for b in range(3) for u, v in combinations(range(8), 2)]
+    pairs += [(24, 25), (25, 26), (26, 27)]
+    label, ranks = rng.permutation(28), rng.permutation(len(pairs)) + 1
+    return build_graph(
+        28, [(int(label[u]), int(label[v]), int(r)) for (u, v), r in zip(pairs, ranks)]
+    )
 
 
 class TestGraphDocuments:
@@ -172,6 +186,21 @@ class TestCommands:
         piece = tmp_path / "piece.json"
         piece.write_bytes(serialize_graph(canonical_clique(CanonicalType.MIN, 4)))
         assert main(["tile", "exact", "--host", str(host), "--piece", str(piece)]) == 2
+
+    def test_clique_tiler_covers_each_component_alone(self, capsys, tmp_path, monkeypatch):
+        # The path, the smallest component, is covered first and refuted at
+        # its one 4-set; a cover of all 28 vertices at once backtracks
+        # through the K_8s' cliques past any limit of 1,000 nodes.
+        monkeypatch.setenv("EOTILE_NODE_BUDGET", "1000")
+        host = tmp_path / "host.json"
+        host.write_bytes(serialize_graph(three_k8s_and_a_path()))
+        piece = tmp_path / "piece.json"
+        piece.write_bytes(serialize_graph(monotone_path_graph(1)))
+        argv = ["tile", "clique", "--host", str(host), "--piece", str(piece), "-T", "4"]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.out == '{"reason":"no-clique-tiling","tiled":false}\n'
+        assert captured.err == "warning: minimum degree 1 below (1-1/4)n\n"
 
     def test_clique_tiler_counts_sets_without_cliques(self, capsys, tmp_path, monkeypatch):
         # A path has no 6-clique, so no clique is ever tiled and no piece
@@ -668,6 +697,42 @@ class TestBadInput:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
+
+    def test_tile_dense_caps_the_path_on_an_empty_host(self, capsys, tmp_path):
+        # Every path divides an empty host, so only the cap stops the build.
+        host = tmp_path / "host.json"
+        host.write_bytes(b'{"n": 0, "edges": []}')
+        assert main(["tile", "dense", "--host", str(host), "-k", "1000"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: family MonoPath has 1001 vertices, over 1000\n"
+
+    def test_tile_dense_path_at_the_cap_tiles_an_empty_host(self, capsys, tmp_path):
+        host = tmp_path / "host.json"
+        host.write_bytes(b'{"n": 0, "edges": []}')
+        assert main(["tile", "dense", "--host", str(host), "-k", "999"]) == 0
+        assert capsys.readouterr().out == '{"pieces":[],"tiled":true}\n'
+
+    @pytest.mark.parametrize(
+        "command, family",
+        [
+            (["clique"], "MonoPath(3)"),
+            (["clique"], "D(4)"),
+            (["clique"], "PathRanks(132)"),
+            (["clique", "-T", "4"], "MonoPath(3)"),
+            (["exact"], "MonoPath(3)"),
+        ],
+    )
+    def test_tile_checks_sizes_before_any_search(self, capsys, tmp_path, command, family):
+        # Without -T the clique tiler would first search for T(F).
+        host = tmp_path / "host.json"
+        host.write_bytes(serialize_graph(canonical_clique(CanonicalType.MIN, 9)))
+        piece = tmp_path / "piece.json"
+        piece.write_bytes(serialize_graph(family_graph(family)))
+        assert main(["tile", *command, "--host", str(host), "--piece", str(piece)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: |piece|=4 does not divide |host|=9\n"
 
     @pytest.mark.parametrize("name", ["missing.json", "."], ids=["missing", "directory"])
     def test_unreadable_graph_file_exit_code(self, capsys, tmp_path, name):

@@ -1,9 +1,11 @@
 """Tiling solvers against independent partition-based oracles."""
 
+import functools
 import os
 import subprocess
 import sys
 import textwrap
+import warnings
 from itertools import combinations, permutations
 
 import numpy as np
@@ -616,6 +618,97 @@ class TestComponentDivisibility:
         assert tiling is not None and len(tiling.pieces) == 8
 
 
+def whole_set_clique_pieces(host, piece, t_clique):
+    """The clique tiler's sorted pieces, its clique cover run once over every
+    vertex the strips leave, components ignored: the least uncovered vertex
+    first, whichever component it lies in.  Each clique is tiled by the
+    sorting cover over first maps found in induced subgraphs."""
+
+    def first_map(subset):
+        emb = find_embedding(piece, induced_subgraph(host, subset))
+        return None if emb is None else tuple(subset[h] for h in emb.vertex_map)
+
+    @functools.cache
+    def tiled_clique(clique):
+        if not all(host.has_edge(a, b) for a, b in combinations(clique, 2)):
+            return None
+        maps = {s: first_map(s) for s in combinations(clique, piece.n)}
+        witnesses = {s: m for s, m in maps.items() if m is not None}
+        return sorting_cover(frozenset(clique), piece.n, witnesses, SearchBudget())
+
+    def cover(rest):
+        if not rest:
+            return []
+        least = min(rest)
+        for others in combinations(sorted(rest - {least}), t_clique - 1):
+            inner = tiled_clique((least, *others))
+            if inner is not None:
+                tail = cover(rest.difference(others, {least}))
+                if tail is not None:
+                    return inner + tail
+        return None
+
+    remaining, stripped = set(range(host.n)), []
+    for _ in range(host.n % t_clique // piece.n):
+        found = first_map(sorted(remaining))
+        if found is None:
+            return None
+        stripped.append(found)
+        remaining -= set(found)
+    pieces = cover(frozenset(remaining))
+    return None if pieces is None else sorted(stripped + pieces)
+
+
+def three_k8s_and_a_path(rng):
+    """Three K_8s and a 4-vertex path, shuffled: the path holds no 4-clique."""
+    blocks = [random_clique_ordering(rng, 8) for _ in range(3)]
+    return shuffled_union(rng, [*blocks, monotone_path_graph(3)])
+
+
+class TestCliqueTilerComponents:
+    """The clique tiler covers what its strips leave of each host component
+    alone, smallest first, as the exact solver does."""
+
+    def test_dead_path_component_is_found_first(self):
+        # Covered first, the path is refuted at its one 4-set; a whole-set
+        # cover backtracks through the K_8s' cliques each time its least
+        # uncovered vertex lies on the path.
+        host = three_k8s_and_a_path(np.random.default_rng(8))
+        budget = SearchBudget(node_limit=1_000)
+        with pytest.warns(DegreeBoundWarning):
+            assert tile_via_cliques(host, monotone_path_graph(1), 4, budget) is None
+
+    def test_disconnected_hosts_match_whole_set_cover(self):
+        rng = np.random.default_rng(30)
+        cases = [
+            (monotone_path_graph(1), 4),
+            (monotone_path_graph(1), 6),
+            (path_with_ranks("21"), 6),
+            (monotone_path_graph(3), 4),
+        ]
+        tiled = refuted = 0
+        for trial in range(40):
+            piece, t_clique = cases[trial % 4]
+            sizes = [0]
+            while sum(sizes) % piece.n or sum(sizes) == 0:
+                sizes = rng.choice([4, 6, 8], size=int(rng.integers(2, 4))).tolist()
+            blocks = [
+                random_clique_ordering(rng, size)
+                if rng.random() < 0.75
+                else random_graph(rng, size, int(rng.integers(size, size * (size - 1) // 2)))
+                for size in sizes
+            ]
+            host = shuffled_union(rng, blocks)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", DegreeBoundWarning)
+                tiling = tile_via_cliques(host, piece, t_clique)
+            found = None if tiling is None else sorted(emb.vertex_map for emb in tiling.pieces)
+            assert found == whole_set_clique_pieces(host, piece, t_clique), (sizes, t_clique)
+            tiled += found is not None
+            refuted += found is None
+        assert tiled >= 5 and refuted >= 5
+
+
 def record_exact_calls(monkeypatch):
     """Record (host.n, budget) of every ``perfect_tiling_exact`` call the tilers make."""
     seen = []
@@ -782,7 +875,43 @@ class TestCover:
             vertices = frozenset(range(n))
             expected_budget, budget = SearchBudget(), SearchBudget()
             expected = sorting_cover(vertices, f, witnesses, expected_budget)
-            assert tiling_module._cover(vertices, f, witnesses.get, budget) == expected
+            assert tiling_module._cover([vertices], f, witnesses.get, budget) == expected
+            assert budget.nodes == expected_budget.nodes
+            outcomes.add(expected is None)
+        assert outcomes == {True, False}
+
+    def test_part_size_does_not_divide_refutes_without_nodes(self):
+        asked = []
+
+        def witness(subset):
+            asked.append(subset)
+            return subset
+
+        budget = SearchBudget()
+        # Only the last part, of 3 vertices, is not covered by pairs.
+        assert tiling_module._cover([range(4), (5, 9), (4, 6, 7)], 2, witness, budget) is None
+        assert budget.nodes == 0 and asked == []
+
+    def test_parts_are_covered_alone_in_order(self):
+        rng = np.random.default_rng(2718)
+        outcomes = set()
+        for _ in range(100):
+            f = int(rng.choice([1, 2, 3]))
+            sizes = rng.integers(0, 4, size=int(rng.integers(1, 4))) * f
+            label = rng.permutation(int(sizes.sum())).tolist()
+            parts = [label[a:b] for a, b in zip([0, *np.cumsum(sizes)[:-1]], np.cumsum(sizes))]
+            # Witnesses across parts too: no cover may take one.
+            blocks = list(combinations(range(len(label)), f))
+            keep = rng.random(len(blocks)) < rng.uniform(0.2, 0.8)
+            witnesses = {block: block for block, kept in zip(blocks, keep) if kept}
+            expected, expected_budget, budget = [], SearchBudget(), SearchBudget()
+            for part in parts:
+                covered = sorting_cover(frozenset(part), f, witnesses, expected_budget)
+                if covered is None:
+                    expected = None
+                    break
+                expected += covered
+            assert tiling_module._cover(parts, f, witnesses.get, budget) == expected
             assert budget.nodes == expected_budget.nodes
             outcomes.add(expected is None)
         assert outcomes == {True, False}
@@ -809,12 +938,12 @@ EXACT_ONE_BUDGET_SCRIPT = textwrap.dedent(
         emb = find_embedding(piece, host, SearchBudget(node_limit=100), within=subset)
         if emb is not None:
             witnesses[subset] = emb
-    if _cover(frozenset(range(8)), 4, witnesses.get, SearchBudget(node_limit=100)) is not None:
+    if _cover([range(8)], 4, witnesses.get, SearchBudget(node_limit=100)) is not None:
         raise SystemExit("K_{2,6} has a P3 tiling")
     # ... but the exact tiler's subset searches and cover need more together.
     total = SearchBudget()
     finder = partial(_find_piece, piece, host, total)
-    if _cover(frozenset(range(8)), 4, finder, total) is not None:
+    if _cover([range(8)], 4, finder, total) is not None:
         raise SystemExit("K_{2,6} has a P3 tiling")
     if total.nodes <= budget.node_limit:
         raise SystemExit(f"only {total.nodes} nodes in the whole exact tiling")
@@ -844,11 +973,11 @@ CLIQUE_ONE_BUDGET_SCRIPT = textwrap.dedent(
     strip = _find_piece(piece, host, budgets[-1], range(10))
     budgets.append(SearchBudget(node_limit=14))
     rest = frozenset(range(10)) - strip.image
-    cliques = _cover(rest, 4, lambda subset: subset, budgets[-1])
+    cliques = _cover([rest], 4, lambda subset: subset, budgets[-1])
     for clique in cliques:
         budgets.append(SearchBudget(node_limit=14))
         finder = partial(_find_piece, piece, host, budgets[-1])
-        if _cover(frozenset(clique), 2, finder, budgets[-1]) is None:
+        if _cover([clique], 2, finder, budgets[-1]) is None:
             raise SystemExit(f"clique {clique} has no tiling")
     # ... but together they need more nodes than it allows, and without any
     # one of them the rest would fit.
