@@ -149,9 +149,9 @@ def _pairs_within(graph: EdgeOrderedGraph, subset: Sequence[int]) -> list[Pair]:
     ``subset`` is ascending, as from :func:`_vertex_subset`.  These are the
     induced subgraph's edges in host coordinates; since
     :func:`induced_subgraph` relabels monotonically, searches over them
-    visit candidates in the same order as searches over the subgraph.
+    visit host pairs in the same order as searches over the subgraph.
 
-    Small subsets look up their C(|S|,2) candidate pairs and sort the ranks
+    Small subsets look up their C(|S|,2) possible pairs and sort the ranks
     found; others scan all m pairs.  A lookup costs about three scanned
     pairs (measured on n=15 and n=16 hosts), hence the switch point.
     """
@@ -203,106 +203,77 @@ def components(graph: EdgeOrderedGraph) -> list[set[int]]:
     return comps
 
 
-def _least_step(
-    candidates: list[list[int]], k: int, a: int, b: int
-) -> tuple[Pair, list[list[int]], int]:
-    """One edge of a least relabeled edge sequence: ``(pair, candidates, k)``.
+# A least sequence's step state: each vertex's label (-1 while unseen), the
+# open ends' mates and the number of labels given.
+LeastState = tuple[list[int], dict[int, int], int]
 
-    ``candidates`` are the partial relabelings (``-1`` for a vertex not yet
-    seen) that map the edges so far onto the least sequence of them, and
-    ``k`` is the number of labels given.  Returns the least relabeled pair
-    of edge ``(a, b)``, the candidates that achieve it and the new label
-    count.  The given candidates are never mutated, so one state serves
-    every extension of its prefix.
 
-    A least sequence gives labels out in order of first appearance, so
-    every candidate has mapped the same vertices to ``0..k-1`` and the next
-    fresh label is ``k``.  Only an edge with two fresh ends branches, into
-    its two orientations; an edge with one or no fresh end keeps the
-    candidates with the least pair.
+def _label_edge(
+    labels: list[int], mates: dict[int, int], k: int, a: int, b: int
+) -> tuple[Pair, int]:
+    """Label edge ``(a, b)`` in place; returns its least relabeled pair and the new label count.
+
+    A least sequence gives labels out in order of first appearance, so the
+    next fresh label is ``k``.  An edge with two fresh ends gives them
+    ``k`` and ``k + 1`` and leaves its orientation open: ``mates`` pairs
+    each open end with the other.  The first later edge at either end
+    fixes it, and that end takes the lower label, since the other choice
+    makes a larger pair whatever the edge's other end holds.  So every
+    edge has one least pair, and one labeling serves the whole sequence.
     """
-    if not candidates:
-        raise CertificateError(f"no relabeling survives at edge ({a},{b})")
-    first = candidates[0]
-    x, y = first[a], first[b]
-    if x < 0 and y < 0:
-        after = []
-        for vmap in candidates:
-            ab, ba = vmap.copy(), vmap.copy()
-            ab[a] = ba[b] = k
-            ab[b] = ba[a] = k + 1
-            after += ab, ba
-        return (k, k + 1), after, k + 2
-    if x < 0 or y < 0:
-        mapped, fresh = (b, a) if x < 0 else (a, b)
-        u = min([vmap[mapped] for vmap in candidates])
-        after = []
-        for vmap in candidates:
-            if vmap[mapped] == u:
-                vmap = vmap.copy()
-                vmap[fresh] = k
-                after.append(vmap)
-        return (u, k), after, k + 1
-    if len(candidates) == 1:  # the common case once the prefix is rigid
-        return ((x, y) if x < y else (y, x)), candidates, k
-    ends = [(v[a], v[b]) if v[a] < v[b] else (v[b], v[a]) for v in candidates]
-    pair = min(ends)
-    return pair, [vmap for vmap, end in zip(candidates, ends) if end == pair], k
+    if labels[a] < 0 and labels[b] < 0:
+        labels[a], labels[b] = k, k + 1
+        mates[a], mates[b] = b, a
+        return (k, k + 1), k + 2
+    for end in (a, b):
+        mate = mates.pop(end, None)
+        if mate is not None:
+            del mates[mate]
+            if labels[end] > labels[mate]:
+                labels[end], labels[mate] = labels[mate], labels[end]
+        elif labels[end] < 0:
+            labels[end] = k
+            k += 1
+    x, y = labels[a], labels[b]
+    return ((x, y) if x < y else (y, x)), k
 
 
-def _least_state(
-    n: int, pairs: Sequence[Pair]
-) -> tuple[tuple[Pair, ...], list[list[int]], int]:
-    """Fold :func:`_least_step` over ``pairs`` from the one empty relabeling.
+def _least_step(state: LeastState, a: int, b: int) -> tuple[Pair, LeastState]:
+    """:func:`_label_edge` on a copy of ``state``: the least pair of edge
+    ``(a, b)`` and the state after it.  ``state`` is never mutated, so one
+    state serves every extension of its prefix."""
+    labels, mates, k = state
+    if a in mates or b in mates or labels[a] < 0 and labels[b] < 0:
+        mates = mates.copy()  # the step opens or closes ends; else it shares them
+    labels = labels.copy()
+    pair, k = _label_edge(labels, mates, k, a, b)
+    return pair, (labels, mates, k)
 
-    Returns the least sequence and the step state ``(candidates, k)`` it
-    leaves, from which any further edge costs one step.
+
+def _least_state(n: int, pairs: Sequence[Pair]) -> tuple[tuple[Pair, ...], LeastState]:
+    """Fold :func:`_label_edge` over ``pairs`` in place from the empty labeling.
+
+    Returns the least sequence and the state it leaves, from which any
+    further edge costs one :func:`_least_step`.  No step copies the state,
+    so a k-edge sequence costs O(k + n).
     """
-    seq: list[Pair] = []
-    candidates: list[list[int]] = [[-1] * n]
-    k = 0
+    labels, mates, k = [-1] * n, {}, 0
+    seq = []
     for a, b in pairs:
-        pair, candidates, k = _least_step(candidates, k, a, b)
+        pair, k = _label_edge(labels, mates, k, a, b)
         seq.append(pair)
-    return tuple(seq), candidates, k
-
-
-def _isolated_edge(graph: EdgeOrderedGraph, a: int, b: int) -> bool:
-    """Whether ``(a, b)`` is a component of ``graph`` on its own.
-
-    Both of its ends are fresh when :func:`_least_step` reaches it, and no
-    other edge meets them, so the two orientations it branches into map
-    every edge alike: keeping one of each pair (``after[::2]``) changes no
-    least sequence, and a k-edge matching keeps one relabeling, not 2^k.
-    """
-    return len(graph.adjacency[a]) == 1 and len(graph.adjacency[b]) == 1
+    return tuple(seq), (labels, mates, k)
 
 
 def canonical_form(graph: EdgeOrderedGraph) -> EdgeOrderedGraph:
     """The canonical representative of the order-isomorphism class.
 
     Its rank order is the lexicographically least relabeled edge sequence
-    over all vertex bijections (:func:`_least_step` folded over its edges,
-    as in :func:`_least_state`, keeping one orientation of each isolated
-    edge), so two graphs are order-isomorphic iff their canonical forms
-    are equal, and forms on one ``n`` sort by their ``pairs_by_rank``
-    tuples.
-
-    Known blow-up: an edge whose two ends are fresh doubles the candidate
-    relabelings until a later edge tells its orientation apart, and only
-    isolated edges keep one.  A 2k-cycle whose k alternate edges are
-    ranked first doubles them k times: 0.074 s and 46 MB at k = 16
-    (Python 3.11.7, 2 cores).  No CLI command reaches such a graph.
+    over all vertex bijections (:func:`_least_state`), so two graphs are
+    order-isomorphic iff their canonical forms are equal, and forms on one
+    ``n`` sort by their ``pairs_by_rank`` tuples.
     """
-    seq: list[Pair] = []
-    candidates: list[list[int]] = [[-1] * graph.n]
-    k = 0
-    for a, b in graph.pairs_by_rank:
-        pair, candidates, k = _least_step(candidates, k, a, b)
-        if _isolated_edge(graph, a, b):
-            candidates = candidates[::2]
-        seq.append(pair)
-    return EdgeOrderedGraph(graph.n, tuple(seq))
+    return EdgeOrderedGraph(graph.n, _least_state(graph.n, graph.pairs_by_rank)[0])
 
 
 def _edge_automorphisms(shape: EdgeOrderedGraph, limit: int) -> tuple[tuple[int, ...], ...]:
@@ -367,13 +338,13 @@ def enumerate_orderings(
     holds at every position exactly for the least order of each orbit.
     The walk carries the :func:`_least_step` state down with it: a least
     sequence's prefix is the least sequence of that prefix, so each tree
-    node costs one step.  Once the stabilizer is trivial, one relabeling
-    is left (an isolated edge keeps one orientation, see
-    :func:`_isolated_edge`) and every non-isolated vertex has a label, the
-    suffix is rigid: each unused edge has a fixed image, every order of
-    them is admissible, and each order closes one class.  The walk then
-    relabels the unused edges once and lists the prefix followed by each
-    permutation of their sorted images, with no further step: 7,979 steps
+    node costs one step.  Once the stabilizer is trivial, every
+    non-isolated vertex has a label and every open end lies on an isolated
+    edge, whose pair either orientation gives, the suffix is rigid: each
+    unused edge has a fixed image, every order of them is admissible, and
+    each order closes one class.  The walk then relabels the unused edges
+    once and lists the prefix followed by each permutation of their
+    sorted images, with no further step: 7,979 steps
     for the 21,637 classes of the 19 connected five-vertex shapes of up to
     eight edges, against 58,889 at one step per tree node.  The prefix and
     the unused edges are one stack each, pushed and popped in place, and
@@ -405,24 +376,21 @@ def enumerate_orderings(
             f"{m}!/{len(group)} = {total // len(group)} classes exceed budget {max_labelings}"
         )
     pairs = sorted(shape.pairs_by_rank)
-    lone = {e for e, (a, b) in enumerate(pairs) if _isolated_edge(shape, a, b)}
     classes: list[tuple[Pair, ...]] = []
     interned: dict[Pair, Pair] = {}
     seq: list[Pair] = []
     remaining = list(range(m))
 
-    def extend(
-        candidates: list[list[int]], k: int, stabilizer: Sequence[tuple[int, ...]]
-    ) -> None:
+    def extend(state: LeastState, stabilizer: Sequence[tuple[int, ...]]) -> None:
+        labels, mates, k = state
         trivial = len(stabilizer) == 1
-        if trivial and len(candidates) == 1 and k == used:
+        if trivial and k == used and all(len(shape.adjacency[v]) == 1 for v in mates):
             # A rigid suffix: every edge left has a fixed image, and every
             # order of them is admissible, so each one closes a class.
-            vmap = candidates[0]
             rest = []
             for e in remaining:
                 a, b = pairs[e]
-                x, y = vmap[a], vmap[b]
+                x, y = labels[a], labels[b]
                 pair = (x, y) if x < y else (y, x)
                 rest.append(interned.setdefault(pair, pair))
             rest.sort()
@@ -435,17 +403,15 @@ def enumerate_orderings(
         for i in range(len(remaining)):
             e = remaining[i]
             if trivial or all(g[e] >= e for g in stabilizer):
-                pair, after, labels = _least_step(candidates, k, *pairs[e])
-                if e in lone:
-                    after = after[::2]
+                pair, after = _least_step(state, *pairs[e])
                 seq.append(interned.setdefault(pair, pair))
                 del remaining[i]
                 fixing = stabilizer if trivial else [g for g in stabilizer if g[e] == e]
-                extend(after, labels, fixing)
+                extend(after, fixing)
                 remaining.insert(i, e)
                 seq.pop()
 
-    extend(*_least_state(n, ())[1:], group)
+    extend(_least_state(n, ())[1], group)
     classes.sort()
     distinct = 1 + sum(a != b for a, b in pairwise(classes))
     if distinct * len(group) != total:

@@ -2,22 +2,22 @@
 
 The engine maps the pattern's edges in rank order, so partial maps are
 pruned by how many host ranks remain above the last used one.  It is the
-one order-preserving matcher: order-isomorphisms, star-canonical
-recognition and monotone paths all run on it.  Every public search
-returns certificates that re-verify with :func:`verify_embedding`, which
-is deliberately a plain double loop, independent of the search code.
+one order-preserving matcher: star-canonical subclique searches, copy
+counts and monotone paths run on it; order-isomorphisms need none.  Every
+public search returns certificates that re-verify with
+:func:`verify_embedding`, which is deliberately a plain double loop,
+independent of the search code.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 import time
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from itertools import permutations
+from itertools import permutations, product
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -286,9 +286,16 @@ def count_injections(
     return maps * math.perm(host.n - pattern.n + isolated, isolated)
 
 
+def _lone_edges(graph: EdgeOrderedGraph) -> list[Pair]:
+    """The single-edge components of ``graph``, ascending by rank."""
+    adj = graph.adjacency
+    return [(a, b) for a, b in graph.pairs_by_rank if len(adj[a]) == len(adj[b]) == 1]
+
+
 def count_order_automorphisms(pattern: EdgeOrderedGraph) -> int:
-    """Order-preserving automorphisms; divides the injection count evenly."""
-    return count_injections(pattern, pattern)
+    """Order-preserving automorphisms: only single-edge components flip and
+    isolated vertices permute (:func:`order_isomorphisms`)."""
+    return 2 ** len(_lone_edges(pattern)) * math.factorial(len(pattern.isolated_vertices()))
 
 
 def count_copies(
@@ -299,12 +306,11 @@ def count_copies(
     """Number of subgraphs of ``host`` order-isomorphic to ``pattern``.
 
     Copies are subgraphs: embeddings differing by an automorphism of the
-    pattern certify the same copy, so the injection count divides evenly.
-    Both counts run on one budget.
+    pattern certify the same copy, so the injection count, the one search
+    on ``budget``, divides evenly.
     """
-    budget = budget or SearchBudget()
     injections = count_injections(pattern, host, budget)
-    auts = count_injections(pattern, pattern, budget)
+    auts = count_order_automorphisms(pattern)
     if injections % auts:
         raise CertificateError(f"{injections} injections not divisible by {auts} automorphisms")
     return injections // auts
@@ -313,37 +319,59 @@ def count_copies(
 def order_isomorphisms(
     first: EdgeOrderedGraph, second: EdgeOrderedGraph
 ) -> Iterator[tuple[int, ...]]:
-    """Yield all order-isomorphisms as full vertex maps.
+    """Yield all order-isomorphisms as full vertex maps, the least first.
 
-    With equal edge counts the kernel's window pins edge i of ``first`` to
-    edge i of ``second``, so only endpoint orientations branch.  Isolated
-    vertices of ``first`` are matched to leftover vertices of ``second`` in
-    every possible way, so the stream is complete; no budget cuts it short.
+    One takes the rank-i edge to the rank-i edge, so a vertex on two edges
+    goes to the one vertex their images share, and the far end of a pendant
+    edge to the end its image has left.  Only single-edge components flip,
+    lesser end to lesser end first and the first edge flipped last, and
+    isolated vertices permute innermost, in the order of ``permutations``.
+    Nothing is searched.
     """
     if first.n != second.n or first.m != second.m:
         return
+    image = [-1] * first.n
+    ends = second.pairs_by_rank
+    for v, idx in first.incidence.items():
+        if len(idx) > 1:  # the end the images of its first two edges share
+            c, d = ends[idx[0]]
+            image[v] = c if c in ends[idx[1]] else d
+    for (a, b), (c, d) in zip(first.pairs_by_rank, ends):
+        if image[a] < 0:  # the end of (c, d) that b's image leaves; c if b has none yet
+            image[a] = c if image[b] in (-1, d) else d
+        if image[b] < 0:
+            image[b] = c if image[a] == d else d
+        if {image[a], image[b]} != {c, d}:
+            return
+    # Edges go onto edges, so ``second`` has as many isolated vertices or
+    # more, and more would leave two vertices on one image.
     isolated = first.isolated_vertices()
-    for vm in _embeddings(first, second, SearchBudget(sys.maxsize, math.inf)):
-        for assignment in permutations(vm[v] for v in isolated):
-            moved = dict(zip(isolated, assignment))
-            yield tuple(moved.get(v, x) for v, x in enumerate(vm))
+    for v, w in zip(isolated, second.isolated_vertices()):
+        image[v] = w
+    if len(set(image)) < first.n:
+        return
+    lone = _lone_edges(first)
+    for flips in product((False, True), repeat=len(lone)):
+        vm = image.copy()
+        for (a, b), flip in zip(lone, flips):
+            if flip:
+                vm[a], vm[b] = vm[b], vm[a]
+        for assignment in permutations(image[v] for v in isolated):
+            for v, w in zip(isolated, assignment):
+                vm[v] = w
+            yield tuple(vm)
 
 
 def are_order_isomorphic(
     first: EdgeOrderedGraph, second: EdgeOrderedGraph
 ) -> Optional[Embedding]:
-    """Lexicographically least order-isomorphism, as the :class:`Embedding`
-    of ``first`` into ``second`` that certifies it, or None.
-
-    Between graphs of equal size an embedding is an isomorphism, and the
-    first one found is the least: isomorphisms differ only by flipping
-    single-edge components and permuting isolated vertices, and the search
-    maps each such edge's lesser end first and fills isolated vertices in
-    ascending order.  No budget cuts the search short.
-    """
-    if first.n != second.n or first.m != second.m:
-        return None
-    return find_embedding(first, second, SearchBudget(sys.maxsize, math.inf))
+    """Lexicographically least order-isomorphism, the first of
+    :func:`order_isomorphisms`, as the :class:`Embedding` of ``first`` into
+    ``second`` that certifies it, or None.  An embedding between graphs of
+    equal size is an isomorphism, so :func:`verify_embedding` checks it."""
+    for vm in order_isomorphisms(first, second):
+        return _certified(first, second, Embedding(vm))
+    return None
 
 
 def monotone_path_graph(k: int) -> EdgeOrderedGraph:

@@ -18,7 +18,9 @@ from typing import Iterator, Optional
 
 from .canonical import ALL_STAR_TYPES, StarType
 from .characterize import _tile_checks, _type_checks
-from .core import DEFAULT_MAX_LABELINGS, EdgeOrderedGraph, Pair, _least_step, canonical_form
+from .core import (
+    DEFAULT_MAX_LABELINGS, EdgeOrderedGraph, LeastState, Pair, _least_step, canonical_form
+)
 from .embed import Embedding, SearchBudget
 from .errors import BadSize, BadSpec, CertificateError, Inconclusive
 
@@ -119,22 +121,22 @@ def _class_profiles(
         # as a bit mask over ``pairs``, so each child costs one step.
         pairs = list(combinations(range(f), 2))
         levels: list[dict[tuple[Pair, ...], int]] = [{(): _ALL_TYPES}]
-        states = {(): (0, [[-1] * f], 0)}
+        states: dict[tuple[Pair, ...], tuple[int, LeastState]] = {(): (0, ([-1] * f, {}, 0))}
         interned: dict[Pair, Pair] = {}
         for m in range(1, len(pairs) + 1):  # the children's edge count
             inherited: dict[tuple[Pair, ...], int] = {}
-            born: dict[tuple[Pair, ...], tuple[int, list[list[int]], int]] = {}
+            born: dict[tuple[Pair, ...], tuple[int, LeastState]] = {}
             for seq, passed in levels[-1].items():
-                edges, candidates, k = states[seq]
+                edges, state = states[seq]
                 for i, (a, b) in enumerate(pairs):
                     if not edges >> i & 1:
-                        step, after, labels = _least_step(candidates, k, a, b)
+                        step, after = _least_step(state, a, b)
                         child = seq + (interned.setdefault(step, step),)
                         shared = inherited.get(child)
                         if shared is None:
                             inherited[child] = passed
                             if m < len(pairs):  # K_f has no children
-                                born[child] = (edges | 1 << i, after, labels)
+                                born[child] = (edges | 1 << i, after)
                         else:
                             inherited[child] = shared & passed
             if checks:

@@ -311,7 +311,9 @@ def tile_via_cliques(
     The Hajnal-Szemeredi step is replaced by exact clique-cover search, in
     which a clique counts only once it is tiled, so the cover backtracks
     past a clique that does not tile.  A clique lies in one host component,
-    so what the strips leave of each is covered alone, smallest first.  The
+    so what the strips leave of each is covered alone, smallest first.  A
+    connected piece is stripped ``(|c|/f) mod (T/f)`` times from the least
+    vertices of each component ``c``, a disconnected one from the host's.  The
     minimum-degree hypothesis is only advisory and produces a warning when
     violated.  One budget bounds the whole call: the strips, the clique
     cover and every clique's tiling count against it.
@@ -338,12 +340,13 @@ def tile_via_cliques(
     finder = partial(_find_piece, piece, host, budget)
     stripped: list[Embedding] = []
     remaining = set(range(host.n))
-    for _ in range(host.n % t_clique // f):
-        emb = finder(sorted(remaining))
-        if emb is None:
-            return None
-        stripped.append(emb)
-        remaining -= emb.image
+    for part in [set(remaining)] if len(components(piece)) > 1 else components(host):
+        for _ in range(len(part) // f % (t_clique // f)):
+            emb = finder(sorted(remaining & part))
+            if emb is None:
+                return None
+            stripped.append(emb)
+            remaining -= emb.image
 
     def tiled_clique(subset: tuple[int, ...]) -> Optional[list[Embedding]]:
         if all(host.has_edge(a, b) for a, b in combinations(subset, 2)):

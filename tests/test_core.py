@@ -1,5 +1,6 @@
 """Core graph model: normalization, reversal, isomorphism, enumeration."""
 
+import copy
 import dataclasses
 import inspect
 import math
@@ -161,6 +162,12 @@ class TestOrderIsomorphism:
     def test_132_not_213(self):
         assert are_order_isomorphic(path_with_ranks("132"), path_with_ranks("213")) is None
 
+    def test_a_map_that_fails_its_check_raises(self, monkeypatch):
+        monkeypatch.setattr("eotile.embed.verify_embedding", lambda *args: False)
+        p = path_with_ranks("132")
+        with pytest.raises(CertificateError):
+            are_order_isomorphic(p, p)
+
     def test_k3_single_class(self):
         mn = canonical_clique(CanonicalType.MIN, 3)
         other = build_graph(3, [(0, 1, 3), (0, 2, 1), (1, 2, 2)])
@@ -209,9 +216,8 @@ class TestCanonicalCode:
         rng = random.Random(600 + n)
         pairs = list(combinations(range(n), 2))
         cases = [rng.sample(pairs, rng.randint(0, len(pairs))) for _ in range(25)]
-        # The complete graph and a perfect matching branch the most; sparse
-        # graphs have isolated edges, of which canonical_form keeps one
-        # orientation and _least_state keeps both.
+        # The complete graph and a perfect matching leave the most ends
+        # open; sparse graphs have isolated edges, which stay open to the end.
         cases += [rng.sample(pairs, len(pairs)), [(i, i + 1) for i in range(0, n - 1, 2)]]
         cases += [rng.sample(pairs, rng.randint(0, min(n, len(pairs)))) for _ in range(15)]
         for chosen in cases:
@@ -226,20 +232,23 @@ class TestCanonicalCode:
     @pytest.mark.parametrize("n", range(2, 8))
     def test_one_state_steps_every_extension(self, n):
         # A least sequence's prefix is the least sequence of that prefix, and
-        # the relabelings that reach it serve every extension: each non-edge
-        # is stepped from one shared state, so a step that mutated the
-        # candidates it was given would corrupt the later ones.
+        # the labeling that reaches it, open ends and all, serves every
+        # extension: each non-edge is stepped from one shared state, so a
+        # step that mutated the state it was given would corrupt the later
+        # ones.
         rng = random.Random(700 + n)
         pairs = list(combinations(range(n), 2))
         for _ in range(12):
             chosen = rng.sample(pairs, rng.randint(0, len(pairs) - 1))
             seq = core._least_state(n, chosen)[0]
-            least, candidates, k = core._least_state(n, seq)
+            least, state = core._least_state(n, seq)
             assert least == seq
+            kept = copy.deepcopy(state)
             for pair in pairs:
                 if pair not in seq:
-                    step, _, _ = core._least_step(candidates, k, *pair)
+                    step, _ = core._least_step(state, *pair)
                     assert seq + (step,) == core._least_state(n, seq + (pair,))[0], chosen
+                    assert state == kept, chosen
 
     @settings(deadline=None, max_examples=50)
     @given(small_graphs(max_n=4), small_graphs(max_n=4))
@@ -254,12 +263,29 @@ class TestCanonicalCode:
         assert canonical_form(rep) == rep
 
     def test_large_matching_has_one_relabeling(self):
-        # Both orientations of each isolated edge would make 2^1000 relabelings.
+        # Every edge stays open, and the one labeling is folded in place.
         started = time.perf_counter()
         matching = build_graph(2000, [(2 * i, 2 * i + 1, 1000 - i) for i in range(1000)])
         form = canonical_form(matching)
         assert form.pairs_by_rank == tuple((2 * i, 2 * i + 1) for i in range(1000))
         assert time.perf_counter() - started < 1.0
+
+    def test_cycle_with_alternate_edges_first_is_linear(self):
+        # The first k edges leave 2k open ends; each later edge meets two and
+        # closes both at their lower labels.  One labeling per candidate
+        # orientation would make 2^k of them.
+        k = 1000
+        cycle = build_graph(
+            2 * k,
+            [(2 * i, 2 * i + 1, i + 1) for i in range(k)]
+            + [(2 * i + 1, (2 * i + 2) % (2 * k), k + i + 1) for i in range(k)],
+        )
+        started = time.perf_counter()
+        form = canonical_form(cycle)
+        assert time.perf_counter() - started < 1.0
+        first = [(2 * i, 2 * i + 1) for i in range(k)]
+        closing = [(0, 2)] + [(2 * i + 1, 2 * i + 2) for i in range(1, k - 1)] + [(1, 2 * k - 1)]
+        assert form.pairs_by_rank == tuple(first + closing)
 
 
 class TestEnumerateOrderings:

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
 from itertools import combinations, permutations
 
 import numpy as np
@@ -180,21 +181,40 @@ class TestCountCopies:
             seen["positive"] += copies > 0
         assert all(count >= 20 for count in seen.values()), seen
 
-    def test_both_counts_run_on_one_budget(self):
-        # P2 takes 49 nodes of maps into MIN K5 and 4 of automorphisms: each
-        # count fits under 52 alone, the copy count does not.
+    def test_only_the_injection_count_spends_the_budget(self):
+        # P2 takes 49 nodes of maps into MIN K5; its automorphisms are a
+        # closed form and take none.
         pattern, host = monotone_path_graph(2), canonical_clique(CanonicalType.MIN, 5)
-        alone = []
-        for first, second in ((pattern, host), (pattern, pattern)):
-            own = SearchBudget(node_limit=52)
-            count_injections(first, second, own)
-            alone.append(own.nodes)
-        assert alone == [49, 4]
-        budget = SearchBudget(node_limit=53)
+        budget = SearchBudget(node_limit=49)
         assert count_copies(pattern, host, budget) == 30
-        assert budget.nodes == 53
-        with pytest.raises(Inconclusive, match="node budget 52 exhausted"):
-            count_copies(pattern, host, SearchBudget(node_limit=52))
+        assert budget.nodes == 49
+        with pytest.raises(Inconclusive, match="node budget 48 exhausted"):
+            count_copies(pattern, host, SearchBudget(node_limit=48))
+
+
+class TestOrderAutomorphisms:
+    def test_closed_form_matches_the_kernel_seeded(self):
+        # The kernel's count of maps of a pattern onto itself is the oracle.
+        rng = np.random.default_rng(3109)
+        seen = {"lone_edges": 0, "isolated": 0, "rigid": 0}
+        for _ in range(300):
+            n = int(rng.integers(0, 9))
+            pattern = random_graph(rng, n, int(rng.integers(0, n * (n - 1) // 2 + 1)))
+            auts = count_order_automorphisms(pattern)
+            assert auts == count_injections(pattern, pattern), pattern
+            seen["lone_edges"] += any(
+                pattern.degree(u) == pattern.degree(v) == 1 for u, v in pattern.pairs_by_rank
+            )
+            seen["isolated"] += bool(pattern.isolated_vertices())
+            seen["rigid"] += auts == 1
+        assert all(count >= 30 for count in seen.values()), seen
+
+    def test_large_matching_at_once(self):
+        # The kernel would list all 2^1000 maps.
+        matching = build_graph(2000, [(2 * i, 2 * i + 1, i + 1) for i in range(1000)])
+        started = time.perf_counter()
+        assert count_order_automorphisms(matching) == 2**1000
+        assert time.perf_counter() - started < 1.0
 
 
 class TestPatternsStayBare:
@@ -747,14 +767,7 @@ class TestCertificateChecks:
 
     def test_count_copies_divisibility(self, monkeypatch):
         # A single edge has 6 injections into K3; 4 does not divide them.
-        from eotile import embed
-
-        real = embed.count_injections
-
-        def four_automorphisms(pattern, host, budget=None):
-            return 4 if host is pattern else real(pattern, host, budget)
-
-        monkeypatch.setattr(embed, "count_injections", four_automorphisms)
+        monkeypatch.setattr("eotile.embed.count_order_automorphisms", lambda pattern: 4)
         with pytest.raises(CertificateError, match="not divisible"):
             count_copies(monotone_path_graph(1), canonical_clique(CanonicalType.MIN, 3))
 
@@ -815,6 +828,12 @@ class TestCertificateChecks:
                 pass
             else:
                 raise SystemExit("embedding check vanished")
+            try:
+                e.are_order_isomorphic(host, host)
+            except CertificateError:
+                pass
+            else:
+                raise SystemExit("isomorphism check vanished")
             try:
                 e.find_star_canonical_subclique(host, 0, 5)
             except CertificateError:

@@ -108,11 +108,52 @@ def test_only_core_calls_least_state():
 def test_least_state_call_is_detected():
     tree = ast.parse(
         "_least_state(n, seq)\ncore._least_state(n, seq)\n_least_state\n"
-        "_least_step(candidates, k, a, b)"
+        "_least_step(state, a, b)"
     )
     assert [calls(node.value, "_least_state") for node in tree.body] == [
         True, True, False, False
     ]
+
+
+def reached_calls(tree, roots):
+    """Names called by the functions ``roots`` of ``tree``, directly or
+    through the module-level functions of ``tree`` that they call."""
+    bodies = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    reached, todo = set(), list(roots)
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            if name in bodies:
+                todo += [name_of(n.func) for n in ast.walk(bodies[name]) if isinstance(n, ast.Call)]
+    return reached
+
+
+ISOMORPHISMS = ("order_isomorphisms", "are_order_isomorphic", "count_order_automorphisms")
+
+
+def test_isomorphisms_run_no_search():
+    # An order-isomorphism maps the rank-i edge to the rank-i edge, so its
+    # map is forced but for flips and isolated vertices; the kernel would
+    # search for what a closed form gives.
+    tree = ast.parse((SOURCE / "embed.py").read_text(), filename="embed.py")
+    for root in ISOMORPHISMS:
+        assert reached_calls(tree, [root]).isdisjoint({"_embeddings", "find_embedding"}), root
+    # The forced map is still checked, as every certificate is.
+    assert "_certified" in reached_calls(tree, ["are_order_isomorphic"])
+
+
+def test_search_reached_through_a_helper_is_detected():
+    tree = ast.parse(
+        "def order_isomorphisms(a, b):\n"
+        "    return _forced(a, b)\n"
+        "def _forced(a, b):\n"
+        "    return embed.find_embedding(a, b)\n"
+        "def count_order_automorphisms(p):\n"
+        "    return len(list(order_isomorphisms))\n"
+    )
+    assert "find_embedding" in reached_calls(tree, ["order_isomorphisms"])
+    assert "find_embedding" not in reached_calls(tree, ["count_order_automorphisms"])
 
 
 def lines_outside(tree, matches, allowed):

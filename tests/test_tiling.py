@@ -43,7 +43,7 @@ from eotile import tiling as tiling_module
 from eotile.canonical import CanonicalType
 from eotile.characterize import is_tileable, path_with_ranks
 import eotile
-from eotile.core import EdgeOrderedGraph
+from eotile.core import EdgeOrderedGraph, components
 
 
 def brute_spanning_copy(pattern, host_ranks, block):
@@ -372,6 +372,19 @@ class TestTileViaCliques:
         assert tiling is not None
         assert verify_tiling(host, piece, tiling)
 
+    def test_strips_inside_each_component(self):
+        # A K_4 beside a K_6, single-edge pieces, T = 4: one piece comes off
+        # the K_6 and each component leaves a K_4.  Stripping from the least
+        # vertices of the whole host broke the K_4 and left 2 + 6.
+        k4, k6 = canonical_clique(CanonicalType.MIN, 4), canonical_clique(CanonicalType.MIN, 6)
+        host = build_graph(10, list(k4.edges) + [(u + 4, v + 4, r + 6) for u, v, r in k6.edges])
+        piece = monotone_path_graph(1)
+        assert perfect_tiling_exact(host, piece) is not None
+        with pytest.warns(DegreeBoundWarning):
+            tiling = tile_via_cliques(host, piece, 4)
+        assert tiling is not None
+        assert verify_tiling(host, piece, tiling)
+
     def test_strips_to_fix_divisibility(self):
         host = canonical_clique(CanonicalType.MIN, 9)
         k3 = canonical_clique(CanonicalType.MIN, 3)
@@ -622,7 +635,8 @@ def whole_set_clique_pieces(host, piece, t_clique):
     """The clique tiler's sorted pieces, its clique cover run once over every
     vertex the strips leave, components ignored: the least uncovered vertex
     first, whichever component it lies in.  Each clique is tiled by the
-    sorting cover over first maps found in induced subgraphs."""
+    sorting cover over first maps found in induced subgraphs.  The piece is
+    connected, so each component ``c`` gives ``(|c|/f) mod (T/f)`` strips."""
 
     def first_map(subset):
         emb = find_embedding(piece, induced_subgraph(host, subset))
@@ -649,12 +663,13 @@ def whole_set_clique_pieces(host, piece, t_clique):
         return None
 
     remaining, stripped = set(range(host.n)), []
-    for _ in range(host.n % t_clique // piece.n):
-        found = first_map(sorted(remaining))
-        if found is None:
-            return None
-        stripped.append(found)
-        remaining -= set(found)
+    for comp in components(host):
+        for _ in range(len(comp) // piece.n % (t_clique // piece.n)):
+            found = first_map(sorted(remaining & comp))
+            if found is None:
+                return None
+            stripped.append(found)
+            remaining -= set(found)
     pieces = cover(frozenset(remaining))
     return None if pieces is None else sorted(stripped + pieces)
 
