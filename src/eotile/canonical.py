@@ -5,7 +5,9 @@ come from standard integer labelings.  A star-canonical ordering of
 ``K_{n+1}`` has one special vertex ``x`` whose removal leaves a canonical
 clique, with the ``x``-edge labels drawn from one of five families; five
 families times four canonical parts gives the twenty types.  Recognizing
-them in a graph runs on the embedding kernel, in :mod:`eotile.embed`.
+them in a graph, in :mod:`eotile.embed`, needs no search: a K_f is of a
+type iff it is order-isomorphic to that type's generated clique, and
+where the special vertex's edges rank is read off :func:`star_labels`.
 """
 
 from __future__ import annotations

@@ -2,8 +2,8 @@
 
 The engine maps the pattern's edges in rank order, so partial maps are
 pruned by how many host ranks remain above the last used one.  It is the
-one order-preserving matcher: star-canonical subclique searches, copy
-counts and monotone paths run on it; order-isomorphisms need none.  Every
+one order-preserving matcher: copy counts and monotone paths run on it;
+order-isomorphisms and star-canonical subclique searches need none.  Every
 public search returns certificates that re-verify with
 :func:`verify_embedding`, which is deliberately a plain double loop,
 independent of the search code.
@@ -21,7 +21,7 @@ from itertools import permutations, product
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-from .canonical import ALL_STAR_TYPES, StarType, star_canonical_clique
+from .canonical import ALL_STAR_TYPES, StarFamily, StarType, star_canonical_clique, star_labels
 from .core import EdgeOrderedGraph, Pair, _incidence, _pairs_within, _vertex_subset, build_graph
 from .errors import (
     BadSize,
@@ -51,9 +51,10 @@ class SearchBudget:
 
     Every search given a budget ticks it, so searches that share one share
     its count and its clock, which starts when it is made; budgets compare
-    by identity.  A node is a kernel call or a map it extends, or a set an
-    exact cover tries, so no search works long between two ticks.  A NaN
-    time limit, which no elapsed time exceeds, is refused.
+    by identity.  A node is a kernel call or a map it extends, a set an
+    exact cover tries, or a prefix or leaf type a star subclique search
+    tries, so no search works long between two ticks.  A NaN time limit,
+    which no elapsed time exceeds, is refused.
     """
 
     node_limit: int = 20_000_000
@@ -403,8 +404,8 @@ def monotone_star_subsequence(host: EdgeOrderedGraph, x: int) -> tuple[int, ...]
     Ties between increasing and decreasing go to increasing; within a
     direction the lexicographically smallest neighbor sequence wins.
     """
-    if not (0 <= x < host.n):
-        raise BadVertex(f"vertex {x} not in graph")
+    if type(x) is not int or not (0 <= x < host.n):  # a bool is not a vertex
+        raise BadVertex(f"vertex {x!r} not in graph")
     neighbors = sorted(host.adjacency[x])
     ranks = [host.rank_of(x, v) for v in neighbors]
     d = len(ranks)
@@ -489,13 +490,13 @@ def classify_star_canonical(
     return results
 
 
-def _special_key(pairs: Sequence[Pair], x: int) -> tuple[int, ...]:
-    """The positions in rank-ordered ``pairs`` of the pairs through ``x``."""
-    return tuple(i for i, pair in enumerate(pairs) if x in pair)
+def _special_key(pairs: Sequence[Pair], x: int) -> bytes:
+    """One flag byte per pair of rank-ordered ``pairs``: 1 if it is through ``x``."""
+    return bytes(x in pair for pair in pairs)
 
 
 @lru_cache(maxsize=None)
-def _star_masks_by_key(f: int) -> Mapping[tuple[int, ...], int]:
+def _star_masks_by_key(f: int) -> Mapping[bytes, int]:
     """The star types of ``K_f``, grouped by the :func:`_special_key` of the
     special vertex in their generated clique, each group as a bitmask over
     the positions of its types in ``ALL_STAR_TYPES``.  Memoized per f, so
@@ -503,21 +504,29 @@ def _star_masks_by_key(f: int) -> Mapping[tuple[int, ...], int]:
 
     An order-isomorphism maps rank i to rank i, so an f-subset can be
     star-canonical with special vertex x only under the types whose key is
-    x's key among the subset's pairs.  There are six keys for f >= 4.
+    x's key among the subset's pairs.  There are six keys for f >= 4, read
+    off :func:`star_labels` with no clique built: the special vertex's f-1
+    edges rank last (larger), first (smaller), or as its labels sort.
     """
-    index: dict[tuple[int, ...], int] = {}
+    index: dict[bytes, int] = {}
+    ones, part = b"\1" * (f - 1), bytes((f - 1) * (f - 2) // 2)
     for i, kind in enumerate(ALL_STAR_TYPES):
-        generated, special = star_canonical_clique(kind, f)
-        key = _special_key(generated.pairs_by_rank, special)
+        if kind.family is StarFamily.MIDDLE_INC:
+            labels, special = star_labels(kind, f)
+            key = _special_key(sorted(labels, key=labels.__getitem__), special)
+        elif kind.family in (StarFamily.LARGER_DEC, StarFamily.LARGER_INC):
+            key = part + ones
+        else:
+            key = ones + part
         index[key] = index.get(key, 0) | 1 << i
     return MappingProxyType(index)
 
 
 def _alive_subsets(
     host: EdgeOrderedGraph, x: int, f: int, budget: SearchBudget
-) -> Iterator[tuple[list[int], int]]:
+) -> Iterator[tuple[list[int], list[Pair], int]]:
     """The f-subsets through ``x`` that no prefix rules out, ascending, each
-    with the bitmask of the ``ALL_STAR_TYPES`` it may still match.
+    with its pairs in rank order and its bitmask of ``ALL_STAR_TYPES`` left.
 
     Subsets grow depth-first from ``x`` by the other vertices in ascending
     order, so they come in the order of ``combinations``.  A prefix of size
@@ -525,32 +534,33 @@ def _alive_subsets(
     was its :func:`_special_key` at every size so far, and is cut when none
     is left: every subset through ``x`` of a star-canonical set with special
     vertex ``x`` is star-canonical of the same type.  A prefix's pairs are
-    kept as ascending ``(rank, through x)`` entries, one ``insort`` per new
-    pair.  Each prefix grown costs one ``budget.tick()``.
+    kept as ascending ints ``rank * 2 + through x``, one ``insort`` per new
+    pair, so its key is their low bits.  Each prefix costs one tick.
     """
     others = [v for v in range(host.n) if v != x]
     rank = host.rank
 
     def grow(
-        prefix: list[int], ranked: list[tuple[int, bool]], alive: int, start: int
-    ) -> Iterator[tuple[list[int], int]]:
+        prefix: list[int], ranked: list[int], alive: int, start: int
+    ) -> Iterator[tuple[list[int], list[Pair], int]]:
         # Candidates for the next of ``prefix``, leaving room for the rest.
         size = len(prefix) + 2
+        table = _star_masks_by_key(size) if size >= 3 else {}
         for i in range(start, len(others) - f + size):
             budget.tick()
             v = others[i]
             grown = ranked.copy()
-            insort(grown, (rank[(x, v) if x < v else (v, x)], True))
+            insort(grown, rank[(x, v) if x < v else (v, x)] * 2 + 1)
             for u in prefix:
-                insort(grown, (rank[(u, v)], False))
+                insort(grown, rank[(u, v)] * 2)
             left = alive
             if size >= 3:
-                key = tuple(j for j, (_, through_x) in enumerate(grown) if through_x)
-                left &= _star_masks_by_key(size).get(key, 0)
+                left &= table.get(bytes(map((1).__and__, grown)), 0)
                 if not left:
                     continue
             if size == f:
-                yield sorted((x, *prefix, v)), left
+                pairs = [host.pairs_by_rank[(p >> 1) - 1] for p in grown]
+                yield sorted((x, *prefix, v)), pairs, left
             else:
                 yield from grow([*prefix, v], grown, left, i + 1)
 
@@ -570,21 +580,26 @@ def find_star_canonical_subclique(
     as soon as a prefix's special-vertex key rules out every type
     (:func:`_alive_subsets`), so the result is that of scanning all
     C(n-1, f-1) subsets in order and types in the fixed check order.  A
-    subset that survives is matched, inside it (``within=``) and on the
-    request's one budget, only against the types still alive.  The special
-    vertex's f-1 >= 2 edges then land on x's pairs, whose one common vertex
-    is x, so every match maps the special vertex to x.
+    subset that survives is relabeled ``0..f-1`` and compared with the
+    generated clique of each type still alive by :func:`order_isomorphisms`;
+    a K_f with f >= 3 has at most one onto another, so no search is made.
+    The special vertex's key is x's, so the map sends it to x.  Each prefix
+    grown and each type tried costs one node of the request's budget.
     """
     if not host.is_complete():
         raise NotComplete("subclique search requires a complete host")
-    if not (0 <= x < host.n):
-        raise BadVertex(f"vertex {x} not in graph")
+    if type(x) is not int or not (0 <= x < host.n):  # a bool is not a vertex
+        raise BadVertex(f"vertex {x!r} not in graph")
     if f < 3 or f > host.n:
         raise BadSize(f"subclique size {f} out of range 3..{host.n}")
     budget = budget or SearchBudget()
-    for subset, alive in _alive_subsets(host, x, f, budget):
+    for subset, ranked, alive in _alive_subsets(host, x, f, budget):
+        index = {v: i for i, v in enumerate(subset)}
+        leaf = EdgeOrderedGraph(f, tuple((index[u], index[v]) for u, v in ranked))
         for kind in (k for i, k in enumerate(ALL_STAR_TYPES) if alive >> i & 1):
+            budget.tick()
             generated, _ = star_canonical_clique(kind, f)
-            for vm in _embeddings(generated, host, budget, subset):
+            for cert in order_isomorphisms(generated, leaf):
+                vm = tuple(subset[w] for w in cert)
                 return kind, _certified(generated, host, Embedding(vm), subset)
     return None

@@ -13,6 +13,7 @@ from eotile import (
     NotComplete,
     are_order_isomorphic,
     build_graph,
+    find_embedding,
     find_star_canonical_subclique,
     induced_subgraph,
     order_isomorphisms,
@@ -396,6 +397,35 @@ def reference_subclique(host, x, f):
     return None
 
 
+def kernel_subclique(host, x, f):
+    """The search as the embedding kernel made it: subsets through ``x`` in
+    ``combinations`` order, types in check order, and the first embedding of
+    the generated clique inside the subset, kept if its special vertex lands
+    on ``x``."""
+    for rest in combinations([v for v in range(host.n) if v != x], f - 1):
+        subset = sorted((x, *rest))
+        for kind in ALL_STAR_TYPES:
+            generated, special = star_canonical_clique(kind, f)
+            emb = find_embedding(generated, host, within=subset)
+            if emb is not None and emb.vertex_map[special] == x:
+                return kind, emb.vertex_map
+    return None
+
+
+def planted_clique_ordering(rng, n, kind, f):
+    """A random ordering of K_n in which vertex 0 and f-1 random others
+    induce the generated star-canonical K_f of ``kind``, 0 special: the
+    planted pairs trade their ranks among themselves."""
+    host = random_clique_ordering(rng, n)
+    generated, special = star_canonical_clique(kind, f)
+    place = [int(v) for v in rng.choice(range(1, n), size=f - 1, replace=False)]
+    place.insert(special, 0)
+    planted = [tuple(sorted((place[a], place[b]))) for a, b in generated.pairs_by_rank]
+    ranks = dict(host.rank)
+    ranks.update(zip(planted, sorted(ranks[pair] for pair in planted)))
+    return build_graph(n, [(u, v, r) for (u, v), r in ranks.items()])
+
+
 @pytest.mark.parametrize("f", range(3, 8))
 def test_classification_matches_every_type_on_generated_cliques(f):
     # Matching each vertex only against its key's types loses nothing: the
@@ -467,6 +497,24 @@ class TestStarSubcliqueMatches:
                 outcomes.add(expected is None)
         assert outcomes == {True, False}
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_k12_matches_both_references(self, seed):
+        # The benchmark's searches: x = 0, f = 6 on random K12 orderings.
+        host = random_clique_ordering(np.random.default_rng(seed), 12)
+        got = find_star_canonical_subclique(host, 0, 6)
+        if got is not None:
+            got = got[0], got[1].vertex_map
+        assert got == reference_subclique(host, 0, 6) == kernel_subclique(host, 0, 6)
+
+    @pytest.mark.parametrize("kind", ALL_STAR_TYPES, ids=str)
+    def test_planted_k12_matches_both_references(self, kind):
+        rng = np.random.default_rng(100 + ALL_STAR_TYPES.index(kind))
+        host = planted_clique_ordering(rng, 12, kind, 6)
+        got = find_star_canonical_subclique(host, 0, 6)
+        assert got is not None
+        got = got[0], got[1].vertex_map
+        assert got == reference_subclique(host, 0, 6) == kernel_subclique(host, 0, 6)
+
     def test_non_clique_subset_never_matches(self):
         host = build_graph(4, [(0, 1, 1), (1, 2, 2), (2, 3, 3), (0, 2, 4), (1, 3, 5)])
         with pytest.raises(NotComplete):
@@ -476,8 +524,9 @@ class TestStarSubcliqueMatches:
 
     def test_rejects_foreign_vertices(self):
         host = canonical_clique(CanonicalType.MIN, 4)
-        with pytest.raises(BadVertex):
-            find_star_canonical_subclique(host, 4, 3)
+        for x in (4, -1, 1.5, True):  # True == 1, but a flag is not a vertex
+            with pytest.raises(BadVertex):
+                find_star_canonical_subclique(host, x, 3)
 
 
 class TestMemoizedCliques:

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import eotile
+from eotile import canonical
 from eotile import (
     BadSpec,
     BadVertex,
@@ -290,6 +291,15 @@ class TestMonotoneStarSubsequence:
         h = build_graph(3, [(0, 1, 1)])
         assert monotone_star_subsequence(h, 2) == ()
 
+    @pytest.mark.parametrize(
+        "x", [4, -1, 1.5, True], ids=["foreign", "negative", "fractional", "bool"]
+    )
+    def test_rejects_a_non_vertex(self, x):
+        # True == 1 and would index vertex 1; a flag is not a vertex.
+        h = build_graph(4, [(3, 0, 5), (3, 1, 1), (3, 2, 3)])
+        with pytest.raises(BadVertex):
+            monotone_star_subsequence(h, x)
+
     def test_erdos_szekeres_bound_random(self):
         rng = np.random.default_rng(123)
         for _ in range(50):
@@ -393,23 +403,38 @@ class TestStarSubcliqueSearch:
             assert sum(index.values()) == (1 << len(ALL_STAR_TYPES)) - 1
 
     def test_matching_counts_against_the_request_budget(self):
-        # The first subset matches.  Its four prefix nodes, the failed
-        # matches of the four smaller-dec types and the 11-node match of
-        # smaller-inc.min take 40 nodes in all; a budget per match would
-        # never need more than 11.
+        # The first subset matches.  Its four prefix nodes, one node for each
+        # of the four smaller-dec types it fails and one for smaller-inc.min,
+        # which it matches, take 9 nodes in all.
         host = canonical_clique(CanonicalType.MIN, 6)
-        assert find_star_canonical_subclique(host, 0, 5, SearchBudget(node_limit=40)) is not None
+        assert find_star_canonical_subclique(host, 0, 5, SearchBudget(node_limit=9)) is not None
         with pytest.raises(Inconclusive):
-            find_star_canonical_subclique(host, 0, 5, SearchBudget(node_limit=39))
+            find_star_canonical_subclique(host, 0, 5, SearchBudget(node_limit=8))
 
     def test_prefix_cut_refutes_a_random_k20_in_few_nodes(self):
         # Trying every 7-subset through x costs at least C(19,6) = 27,132
-        # nodes; growing prefixes and cutting them by key takes 1,639 here.
-        # Matching a surviving subset also against the types a smaller
-        # prefix ruled out would take 1,969.
+        # nodes; growing prefixes and cutting them by key takes 1,575 here,
+        # and the one subset that survives fails its 8 alive types in 8 more.
         host = random_graph(np.random.default_rng(0), 20, 190)
         assert find_star_canonical_subclique(host, 0, 7, SearchBudget(node_limit=2_000)) is None
-        assert find_star_canonical_subclique(host, 0, 7, SearchBudget(node_limit=1_700)) is None
+        assert find_star_canonical_subclique(host, 0, 7, SearchBudget(node_limit=1_583)) is None
+        with pytest.raises(Inconclusive):
+            find_star_canonical_subclique(host, 0, 7, SearchBudget(node_limit=1_582))
+
+    def test_no_hit_search_builds_no_clique(self, monkeypatch):
+        # The key table comes off the labels, and a generated clique is built
+        # only for a subset that survives all its prefixes; on this K12 none
+        # does, so neither the table nor the search builds one.
+        def refuse(*args):
+            raise AssertionError("a graph was built")
+
+        host = random_graph(np.random.default_rng(1), 12, 66)
+        _star_masks_by_key.cache_clear()
+        star_canonical_clique.cache_clear()
+        monkeypatch.setattr(canonical, "build_graph", refuse)
+        assert find_star_canonical_subclique(host, 0, 6) is None
+        info = star_canonical_clique.cache_info()
+        assert info.hits + info.misses == 0
 
     @pytest.mark.parametrize("f", range(4, 10))
     def test_every_subset_through_the_special_vertex_keeps_the_type(self, f):
@@ -777,6 +802,22 @@ class TestCertificateChecks:
         with pytest.raises(CertificateError):
             find_star_canonical_subclique(host, 0, 5)
 
+    def test_corrupted_leaf_map_is_rejected(self, monkeypatch):
+        # The first subset matches smaller-inc.min; its map with two entries
+        # swapped is no isomorphism, since a K_f has only one onto another.
+        from eotile import embed
+
+        real = embed.order_isomorphisms
+
+        def swapped(first, second):
+            for cert in real(first, second):
+                yield (cert[1], cert[0], *cert[2:])
+
+        monkeypatch.setattr(embed, "order_isomorphisms", swapped)
+        host = canonical_clique(CanonicalType.MIN, 6)
+        with pytest.raises(CertificateError):
+            find_star_canonical_subclique(host, 0, 5)
+
     def test_image_outside_subset_is_rejected(self, monkeypatch):
         from eotile import embed
 
@@ -821,6 +862,15 @@ class TestCertificateChecks:
                     pass
                 else:
                     raise SystemExit("tiling check vanished")
+            real = e.order_isomorphisms
+            e.order_isomorphisms = lambda a, b: ((c[1], c[0], *c[2:]) for c in real(a, b))
+            try:
+                e.find_star_canonical_subclique(host, 0, 5)
+            except CertificateError:
+                pass
+            else:
+                raise SystemExit("leaf map check vanished")
+            e.order_isomorphisms = real
             e.verify_embedding = lambda *args: False
             try:
                 e.find_embedding(monotone_path_graph(2), host, within=[1, 2, 3])

@@ -135,12 +135,14 @@ ISOMORPHISMS = ("order_isomorphisms", "are_order_isomorphic", "count_order_autom
 def test_isomorphisms_run_no_search():
     # An order-isomorphism maps the rank-i edge to the rank-i edge, so its
     # map is forced but for flips and isolated vertices; the kernel would
-    # search for what a closed form gives.
+    # search for what a closed form gives.  A surviving star subset is one
+    # K_f, compared with each generated clique by that forced map.
     tree = ast.parse((SOURCE / "embed.py").read_text(), filename="embed.py")
-    for root in ISOMORPHISMS:
+    for root in (*ISOMORPHISMS, "find_star_canonical_subclique"):
         assert reached_calls(tree, [root]).isdisjoint({"_embeddings", "find_embedding"}), root
     # The forced map is still checked, as every certificate is.
     assert "_certified" in reached_calls(tree, ["are_order_isomorphic"])
+    assert "_certified" in reached_calls(tree, ["find_star_canonical_subclique"])
 
 
 def test_search_reached_through_a_helper_is_detected():
