@@ -1,9 +1,10 @@
 """Decision procedures and constructions for Turanable and tileable graphs.
 
-Turanability is decided by embedding into the four canonical orderings of
-K_f; tileability by embedding into the twenty star-canonical orderings of
-K_f.  The pendant extensions and named families provide the stock of
-graphs the propositions are exercised on.
+Turanability asks for embeddings into the four canonical orderings of
+K_f, which are vertex orders found from precedence arcs with no search;
+tileability is decided by embedding into the twenty star-canonical
+orderings of K_f.  The pendant extensions and named families provide the
+stock of graphs the propositions are exercised on.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .core import MAX_HOST_VERTICES, EdgeOrderedGraph, Pair, build_graph, compon
 from .embed import (
     Embedding,
     SearchBudget,
+    _certified,
     _embeddings,
     find_embedding,
     monotone_path_graph,
@@ -32,7 +34,7 @@ from .embed import (
 from .errors import BadAnchor, BadSpec, BadVertex, CertificateError, NotTuranable
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Verdict:
     """A decision over type checks: every kind's certificate, or the first failing kind."""
 
@@ -70,10 +72,11 @@ def _peels(n: int, pairs: Sequence[Pair]) -> bool:
             continue
         c = a if a in pairs[p + 1] else b
         end = last[c]
-        for q in range(p + 1, end + 1):
-            if c not in pairs[q]:
+        p += 1
+        while p <= end:
+            if c not in pairs[p]:
                 return False
-        p = end + 1
+            p += 1
     return True
 
 
@@ -88,20 +91,11 @@ def _peel_ends(graph: EdgeOrderedGraph) -> tuple[bool, bool]:
 _CheckRecord = tuple[Any, EdgeOrderedGraph, bool, bool]
 
 
-def _check(kind: Any, host: EdgeOrderedGraph) -> _CheckRecord:
-    return (kind, host, *_peel_ends(host))
-
-
-@lru_cache(maxsize=None)
-def _canonical_checks(f: int) -> tuple[_CheckRecord, ...]:
-    """The four canonical checks on ``f`` vertices in ``CANONICAL_ORDER``, built once."""
-    return tuple(_check(kind, canonical_clique(kind, f)) for kind in CANONICAL_ORDER)
-
-
 @lru_cache(maxsize=None)
 def _tile_checks(f: int) -> tuple[_CheckRecord, ...]:
     """The twenty star checks on ``f`` vertices in ``ALL_STAR_TYPES`` order, built once."""
-    return tuple(_check(kind, star_canonical_clique(kind, f)[0]) for kind in ALL_STAR_TYPES)
+    hosts = (star_canonical_clique(kind, f)[0] for kind in ALL_STAR_TYPES)
+    return tuple((kind, host, *_peel_ends(host)) for kind, host in zip(ALL_STAR_TYPES, hosts))
 
 
 def _type_checks(
@@ -118,10 +112,9 @@ def _type_checks(
     that peels from an end refutes, with no search and no node, a graph
     whose order does not peel from that end: an embedding sends the host
     block of vertex c exactly the remaining pattern edges at the vertex
-    mapped to c, so it would peel the pattern the same way.  The MIN and
-    INV_MIN cliques peel from the front, MAX and INV_MAX from the back, and
-    twelve of the twenty star cliques from one end (all twenty at f = 4).
-    Every other check is searched.  The graph's flag for an end is computed
+    mapped to c, so it would peel the pattern the same way.  Twelve of the
+    twenty star cliques peel from one end (all twenty at f = 4).  Every
+    other check is searched.  The graph's flag for an end is computed
     when the first host that peels from that end comes up, so a graph
     refuted at its first check costs one pass.
     """
@@ -158,18 +151,149 @@ def _first_failure(
     return Verdict(True, certificates=certificates)
 
 
+# The Turan checks decided from the back, and those whose blocks fall.  The
+# reversed rank order of the MAX (INV_MAX) clique is the MIN (INV_MIN)
+# clique's order with its vertices read backwards.
+_FROM_BACK = (CanonicalType.MAX, CanonicalType.INV_MAX)
+_FALLING = (CanonicalType.INV_MIN, CanonicalType.INV_MAX)
+
+
+def _precede(ancestors: list[int], covered: int, path: Sequence[int]) -> int:
+    """Add the arcs of ``path``, each vertex before the next, to the
+    transitive closure ``ancestors`` (each vertex's ancestors as a bitmask,
+    and ``covered`` the vertices that are an ancestor of some vertex).
+    Returns the new ``covered``, or -1 once an arc closes a cycle."""
+    for x, y in zip(path, path[1:]):
+        above = ancestors[x]
+        if above >> y & 1:
+            return -1
+        add = above | 1 << x
+        if ancestors[y] | add != ancestors[y]:
+            bit = 1 << y
+            if covered & bit:  # y has descendants, and they inherit the arc
+                for w, its in enumerate(ancestors):
+                    if its & bit:
+                        ancestors[w] = its | add
+            ancestors[y] |= add
+            covered |= add
+    return covered
+
+
+def _block_order(
+    n: int, pairs: Sequence[Pair], falling: bool, budget: SearchBudget
+) -> Optional[list[int]]:
+    """A vertex order under which ``pairs`` rise in the MIN clique (INV_MIN
+    when ``falling``), or None when there is none; nothing is embedded.
+
+    The MIN clique ranks an edge by its earlier end, its owner, then by its
+    later end, rising (falling in INV_MIN).  So such an order splits
+    ``pairs`` into blocks as :func:`_peels` does, each every remaining edge
+    at its owner, and asks for precedence arcs per block: the previous
+    owner before this one, the owner before the block's other ends, and
+    those chained in block order (reversed when ``falling``), one path in
+    all.  Conversely any order keeping the arcs of a split is an answer.
+    The arcs go into a transitive closure, and an arc closing a cycle ends
+    the split.  An endpoint of the block's first edge can own the block iff
+    every edge from there to its last one meets it, and both can only where
+    one of them has no later edge; each such branch node costs one tick,
+    and its second owner is tried when the first fails.  The answer sorts
+    the vertices by ancestor count.
+    """
+    m = len(pairs)
+    if m == 0:
+        return list(range(n))
+    # Each vertex's last edge, and the first of the run of edges at it that ends there.
+    last = [0] * n
+    start = [0] * n
+    before: Pair = (-1, -1)
+    for q, (u, v) in enumerate(pairs):
+        if u not in before:
+            start[u] = q
+        if v not in before:
+            start[v] = q
+        last[u] = last[v] = q
+        before = (u, v)
+    # Splits to go on with: block start, its owner (-1 to choose), the
+    # previous owner (-1 before the first block), and the closure.
+    stack = [(0, -1, -1, [0] * n, 0)]
+    while stack:
+        p, owner, prev, ancestors, covered = stack.pop()
+        while covered >= 0:
+            if owner < 0:
+                a, b = pairs[p]
+                if start[a] <= p:
+                    owner = a
+                    if start[b] <= p:
+                        budget.tick()
+                        stack.append((p, b, prev, ancestors.copy(), covered))
+                elif start[b] <= p:
+                    owner = b
+                else:
+                    break
+            end = last[owner]
+            others = [u + v - owner for u, v in pairs[p : end + 1]]
+            if falling:
+                others.reverse()
+            path = [prev, owner, *others] if prev >= 0 else [owner, *others]
+            covered = _precede(ancestors, covered, path)
+            if covered >= 0 and end + 1 == m:
+                counts = [above.bit_count() for above in ancestors]
+                return sorted(range(n), key=counts.__getitem__)
+            p, owner, prev = end + 1, -1, owner
+    return None
+
+
+def _canonical_verdict(
+    graph: EdgeOrderedGraph, kinds: Iterable[CanonicalType], budget: Optional[SearchBudget]
+) -> Verdict:
+    """The canonical checks ``kinds`` in order, to the first failure, on one
+    ``budget``: a verdict naming the failing kind, or holding every
+    certificate.
+
+    Each is :func:`_block_order` on the graph's rank order, reversed for
+    MAX and INV_MAX, after :func:`_peels` on that order: a graph that does
+    not peel from an end fails the two kinds decided from it, and its flag
+    for an end is computed when a kind first needs it, so a graph refuted
+    at MIN costs one pass.  The budget is made, when None, once the first
+    peel holds.  Each order is sent to its clique and certified there.
+    """
+    n, pairs = graph.n, graph.pairs_by_rank
+    peels: dict[bool, bool] = {}
+    certificates: dict[Any, Embedding] = {}
+    for kind in kinds:
+        back = kind in _FROM_BACK
+        ranked = pairs[::-1] if back else pairs
+        if back not in peels:
+            peels[back] = _peels(n, ranked)
+        order = None
+        if peels[back]:
+            budget = budget or SearchBudget()
+            order = _block_order(n, ranked, kind in _FALLING, budget)
+        if order is None:
+            return Verdict(False, failing=kind)
+        vm = [0] * n
+        for i, v in enumerate(reversed(order) if back else order):
+            vm[v] = i
+        host = canonical_clique(kind, n)
+        certificates[kind] = _certified(graph, host, Embedding(tuple(vm)))
+    return Verdict(True, certificates=certificates)
+
+
 def is_turanable(graph: EdgeOrderedGraph, budget: Optional[SearchBudget] = None) -> Verdict:
-    """Check the four canonical orderings of K_f in fixed order.
+    """Check the four canonical orderings of K_f in ``CANONICAL_ORDER``.
 
     Returns certificates for all four on success, or the first failing
-    type.  A failure is an exhausted search or, for a graph whose order
-    does not peel from the front (MIN, INV_MIN) or back (MAX, INV_MAX), the
-    type loop's peel cut.  One budget bounds all four searches; its
-    exhaustion raises Inconclusive rather than answering.
+    type.  An embedding into a complete canonical clique on the graph's own
+    vertices is a vertex order, so each check is decided by precedence
+    arcs (:func:`_canonical_verdict`) with no embedding search; a graph
+    whose order does not peel from the front (MIN, INV_MIN) or back (MAX,
+    INV_MAX) fails those checks after one pass.  One budget bounds the
+    branch nodes of all four; its exhaustion raises Inconclusive rather
+    than answering.
     """
     if _trivial_pattern(graph):
         return Verdict(True)
-    return _first_failure(graph, _canonical_checks(graph.n), budget)
+    return _canonical_verdict(graph, CANONICAL_ORDER, budget)
 
 
 def is_tileable(graph: EdgeOrderedGraph, budget: Optional[SearchBudget] = None) -> Verdict:
@@ -228,7 +352,7 @@ def extremal_vertices(
     if graph.m == 0:
         return isolated, isolated
     budget = budget or SearchBudget()
-    verdict = _first_failure(graph, _canonical_checks(graph.n), budget)
+    verdict = _canonical_verdict(graph, CANONICAL_ORDER, budget)
     if not verdict.value:
         raise NotTuranable(f"no embedding into the {verdict.failing.value} ordering")
     f = graph.n
@@ -372,14 +496,15 @@ def turanable_four_coloring(
     Vertices with no later neighbor in the min-embedding order form one
     independent set, likewise for the inverse-min order; the rest induces
     a forest and takes two more colors.  Colors are compacted to 0..c-1.
+    The two orders are the MIN and INV_MIN certificates of
+    :func:`_canonical_verdict`, found from precedence arcs with no search;
+    only those two checks run, on one budget.
     """
     if graph.n == 0:
         return {}
     if graph.m == 0:
         return {v: 0 for v in range(graph.n)}
-    wanted = (CanonicalType.MIN, CanonicalType.INV_MIN)
-    checks = [check for check in _canonical_checks(graph.n) if check[0] in wanted]
-    verdict = _first_failure(graph, checks, budget)
+    verdict = _canonical_verdict(graph, (CanonicalType.MIN, CanonicalType.INV_MIN), budget)
     if not verdict.value:
         raise NotTuranable(f"no embedding into the {verdict.failing.value} ordering")
     pos_min, pos_inv = (emb.vertex_map for emb in verdict.certificates.values())

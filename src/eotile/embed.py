@@ -3,7 +3,8 @@
 The engine maps the pattern's edges in rank order, so partial maps are
 pruned by how many host ranks remain above the last used one.  It is the
 one order-preserving matcher: copy counts and monotone paths run on it;
-order-isomorphisms and star-canonical subclique searches need none.  Every
+order-isomorphisms, star-canonical subclique searches and the canonical
+checks of :mod:`eotile.characterize` need none.  Every
 public search returns certificates that re-verify with
 :func:`verify_embedding`, which is deliberately a plain double loop,
 independent of the search code.
@@ -450,6 +451,8 @@ def star_edge_coloring(
     host: EdgeOrderedGraph, x: int, pair: tuple[int, int]
 ) -> StarColor:
     """B if both x-edges are above the pair edge, S if both below, else M."""
+    if type(x) is not int or not (0 <= x < host.n):  # a bool is not a vertex
+        raise BadVertex(f"vertex {x!r} not in graph")
     vi, vj = pair
     if len({x, vi, vj}) != 3:
         raise BadVertex("center and pair vertices must be distinct")

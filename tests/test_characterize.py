@@ -57,6 +57,7 @@ from eotile.characterize import (
     path_with_ranks,
     turanable_four_coloring,
 )
+from eotile.core import components
 from eotile.embed import Embedding, find_embedding, monotone_path_graph, verify_embedding
 from eotile.necessity import _profile_table, scan_classes
 
@@ -490,9 +491,9 @@ class TestCertificateChecks:
         # vertices, a triangle, are left over.
         monkeypatch.setattr(
             characterize,
-            "_first_failure",
-            lambda g, checks, budget: Verdict(
-                True, {kind: Embedding(tuple(range(g.n))) for kind, *_ in checks}
+            "_canonical_verdict",
+            lambda g, kinds, budget: Verdict(
+                True, {kind: Embedding(tuple(range(g.n))) for kind in kinds}
             ),
         )
         with pytest.raises(CertificateError, match="coloring is not proper"):
@@ -502,19 +503,19 @@ class TestCertificateChecks:
 class TestOneBudgetPerCall:
     """Every search of one decision counts against a single budget."""
 
-    # Each of the twenty star searches of the path 1-2-3 expands 4 nodes,
-    # and each of the four canonical ones too.
-    @pytest.mark.parametrize("decide, total", [(is_tileable, 80), (is_turanable, 16)])
+    # Each of the twenty star searches of the path 1-2-3 expands 4 nodes;
+    # the four canonical checks meet 10 branch nodes in all.
+    @pytest.mark.parametrize("decide, total", [(is_tileable, 80), (is_turanable, 10)])
     def test_node_limit_bounds_the_whole_call(self, decide, total):
         graph = path_with_ranks("123")
         assert decide(graph, SearchBudget(node_limit=total)).value
         with pytest.raises(Inconclusive, match=f"node budget {total - 1} exhausted"):
             decide(graph, SearchBudget(node_limit=total - 1))
 
-    # d_graph(5): the MIN and INV_MIN searches expand 8 nodes each; the four
-    # Turan checks and both extremal enumerations expand 101 in all.
+    # d_graph(5): the MIN and INV_MIN checks meet 4 branch nodes; the four
+    # Turan checks meet 8, and with both extremal enumerations it is 60.
     @pytest.mark.parametrize(
-        "construct, total", [(turanable_four_coloring, 16), (extremal_vertices, 101)]
+        "construct, total", [(turanable_four_coloring, 4), (extremal_vertices, 60)]
     )
     def test_node_limit_bounds_the_constructions(self, construct, total):
         graph = d_graph(5)
@@ -530,9 +531,9 @@ class TestOneBudgetPerCall:
 
             assert False  # stripped under -O
             graph = d_graph(5)
-            found = extremal_vertices(graph, SearchBudget(node_limit=101))
+            found = extremal_vertices(graph, SearchBudget(node_limit=60))
             try:
-                extremal_vertices(graph, SearchBudget(node_limit=100))
+                extremal_vertices(graph, SearchBudget(node_limit=59))
             except Inconclusive:
                 print("bounded" if found else "no vertices")
             """
@@ -610,14 +611,22 @@ def oracle_graphs():
 
 class TestTypeLoopMatchesPerSearchOracle:
     """One loop on one budget decides exactly what separately budgeted
-    searches decided: same values, failing types and certificates."""
+    searches decided: same values and failing types, and for the star
+    checks the same certificates."""
 
     def test_catalog_size(self, oracle_graphs):
         assert len(oracle_graphs) == 91 + 462
 
     def test_turanable(self, oracle_graphs):
+        # The canonical checks search nothing, so their certificates are
+        # orders of their own, each checked against its clique.
         verdicts = [is_turanable(g) for g in oracle_graphs]
-        assert verdicts == [reference_turanable(g) for g in oracle_graphs]
+        expected = [reference_turanable(g) for g in oracle_graphs]
+        assert [(v.value, v.failing) for v in verdicts] == [(e.value, e.failing) for e in expected]
+        for graph, verdict, reference in zip(oracle_graphs, verdicts, expected):
+            assert verdict.certificates.keys() == reference.certificates.keys()
+            for kind, emb in verdict.certificates.items():
+                assert verify_embedding(graph, canonical_clique(kind, graph.n), emb)
         assert {v.value for v in verdicts} == {True, False}
 
     def test_tileable(self, oracle_graphs):
@@ -714,6 +723,114 @@ def random_pattern(rng, host):
     return EdgeOrderedGraph(k, tuple(pairs))
 
 
+def connected_shapes(n, max_edges):
+    """One graph per isomorphism class of connected graphs on ``n``
+    vertices with at most ``max_edges`` edges."""
+    every = list(combinations(range(n), 2))
+    shapes = {}
+    for m in range(n - 1, max_edges + 1):
+        for chosen in combinations(every, m):
+            graph = build_graph(n, [(u, v, r) for r, (u, v) in enumerate(chosen, 1)])
+            if len(components(graph)) > 1:
+                continue
+            key = min(
+                tuple(sorted(tuple(sorted((s[u], s[v]))) for u, v in chosen))
+                for s in permutations(range(n))
+            )
+            shapes.setdefault(key, graph)
+    return list(shapes.values())
+
+
+def sub_order(rng, n):
+    """A random sub-order of a random canonical clique on ``n`` vertices,
+    relabeled by a random permutation, and every third one with two
+    neighbouring edges swapped."""
+    host = canonical_clique(rng.choice(CANONICAL_ORDER), n)
+    label = rng.sample(range(n), n)
+    pairs = [
+        tuple(sorted((label[u], label[v]))) for u, v in host.pairs_by_rank if rng.random() < 0.4
+    ]
+    if rng.random() < 1 / 3 and len(pairs) > 1:
+        i = rng.randrange(len(pairs) - 1)
+        pairs[i], pairs[i + 1] = pairs[i + 1], pairs[i]
+    return EdgeOrderedGraph(n, tuple(pairs))
+
+
+def arcs_agree_with_the_kernel(graph):
+    """Each canonical check decided alone by the arcs against the kernel's
+    search of its clique; returns how many the graph passes."""
+    passed = 0
+    for kind in CANONICAL_ORDER:
+        host = canonical_clique(kind, graph.n)
+        verdict = characterize._canonical_verdict(graph, (kind,), None)
+        assert verdict.value == (find_embedding(graph, host) is not None), (graph, kind)
+        if verdict.value:
+            assert verify_embedding(graph, host, verdict.certificates[kind])
+            passed += 1
+        else:
+            assert verdict.failing is kind
+    return passed
+
+
+class TestArcsMatchTheKernel:
+    """Each canonical check, decided by precedence arcs, passes exactly when
+    the kernel embeds the graph into that clique, with a certificate."""
+
+    def test_every_class_on_at_most_four_vertices(self):
+        graphs = [g for g in scan_classes(4) if g.n >= 3]
+        assert sum(map(arcs_agree_with_the_kernel, graphs)) > 50
+
+    def test_every_class_of_the_sparse_five_vertex_shapes(self):
+        shapes = connected_shapes(5, 8)
+        assert len(shapes) == 19
+        classes = [g for shape in shapes for g in enumerate_orderings(shape)]
+        assert len(classes) == 21_637
+        assert sum(map(arcs_agree_with_the_kernel, classes)) > 1000
+
+    @pytest.mark.parametrize("drop", [0, 1], ids=["K5", "K5-minus-an-edge"])
+    def test_dense_five_vertex_classes_seeded(self, drop):
+        # Uniform orders are almost never canonical: the relabeled
+        # canonical cliques, less an edge for K5 minus one, join the sample.
+        rng = random.Random(drop)
+        every = list(combinations(range(5), 2))
+        graphs = [EdgeOrderedGraph(5, tuple(rng.sample(every, 10 - drop))) for _ in range(300)]
+        for kind in CANONICAL_ORDER:
+            label = rng.sample(range(5), 5)
+            kept = canonical_clique(kind, 5).pairs_by_rank[drop:]
+            graphs.append(
+                EdgeOrderedGraph(5, tuple(tuple(sorted((label[u], label[v]))) for u, v in kept))
+            )
+        assert sum(map(arcs_agree_with_the_kernel, graphs)) >= 4
+
+    def test_sub_orders_of_larger_cliques_seeded(self):
+        rng = random.Random(7)
+        graphs = [sub_order(rng, rng.randint(6, 10)) for _ in range(150)]
+        assert sum(map(arcs_agree_with_the_kernel, graphs)) > 100
+
+    def test_branch_nodes_are_counted_on_one_budget(self):
+        graph = path_with_ranks("123456")
+        budget = SearchBudget()
+        assert is_turanable(graph, budget).value
+        nodes = budget.nodes
+        assert nodes >= 2
+        assert is_turanable(graph, SearchBudget(node_limit=nodes)).value
+        with pytest.raises(Inconclusive, match=f"node budget {nodes - 1} exhausted"):
+            is_turanable(graph, SearchBudget(node_limit=nodes - 1))
+
+    def test_a_long_path_needs_no_recursion(self):
+        # The splits are walked with an explicit stack: 1,200 blocks, past
+        # the recursion limit, a branch node at each, and no clique built.
+        # Under the order, the edges rise by (earlier end, later end) as in
+        # the MIN clique.
+        pairs = monotone_path_graph(1200).pairs_by_rank
+        budget = SearchBudget()
+        order = characterize._block_order(1201, pairs, False, budget)
+        assert budget.nodes == 1200
+        position = {v: i for i, v in enumerate(order)}
+        keys = [tuple(sorted((position[u], position[v]))) for u, v in pairs]
+        assert sorted(order) == list(range(1201)) and keys == sorted(keys)
+
+
 class TestPeelCut:
     """The type loop refutes a graph against a clique that peels from an
     end when the graph does not peel from that end; no search runs."""
@@ -771,9 +888,8 @@ class TestPeelCut:
 
     def test_each_end_is_peeled_once_when_first_needed(self, monkeypatch):
         # reverse(1423) fails the front peel at MIN: one pass.  1423 peels
-        # from the front, so MIN is searched and MAX takes the back pass.
+        # from the front, so MIN is decided by arcs and MAX takes the back pass.
         graph = path_with_ranks("1423")
-        is_turanable(graph)  # builds the check records, the cliques' flags with them
         passes = []
         peels = characterize._peels
         monkeypatch.setattr(
@@ -786,12 +902,6 @@ class TestPeelCut:
 
     def test_check_tuples_are_built_once_per_size(self):
         assert characterize._tile_checks(6) is characterize._tile_checks(6)
-        assert characterize._canonical_checks(6) is characterize._canonical_checks(6)
-        cliques = [canonical_clique(kind, 6) for kind in CANONICAL_ORDER]
-        assert characterize._canonical_checks(6) == tuple(
-            (kind, host, *characterize._peel_ends(host))
-            for kind, host in zip(CANONICAL_ORDER, cliques)
-        )
         stars = [star_canonical_clique(kind, 6)[0] for kind in ALL_STAR_TYPES]
         assert characterize._tile_checks(6) == tuple(
             (kind, host, *characterize._peel_ends(host))
@@ -842,7 +952,8 @@ class TestPeelCut:
         assert embedded > 200 and not_peeling > 20
 
     def test_refutations_take_no_node(self, monkeypatch):
-        # 1423 peels from the front only: MIN is searched, MAX refuted unsearched.
+        # 1423 peels from the front only: MIN is decided by arcs, MAX
+        # refuted by the back peel; neither runs a search.
         searches = []
         monkeypatch.setattr(
             characterize, "find_embedding",
@@ -851,11 +962,10 @@ class TestPeelCut:
         graph = path_with_ranks("1423")
         assert characterize._peel_ends(graph) == (True, False)
         assert is_turanable(graph).failing is CanonicalType.MAX
-        assert len(searches) == 1
-        flipped = reverse(graph)
-        verdict = is_turanable(flipped, SearchBudget(node_limit=1))
-        assert verdict.failing is CanonicalType.MIN
-        assert len(searches) == 1
+        budget = SearchBudget(node_limit=1)
+        assert is_turanable(reverse(graph), budget).failing is CanonicalType.MIN
+        assert budget.nodes == 0
+        assert searches == []
 
     def test_refutations_make_no_budget(self, monkeypatch):
         # The type loop makes its budget at the first search, so a graph the
@@ -869,28 +979,37 @@ class TestPeelCut:
         with pytest.raises(AssertionError, match="budget made"):
             is_turanable(graph)
 
-    def test_far_fewer_searches_and_the_same_verdicts(self, peel_shape_classes, monkeypatch):
-        searches = []
+    def test_far_fewer_arc_decisions_and_the_same_verdicts(self, peel_shape_classes, monkeypatch):
+        # The peel is only a shortcut: with every graph peeling, each check
+        # reaches the arcs, which refute what the peel did.
+        decided = []
+        block_order = characterize._block_order
         monkeypatch.setattr(
-            characterize, "find_embedding",
-            lambda *args, **kwargs: searches.append(args) or find_embedding(*args, **kwargs),
+            characterize, "_block_order", lambda *args: decided.append(args) or block_order(*args)
         )
         cut = [is_turanable(g) for g in peel_shape_classes]
-        with_cut = len(searches)
-        # The cached check records keep their flags; every graph now peels.
+        with_cut = len(decided)
         monkeypatch.setattr(characterize, "_peels", lambda n, pairs: True)
         assert [is_turanable(g) for g in peel_shape_classes] == cut
-        assert 10 * with_cut < len(searches) - with_cut
+        assert 10 * with_cut < len(decided) - with_cut
 
     def test_cut_survives_optimized_mode(self):
+        # The peel cut still refutes, and an order the arcs return is still
+        # certified: reversed, D(4)'s MIN order is no embedding.
         script = textwrap.dedent(
             """
-            from eotile import SearchBudget, reverse
-            from eotile.characterize import is_turanable, path_with_ranks
+            import eotile.characterize as ch
+            from eotile import CertificateError, SearchBudget, reverse
+            from eotile.characterize import d_graph, is_turanable, path_with_ranks
 
             assert False  # stripped under -O
             verdict = is_turanable(reverse(path_with_ranks("1423")), SearchBudget(node_limit=1))
-            print(verdict.failing.value)
+            real = ch._block_order
+            ch._block_order = lambda *args: real(*args)[::-1]
+            try:
+                is_turanable(d_graph(4))
+            except CertificateError:
+                print(verdict.failing.value)
             """
         )
         assert run_optimized(script) == "min"

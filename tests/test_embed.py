@@ -359,6 +359,12 @@ class TestStarEdgeColoring:
         with pytest.raises(BadVertex):
             star_edge_coloring(g, 0, (0, 1))
 
+    @pytest.mark.parametrize("x", [True, 1.5, 7, -1])
+    def test_center_must_be_a_vertex(self, x):
+        # A bool is not vertex 1, and a center off the graph is no missing edge.
+        with pytest.raises(BadVertex, match="not in graph"):
+            star_edge_coloring(canonical_clique(CanonicalType.MIN, 4), x, (0, 2))
+
 
 class TestStarSubcliqueSearch:
     def test_hereditary_host_always_finds(self):

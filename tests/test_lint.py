@@ -158,6 +158,31 @@ def test_search_reached_through_a_helper_is_detected():
     assert "find_embedding" not in reached_calls(tree, ["count_order_automorphisms"])
 
 
+def test_canonical_checks_run_no_search():
+    # An embedding into a complete canonical clique is a vertex order, so
+    # the Turan checks find it from precedence arcs; the order is still
+    # certified against its clique.
+    tree = ast.parse((SOURCE / "characterize.py").read_text(), filename="characterize.py")
+    for root in ("is_turanable", "turanable_four_coloring"):
+        reached = reached_calls(tree, [root])
+        assert reached.isdisjoint({"_embeddings", "find_embedding"}), root
+        assert "_certified" in reached, root
+
+
+def test_canonical_search_reached_through_a_helper_is_detected():
+    tree = ast.parse(
+        "def is_turanable(g):\n"
+        "    return _verdict(g)\n"
+        "def _verdict(g):\n"
+        "    return _certified(g, h, embed._embeddings(g, h, b))\n"
+        "def turanable_four_coloring(g):\n"
+        "    return _certified(g, h, e)\n"
+    )
+    assert {"_embeddings", "_certified"} <= reached_calls(tree, ["is_turanable"])
+    reached = reached_calls(tree, ["turanable_four_coloring"])
+    assert "_certified" in reached and "_embeddings" not in reached
+
+
 def lines_outside(tree, matches, allowed):
     """Lines of nodes that ``matches`` and no function named in ``allowed`` encloses."""
     found = []
