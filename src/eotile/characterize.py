@@ -12,7 +12,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Any, Iterable, Iterator, Optional, Sequence
+from types import MappingProxyType
+from typing import Any, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .canonical import (
     ALL_STAR_TYPES,
@@ -20,33 +21,41 @@ from .canonical import (
     CanonicalType,
     StarType,
     canonical_clique,
+    canonical_label,
     star_canonical_clique,
 )
-from .core import MAX_HOST_VERTICES, EdgeOrderedGraph, Pair, build_graph, components
-from .embed import (
-    Embedding,
-    SearchBudget,
-    _certified,
-    _embeddings,
-    find_embedding,
-    monotone_path_graph,
-)
-from .errors import BadAnchor, BadSpec, BadVertex, CertificateError, NotTuranable
+from .core import MAX_HOST_VERTICES, EdgeOrderedGraph, Pair, _check_vertex, build_graph, components
+from .embed import Embedding, SearchBudget, _embeddings, find_embedding, monotone_path_graph
+from .errors import BadAnchor, BadSpec, CertificateError, NotTuranable
+
+
+_NO_CERTIFICATES: Mapping[Any, Embedding] = MappingProxyType({})
 
 
 @dataclass(frozen=True, slots=True)
 class Verdict:
-    """A decision over type checks: every kind's certificate, or the first failing kind."""
+    """A decision over type checks: every kind's certificate, or the first failing kind.
+
+    ``certificates`` is a read-only mapping.  The decision procedures
+    return one shared verdict per refused kind, and one for every pattern
+    on at most two vertices, so a refusal allocates nothing; a verdict
+    built with a plain dict compares equal to the one returned.
+    """
 
     value: bool
-    certificates: dict[CanonicalType | StarType, Embedding] = field(default_factory=dict)
+    certificates: Mapping[CanonicalType | StarType, Embedding] = field(
+        default_factory=lambda: _NO_CERTIFICATES
+    )
     failing: Optional[CanonicalType | StarType] = None
 
 
-def _trivial_pattern(graph: EdgeOrderedGraph) -> bool:
-    # Graphs on at most two vertices embed into every ordered clique of
-    # their size, so both decision procedures are vacuously true.
-    return graph.n <= 2
+# The shared verdicts: the refusal of each of the 24 kinds, and the success
+# of a pattern on at most two vertices, which embeds into every ordered
+# clique of its size.
+_REFUSED: dict[Any, Verdict] = {
+    kind: Verdict(False, failing=kind) for kind in (*CANONICAL_ORDER, *ALL_STAR_TYPES)
+}
+_VACUOUS = Verdict(True)
 
 
 def _peels(n: int, pairs: Sequence[Pair]) -> bool:
@@ -146,9 +155,9 @@ def _first_failure(
     certificates: dict[Any, Embedding] = {}
     for kind, emb in _type_checks(graph, checks, budget):
         if emb is None:
-            return Verdict(False, failing=kind)
+            return _REFUSED[kind]
         certificates[kind] = emb
-    return Verdict(True, certificates=certificates)
+    return Verdict(True, MappingProxyType(certificates))
 
 
 # The Turan checks decided from the back, and those whose blocks fall.  The
@@ -243,40 +252,67 @@ def _block_order(
     return None
 
 
+def _certified_order(
+    kind: CanonicalType, n: int, pairs: Sequence[Pair], vm: Sequence[int]
+) -> Embedding:
+    """``vm`` as an embedding into ``canonical_clique(kind, n)``, checked by
+    label with no clique built: a permutation of ``range(n)`` (so injective,
+    every image in range), with ``canonical_label`` strictly rising along
+    the rank order ``pairs``.
+
+    An explicit check rather than an ``assert``, so it survives ``python -O``.
+    """
+    if sorted(vm) != list(range(n)):
+        raise CertificateError(f"order {tuple(vm)} is no permutation of range({n})")
+    last = 0  # every canonical label is positive
+    for u, v in pairs:
+        i, j = (vm[u], vm[v]) if vm[u] < vm[v] else (vm[v], vm[u])
+        label = canonical_label(kind, n, i + 1, j + 1)
+        if label <= last:
+            raise CertificateError(f"order {tuple(vm)} failed re-verification")
+        last = label
+    return Embedding(tuple(vm))
+
+
 def _canonical_verdict(
     graph: EdgeOrderedGraph, kinds: Iterable[CanonicalType], budget: Optional[SearchBudget]
 ) -> Verdict:
     """The canonical checks ``kinds`` in order, to the first failure, on one
-    ``budget``: a verdict naming the failing kind, or holding every
-    certificate.
+    ``budget``: the shared refusal of the failing kind, or a verdict
+    holding every certificate.
 
     Each is :func:`_block_order` on the graph's rank order, reversed for
     MAX and INV_MAX, after :func:`_peels` on that order: a graph that does
     not peel from an end fails the two kinds decided from it, and its flag
     for an end is computed when a kind first needs it, so a graph refuted
-    at MIN costs one pass.  The budget is made, when None, once the first
-    peel holds.  Each order is sent to its clique and certified there.
+    at MIN costs one pass and allocates nothing else.  The budget is made,
+    when None, once the first peel holds.  Each order is certified by
+    label (:func:`_certified_order`), so no clique is built.
     """
     n, pairs = graph.n, graph.pairs_by_rank
-    peels: dict[bool, bool] = {}
-    certificates: dict[Any, Embedding] = {}
+    front: Optional[bool] = None  # whether the rank order peels from the front
+    back: Optional[bool] = None  # and from the back
+    certificates: Optional[dict[Any, Embedding]] = None
     for kind in kinds:
-        back = kind in _FROM_BACK
-        ranked = pairs[::-1] if back else pairs
-        if back not in peels:
-            peels[back] = _peels(n, ranked)
-        order = None
-        if peels[back]:
-            budget = budget or SearchBudget()
-            order = _block_order(n, ranked, kind in _FALLING, budget)
+        from_back = kind in _FROM_BACK
+        ranked = pairs[::-1] if from_back else pairs
+        if from_back and back is None:
+            back = _peels(n, ranked)
+        elif not from_back and front is None:
+            front = _peels(n, ranked)
+        if not (back if from_back else front):
+            return _REFUSED[kind]
+        budget = budget or SearchBudget()
+        order = _block_order(n, ranked, kind in _FALLING, budget)
         if order is None:
-            return Verdict(False, failing=kind)
+            return _REFUSED[kind]
         vm = [0] * n
-        for i, v in enumerate(reversed(order) if back else order):
+        for i, v in enumerate(reversed(order) if from_back else order):
             vm[v] = i
-        host = canonical_clique(kind, n)
-        certificates[kind] = _certified(graph, host, Embedding(tuple(vm)))
-    return Verdict(True, certificates=certificates)
+        if certificates is None:
+            certificates = {}
+        certificates[kind] = _certified_order(kind, n, pairs, vm)
+    return Verdict(True, MappingProxyType(certificates or {}))
 
 
 def is_turanable(graph: EdgeOrderedGraph, budget: Optional[SearchBudget] = None) -> Verdict:
@@ -289,10 +325,11 @@ def is_turanable(graph: EdgeOrderedGraph, budget: Optional[SearchBudget] = None)
     whose order does not peel from the front (MIN, INV_MIN) or back (MAX,
     INV_MAX) fails those checks after one pass.  One budget bounds the
     branch nodes of all four; its exhaustion raises Inconclusive rather
-    than answering.
+    than answering.  A graph on at most two vertices embeds into every
+    ordered clique of its size.
     """
-    if _trivial_pattern(graph):
-        return Verdict(True)
+    if graph.n <= 2:
+        return _VACUOUS
     return _canonical_verdict(graph, CANONICAL_ORDER, budget)
 
 
@@ -301,10 +338,10 @@ def is_tileable(graph: EdgeOrderedGraph, budget: Optional[SearchBudget] = None) 
     one budget.  A failing type may be refuted by the type loop's peel cut
     instead of a search.  A tileable graph is Turanable with no further
     check: the four ``CANONICAL_COINCIDENT_TYPES`` cliques are the canonical
-    orderings.
+    orderings.  A graph on at most two vertices is vacuously tileable.
     """
-    if _trivial_pattern(graph):
-        return Verdict(True)
+    if graph.n <= 2:
+        return _VACUOUS
     return _first_failure(graph, _tile_checks(graph.n), budget)
 
 
@@ -374,6 +411,7 @@ def add_pendant(graph: EdgeOrderedGraph, v: int, side: str) -> EdgeOrderedGraph:
     """
     if side not in ("below", "above"):
         raise BadSpec(f"side must be 'below' or 'above', got {side!r}")
+    _check_vertex(graph, v)
     if graph.m == 0:
         raise BadAnchor("pendant extension needs at least one edge")
     pairs = graph.pairs_by_rank
@@ -396,9 +434,8 @@ def add_two_pendants(
     the new globally largest one.  A graph that is not Turanable raises
     :class:`NotTuranable`, as in :func:`extremal_vertices`.
     """
-    for v in (vmin, vmax):
-        if not (0 <= v < graph.n):
-            raise BadVertex(f"vertex {v} not in graph")
+    _check_vertex(graph, vmin)
+    _check_vertex(graph, vmax)
     if vmin == vmax:
         raise BadAnchor("minimal and maximal anchors must be distinct")
     if not graph.adjacency[vmin] or not graph.adjacency[vmax]:

@@ -134,6 +134,13 @@ def reverse(graph: EdgeOrderedGraph) -> EdgeOrderedGraph:
     return EdgeOrderedGraph(graph.n, graph.pairs_by_rank[::-1])
 
 
+def _check_vertex(graph: EdgeOrderedGraph, v: object) -> None:
+    """BadVertex unless ``v`` is an int vertex of ``graph``: a bool, a float
+    and a negative index are not vertices."""
+    if type(v) is not int or not 0 <= v < graph.n:
+        raise BadVertex(f"vertex {v!r} not in graph")
+
+
 def _vertex_subset(graph: EdgeOrderedGraph, vertices) -> list[int]:
     """``vertices`` deduplicated and ascending; BadVertex if one is not in ``graph``."""
     subset = sorted(set(vertices))

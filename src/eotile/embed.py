@@ -23,7 +23,15 @@ from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .canonical import ALL_STAR_TYPES, StarFamily, StarType, star_canonical_clique, star_labels
-from .core import EdgeOrderedGraph, Pair, _incidence, _pairs_within, _vertex_subset, build_graph
+from .core import (
+    EdgeOrderedGraph,
+    Pair,
+    _check_vertex,
+    _incidence,
+    _pairs_within,
+    _vertex_subset,
+    build_graph,
+)
 from .errors import (
     BadSize,
     BadSpec,
@@ -405,8 +413,7 @@ def monotone_star_subsequence(host: EdgeOrderedGraph, x: int) -> tuple[int, ...]
     Ties between increasing and decreasing go to increasing; within a
     direction the lexicographically smallest neighbor sequence wins.
     """
-    if type(x) is not int or not (0 <= x < host.n):  # a bool is not a vertex
-        raise BadVertex(f"vertex {x!r} not in graph")
+    _check_vertex(host, x)
     neighbors = sorted(host.adjacency[x])
     ranks = [host.rank_of(x, v) for v in neighbors]
     d = len(ranks)
@@ -451,8 +458,7 @@ def star_edge_coloring(
     host: EdgeOrderedGraph, x: int, pair: tuple[int, int]
 ) -> StarColor:
     """B if both x-edges are above the pair edge, S if both below, else M."""
-    if type(x) is not int or not (0 <= x < host.n):  # a bool is not a vertex
-        raise BadVertex(f"vertex {x!r} not in graph")
+    _check_vertex(host, x)
     vi, vj = pair
     if len({x, vi, vj}) != 3:
         raise BadVertex("center and pair vertices must be distinct")
@@ -591,8 +597,7 @@ def find_star_canonical_subclique(
     """
     if not host.is_complete():
         raise NotComplete("subclique search requires a complete host")
-    if type(x) is not int or not (0 <= x < host.n):  # a bool is not a vertex
-        raise BadVertex(f"vertex {x!r} not in graph")
+    _check_vertex(host, x)
     if f < 3 or f > host.n:
         raise BadSize(f"subclique size {f} out of range 3..{host.n}")
     budget = budget or SearchBudget()

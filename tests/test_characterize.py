@@ -130,6 +130,47 @@ class TestTileable:
             assert is_tileable(graph).value == is_tileable(reverse(graph)).value
 
 
+class TestSharedVerdicts:
+    """A refusal is one shared, read-only verdict per kind."""
+
+    def test_refusals_of_one_kind_are_one_object(self):
+        first = is_turanable(monotone_cycle(4))
+        second = is_turanable(reverse(path_with_ranks("1423")))
+        assert first.failing is second.failing is CanonicalType.MIN
+        assert first is second
+        assert is_tileable(d_graph(4)) is is_tileable(d_graph(5))
+
+    def test_trivial_patterns_share_one_success(self):
+        edge = is_turanable(build_graph(2, [(0, 1, 1)]))
+        assert edge.value and edge is is_tileable(build_graph(1, []))
+
+    @pytest.mark.parametrize(
+        "decide, graph, value",
+        [
+            (is_turanable, d_graph(4), True),
+            (is_turanable, monotone_cycle(4), False),
+            (is_tileable, path_with_ranks("132"), True),
+            (is_tileable, d_graph(4), False),
+            (is_turanable, build_graph(2, [(0, 1, 1)]), True),
+        ],
+        ids=["turan-success", "turan-refusal", "tile-success", "tile-refusal", "trivial"],
+    )
+    def test_certificates_are_read_only(self, decide, graph, value):
+        verdict = decide(graph)
+        assert verdict.value is value
+        with pytest.raises(TypeError):
+            verdict.certificates[CanonicalType.MIN] = Embedding(tuple(range(graph.n)))
+
+    def test_a_verdict_built_with_a_dict_compares_equal(self):
+        success = is_turanable(d_graph(4))
+        assert success == Verdict(True, dict(success.certificates))
+        assert success != Verdict(True, {})
+        assert is_turanable(monotone_cycle(4)) == Verdict(False, {}, CanonicalType.MIN)
+        failing = StarType(StarFamily.LARGER_DEC, CanonicalType.MIN)
+        assert is_tileable(d_graph(4)) == Verdict(False, failing=failing)
+        assert is_tileable(path_with_ranks("1")) == Verdict(True, {})
+
+
 class TestExhaustiveSmallCatalogs:
     def test_c4_orderings(self):
         classes = list(enumerate_orderings(monotone_cycle(4)))
@@ -354,10 +395,22 @@ class TestPendants:
         with pytest.raises(NotTuranable, match="min"):
             add_two_pendants(monotone_cycle(4), 0, 1)
 
-    @pytest.mark.parametrize("anchors", [(0, 9), (9, 3), (-1, 3), (0, -4), (4, 4)])
+    @pytest.mark.parametrize("v", [True, 1.5, 3.0, -1, "n"])
+    def test_pendant_vertex_must_be_a_vertex(self, v):
+        # True would be read as vertex 1, giving a pair (True, 3), and the
+        # others as no vertex of the smallest edge.
+        graph = path_with_ranks("12")
+        with pytest.raises(BadVertex):
+            add_pendant(graph, graph.n if v == "n" else v, "below")
+
+    @pytest.mark.parametrize(
+        "anchors",
+        [(0, 9), (9, 3), (-1, 3), (0, -4), (4, 4), (0, True), (True, 3), (0, 1.5), (3.0, 0)],
+    )
     def test_two_pendants_foreign_anchors(self, anchors, monkeypatch):
         # Checked before any adjacency read or search: a negative anchor
-        # must not be read as a vertex counted from the end.
+        # must not be read as a vertex counted from the end, True as vertex
+        # 1, nor a float as an index into the adjacency lists.
         def no_search(*args):
             raise AssertionError("searched for extremal vertices")
 
@@ -995,21 +1048,34 @@ class TestPeelCut:
 
     def test_cut_survives_optimized_mode(self):
         # The peel cut still refutes, and an order the arcs return is still
-        # certified: reversed, D(4)'s MIN order is no embedding.
+        # certified by label.  Reversed, the matching's MIN order makes its
+        # labels fall.  On one edge beside an isolated vertex any labels
+        # rise, so only the map's own checks catch an order cut short, which
+        # leaves two vertices on position 0, or run on past the clique.
         script = textwrap.dedent(
             """
             import eotile.characterize as ch
-            from eotile import CertificateError, SearchBudget, reverse
-            from eotile.characterize import d_graph, is_turanable, path_with_ranks
+            from eotile import CertificateError, SearchBudget, build_graph, reverse
+            from eotile.characterize import is_turanable, path_with_ranks
 
             assert False  # stripped under -O
             verdict = is_turanable(reverse(path_with_ranks("1423")), SearchBudget(node_limit=1))
             real = ch._block_order
-            ch._block_order = lambda *args: real(*args)[::-1]
-            try:
-                is_turanable(d_graph(4))
-            except CertificateError:
-                print(verdict.failing.value)
+            matching = build_graph(4, [(0, 1, 1), (2, 3, 2)])
+            edge = build_graph(3, [(0, 1, 1)])
+            corruptions = {
+                "falls": (matching, lambda order: order[::-1]),
+                "repeats": (edge, lambda order: order[:-1]),
+                "overruns": (edge, lambda order: order + order[:1]),
+            }
+            caught = [verdict.failing.value]
+            for name, (graph, corrupt) in corruptions.items():
+                ch._block_order = lambda *args, corrupt=corrupt: corrupt(real(*args))
+                try:
+                    is_turanable(graph)
+                except CertificateError:
+                    caught.append(name)
+            print(*caught)
             """
         )
-        assert run_optimized(script) == "min"
+        assert run_optimized(script) == "min falls repeats overruns"

@@ -107,6 +107,18 @@ class TestCommands:
         assert main(["check", "turanable", str(path)]) == 0
         assert json.loads(capsys.readouterr().out) == {"turanable": True}
 
+    def test_check_turanable_builds_no_clique(self, capsys, tmp_path, monkeypatch):
+        # Each canonical order is certified by label, so one edge among 600
+        # vertices builds no K_600.
+        def unreachable(*args):
+            raise AssertionError("canonical clique built")
+
+        monkeypatch.setattr(characterize, "canonical_clique", unreachable)
+        path = tmp_path / "edge600.json"
+        path.write_bytes(b'{"n": 600, "edges": [[0, 1, 1]]}')
+        assert main(["check", "turanable", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out) == {"turanable": True}
+
     def test_check_tileable_failing_type(self, capsys, tmp_path):
         path = tmp_path / "d4.json"
         path.write_bytes(serialize_graph(d_graph(4)))

@@ -161,12 +161,12 @@ def test_search_reached_through_a_helper_is_detected():
 def test_canonical_checks_run_no_search():
     # An embedding into a complete canonical clique is a vertex order, so
     # the Turan checks find it from precedence arcs; the order is still
-    # certified against its clique.
+    # certified, by label, with no clique built.
     tree = ast.parse((SOURCE / "characterize.py").read_text(), filename="characterize.py")
     for root in ("is_turanable", "turanable_four_coloring"):
         reached = reached_calls(tree, [root])
-        assert reached.isdisjoint({"_embeddings", "find_embedding"}), root
-        assert "_certified" in reached, root
+        assert reached.isdisjoint({"_embeddings", "find_embedding", "canonical_clique"}), root
+        assert "_certified_order" in reached, root
 
 
 def test_canonical_search_reached_through_a_helper_is_detected():
@@ -174,13 +174,76 @@ def test_canonical_search_reached_through_a_helper_is_detected():
         "def is_turanable(g):\n"
         "    return _verdict(g)\n"
         "def _verdict(g):\n"
-        "    return _certified(g, h, embed._embeddings(g, h, b))\n"
+        "    return _certified_order(k, n, p, embed._embeddings(g, canonical_clique(k, n), b))\n"
         "def turanable_four_coloring(g):\n"
-        "    return _certified(g, h, e)\n"
+        "    return _certified_order(k, n, p, vm)\n"
     )
-    assert {"_embeddings", "_certified"} <= reached_calls(tree, ["is_turanable"])
+    reached = reached_calls(tree, ["is_turanable"])
+    assert {"_embeddings", "canonical_clique", "_certified_order"} <= reached
     reached = reached_calls(tree, ["turanable_four_coloring"])
-    assert "_certified" in reached and "_embeddings" not in reached
+    assert "_certified_order" in reached and "_embeddings" not in reached
+
+
+# The module-level names holding the shared verdicts: one refusal per kind
+# and the success of a pattern on at most two vertices.
+SHARED_VERDICTS = {"_REFUSED", "_VACUOUS"}
+
+
+def verdicts_made_per_call(tree):
+    """Lines of ``Verdict(...)`` calls outside the module-level assignments
+    to ``SHARED_VERDICTS`` that are not ``Verdict(True, certificates)``: a
+    refusal, or a success with no certificates, made again on every call."""
+    shared = {
+        id(node)
+        for stmt in tree.body
+        if isinstance(stmt, (ast.Assign, ast.AnnAssign))
+        for target in (stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target])
+        if name_of(target) in SHARED_VERDICTS
+        for node in ast.walk(stmt)
+    }
+
+    def holds_certificates(node):
+        value = node.args[0] if node.args else next(
+            (k.value for k in node.keywords if k.arg == "value"), None
+        )
+        success = isinstance(value, ast.Constant) and value.value is True
+        return success and (len(node.args) > 1 or "certificates" in {k.arg for k in node.keywords})
+
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if calls(node, "Verdict") and id(node) not in shared and not holds_certificates(node)
+    )
+
+
+def test_refusals_are_shared():
+    # A refused check returns its kind's verdict from the table built at
+    # import, so it allocates no verdict; only a success holds its own
+    # certificates.
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(SOURCE.rglob("*.py"))
+        for line in verdicts_made_per_call(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert found == [], "return _REFUSED[kind] or _VACUOUS instead of a new Verdict"
+
+
+def test_refusal_made_per_call_is_detected():
+    tree = ast.parse(
+        "_REFUSED = {kind: Verdict(False, failing=kind) for kind in KINDS}\n"
+        "_VACUOUS: Verdict = Verdict(True)\n"
+        "def check(graph, ok):\n"
+        "    if graph.n <= 2:\n"
+        "        return Verdict(True)\n"
+        "    if not ok:\n"
+        "        return Verdict(False, failing=kind)\n"
+        "    if ok is None:\n"
+        "        return characterize.Verdict(value=ok, certificates={})\n"
+        "    return Verdict(True, MappingProxyType(certificates))\n"
+        "OTHER = Verdict(False, failing=None)\n"
+        "KEPT = Verdict(value=True, certificates=found)\n"
+    )
+    assert verdicts_made_per_call(tree) == [5, 7, 9, 11]
 
 
 def lines_outside(tree, matches, allowed):
